@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -45,13 +47,24 @@ class Limits:
 
 
 def limits_from_env(base: Limits | None = None) -> Limits:
-    """Apply SPECHTKIT_<FIELD> environment overrides to *base*."""
+    """Apply SPECHTKIT_<FIELD> environment overrides to *base*.
+
+    A value that is not a positive integer raises ``DomainError`` naming the
+    variable, as a bad guard flag does.
+    """
     lim = base or Limits()
     overrides = {}
     for f in fields(Limits):
-        raw = os.environ.get("SPECHTKIT_" + f.name.upper())
+        var = "SPECHTKIT_" + f.name.upper()
+        raw = os.environ.get(var)
         if raw is not None:
-            overrides[f.name] = int(raw)
+            try:
+                value = int(raw)
+            except ValueError:
+                raise DomainError(f"{var}={raw!r} is not an integer") from None
+            if value <= 0:
+                raise DomainError(f"{var} must be positive")
+            overrides[f.name] = value
     return replace(lim, **overrides) if overrides else lim
 
 

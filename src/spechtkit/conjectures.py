@@ -32,8 +32,9 @@ from .specht import specht_matrix
 
 
 def _partition_tables(n: int, limits: Limits):
-    """Per set partition: (word, complementary word's rearrangements, weight,
-    row-index lookup into the shape's pairing matrix)."""
+    """Per set partition: (word, column indices of the complementary word's
+    rearrangements, weight, the shape's pairing-matrix entries, row-index
+    lookup into them)."""
     tables = []
     for osp in properly_ordered_set_partitions(n, limits):
         shape = osp.shape()
@@ -42,7 +43,9 @@ def _partition_tables(n: int, limits: Limits):
         cols = {w: j for j, w in enumerate(mat.col_labels)}
         rear = rearrangements(osp.complementary_word())
         weight = shape.dimension() ** 2
-        tables.append((osp.word(), rear, weight, mat.entries, lookup, cols))
+        tables.append(
+            (osp.word(), [cols[r] for r in rear], weight, mat.entries, lookup)
+        )
     return tables
 
 
@@ -60,12 +63,10 @@ def funny_sum(
         raise DomainError("permutation degree must equal n")
     tables = _tables if _tables is not None else _partition_tables(n, limits)
     total = 0
-    for word, rear, weight, entries, lookup, cols in tables:
+    for word, col_idx, weight, entries, lookup in tables:
         row_s = entries[lookup[sigma.apply(word)]]
         row_t = entries[lookup[tau.apply(word)]]
-        total += weight * sum(
-            row_s[cols[r]] * row_t[cols[r]] for r in rear
-        )
+        total += weight * sum(row_s[j] * row_t[j] for j in col_idx)
     return total
 
 

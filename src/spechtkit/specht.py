@@ -4,12 +4,21 @@ The entry at (row word w1, column word w2) is the signed incidence
 ``young_character(w1, w2)`` relative to a complementary base pair, and the
 full matrix for a partition uses the canonical base pair with rows and
 columns in lexicographic order.
+
+Because the base pair (r1, r2) is complementary, its stacked columns are the
+boxes of the diagram, each once.  A cell (w1, w2) is therefore nonzero only
+when ``w1 = r1 o pi`` and ``w2 = r2 o pi`` for exactly one permutation pi of
+the positions, and then it is ``sign(pi)``.  ``specht_matrix`` builds the
+matrix in one signed sweep over S_n, writing n! entries into a zero grid;
+n! never exceeds the number of cells.  The validating ``young_character`` is
+the per-cell reference the tests hold the sweep to.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import threading
 from dataclasses import dataclass
@@ -22,6 +31,7 @@ from .combinatorics import (
     format_word,
     letter_multiplicities,
     normalize_word,
+    rearrangement_count,
     rearrangements,
 )
 from .config import DEFAULT_LIMITS, Limits
@@ -77,7 +87,7 @@ class SpechtMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(w) for w in self.col_labels]
+        return list(zip(*self.entries))
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,21 +124,44 @@ _cache: dict[tuple[int, ...], SpechtMatrix] = {}
 _cache_lock = threading.Lock()
 
 
+def _lex_permutation_signs(n: int) -> list[int]:
+    """Signs of the permutations of n positions in lexicographic order.
+
+    The k-th permutation's Lehmer code is k in the factorial base and its
+    digit sum is the inversion count, so the signs are a product over digits.
+    """
+    signs = [1]
+    for radix in range(2, n + 1):
+        signs = [s if d % 2 == 0 else -s for d in range(radix) for s in signs]
+    return signs
+
+
 def specht_matrix(p: Partition, limits: Limits = DEFAULT_LIMITS) -> SpechtMatrix:
     """The full pairing matrix of p with lex-ordered row and column labels."""
+    r1, r2 = p.canonical_words()
+    cells = rearrangement_count(r1) * rearrangement_count(r2)
+    limits.require("max_matrix_cells", cells)
     with _cache_lock:
         hit = _cache.get(p.parts)
     if hit is not None:
         return hit
 
-    r1, r2 = p.canonical_words()
+    if not classify_pair(r1, r2).is_complementary:
+        raise DomainError("base pair is not complementary")
     rows = rearrangements(r1)
     cols = rearrangements(r2)
-    limits.require("max_matrix_cells", len(rows) * len(cols))
-    entries = tuple(
-        tuple(young_character(w1, w2, r1, r2) for w2 in cols) for w1 in rows
-    )
-    mat = SpechtMatrix(p, tuple(rows), tuple(cols), entries)
+    row_index = {w: i for i, w in enumerate(rows)}
+    col_index = {w: j for j, w in enumerate(cols)}
+    grid = [[0] * len(cols) for _ in rows]
+    # itertools.permutations permutes by position in lexicographic index
+    # order, so the k-th words are r1 o pi and r2 o pi for the k-th pi.
+    for w1, w2, sign in zip(
+        itertools.permutations(r1),
+        itertools.permutations(r2),
+        _lex_permutation_signs(p.n),
+    ):
+        grid[row_index[w1]][col_index[w2]] = sign
+    mat = SpechtMatrix(p, tuple(rows), tuple(cols), tuple(map(tuple, grid)))
     with _cache_lock:
         _cache.setdefault(p.parts, mat)
     return mat

@@ -223,6 +223,15 @@ def test_limit_env_overrides(capsys, monkeypatch):
     assert err.startswith("error: resource:")
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_limit_env_value_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SPECHTKIT_MAX_GROUND", value)
+    code, _, err = run(capsys, "matroid", "flats", "--lambda", "2,1")
+    assert code == 2
+    assert err.startswith("error: usage:")
+    assert "SPECHTKIT_MAX_GROUND" in err
+
+
 def test_cache_dir_round_trip(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     code, first, _ = run(

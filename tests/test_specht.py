@@ -6,9 +6,12 @@ from spechtkit.combinatorics import (
     Partition,
     all_permutations,
     partitions_of,
+    rearrangements,
     word_from_text,
 )
-from spechtkit.errors import DomainError
+from spechtkit import specht
+from spechtkit.config import Limits
+from spechtkit.errors import DomainError, ResourceLimitError
 from spechtkit.specht import (
     SpechtMatrix,
     column_action_witness,
@@ -104,7 +107,7 @@ def test_row_sums_vanish_for_non_column_shapes(n):
             assert sum(row) == 0
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_rank_equals_hook_length_dimension(n):
     for p in partitions_of(n):
         assert specht_module_dimension(p) == p.dimension()
@@ -178,8 +181,39 @@ def test_csv_has_header_and_labels():
 
 
 def test_matrix_guard():
-    from spechtkit.config import Limits
-    from spechtkit.errors import ResourceLimitError
-
     with pytest.raises(ResourceLimitError):
         specht_matrix(Partition((4, 4)), Limits(max_matrix_cells=10))
+
+
+def test_matrix_guard_holds_on_cold_and_warm_cache(monkeypatch):
+    monkeypatch.setattr(specht, "_cache", {})
+    p = Partition.parse("3,2,1")
+    tight = Limits(max_matrix_cells=10)
+    with pytest.raises(ResourceLimitError):
+        specht_matrix(p, tight)
+    assert specht_matrix(p).shape == (60, 60)
+    with pytest.raises(ResourceLimitError):
+        specht_matrix(p, tight)
+
+
+SWEEP_SHAPES = [p for n in range(1, 7) for p in partitions_of(n)] + [
+    Partition((4, 2, 1)),
+    Partition((2, 1, 1, 1, 1, 1)),
+    Partition((1,) * 7),
+]
+
+
+@pytest.mark.parametrize("p", SWEEP_SHAPES, ids=str)
+def test_sweep_matches_young_character_cell_by_cell(p):
+    r1, r2 = p.canonical_words()
+    mat = specht_matrix(p)
+    assert list(mat.row_labels) == rearrangements(r1)
+    assert list(mat.col_labels) == rearrangements(r2)
+    for w1, row in zip(mat.row_labels, mat.entries):
+        expected = [young_character(w1, w2, r1, r2) for w2 in mat.col_labels]
+        assert list(row) == expected
+
+
+def test_columns_is_transpose():
+    mat = specht_matrix(Partition((3, 1, 1)))
+    assert mat.columns() == [mat.column(w) for w in mat.col_labels]
