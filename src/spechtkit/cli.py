@@ -75,12 +75,33 @@ def _load_matrix_columns(path: str):
         raise IOError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise IOError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"{path}: expected a JSON object with 'entries'")
     entries = data.get("entries")
     if not isinstance(entries, list) or not entries:
         raise DomainError(f"{path}: missing entries")
+    if not all(isinstance(row, list) for row in entries):
+        raise DomainError(f"{path}: entries must be a list of rows")
     n_cols = len(entries[0])
+    for i, row in enumerate(entries):
+        if len(row) != n_cols:
+            raise DomainError(
+                f"{path}: row {i} has {len(row)} entries, row 0 has {n_cols}"
+            )
+        for x in row:
+            # bool is a subclass of int; JSON true/false are not entries
+            if type(x) is not int:
+                raise DomainError(f"{path}: row {i}: entry {x!r} is not an integer")
     labels = data.get("col_labels") or list(range(n_cols))
-    columns = [tuple(int(row[j]) for row in entries) for j in range(n_cols)]
+    if (
+        not isinstance(labels, list)
+        or len(labels) != n_cols
+        or not all(isinstance(x, str) or type(x) is int for x in labels)
+    ):
+        raise DomainError(
+            f"{path}: col_labels must be {n_cols} strings or integers, one per column"
+        )
+    columns = [tuple(row[j] for row in entries) for j in range(n_cols)]
     return tuple(labels), tuple(columns)
 
 
@@ -89,8 +110,7 @@ def _matroid_from_args(args, limits: Limits) -> LinearMatroid:
         labels, columns = _load_matrix_columns(args.matrix)
         return LinearMatroid(labels, columns, limits)
     if getattr(args, "lam", None):
-        m = specht_matroid(_parse_partition(args.lam))
-        return LinearMatroid(m.labels, m.columns, limits)
+        return specht_matroid(_parse_partition(args.lam), limits)
     raise DomainError("provide --lambda or --matrix")
 
 

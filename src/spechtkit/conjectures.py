@@ -169,11 +169,11 @@ def derangement_excedance_counts(
     return ExcedanceTable(n, tuple(counts.get(k, 0) for k in range(top + 1)))
 
 
-def hook_matroid(n: int):
+def hook_matroid(n: int, limits: Limits = DEFAULT_LIMITS):
     """M(2, 1^(n-1)), the matroid of the near-staircase hook shape."""
     if n < 2:
         raise DomainError("n must be at least 2")
-    return specht_matroid(Partition((2,) + (1,) * (n - 2)))
+    return specht_matroid(Partition((2,) + (1,) * (n - 2)), limits)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class Conjecture2Report:
 
 
 def check_conjecture2(n: int, limits: Limits = DEFAULT_LIMITS) -> Conjecture2Report:
-    dims = tuple(chow_graded_dimensions(hook_matroid(n)))
+    dims = tuple(chow_graded_dimensions(hook_matroid(n, limits)))
     counts = derangement_excedance_counts(n, limits).counts
     return Conjecture2Report(n, dims, counts, dims == counts)
 

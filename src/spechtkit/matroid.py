@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -415,16 +414,9 @@ def poly1_to_json(p: Poly1, var: str = "t") -> dict[str, int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _specht_matroid_cached(parts: tuple[int, ...]) -> LinearMatroid:
-    from .combinatorics import Partition
+def specht_matroid(p, limits: Limits = DEFAULT_LIMITS) -> LinearMatroid:
+    """Matroid of the columns of the pairing matrix of p, under *limits*."""
     from .specht import specht_matrix
 
-    p = Partition(parts)
-    mat = specht_matrix(p)
-    return LinearMatroid(mat.col_labels, tuple(mat.columns()))
-
-
-def specht_matroid(p) -> LinearMatroid:
-    """Matroid of the columns of the pairing matrix of p."""
-    return _specht_matroid_cached(p.parts)
+    mat = specht_matrix(p, limits)
+    return LinearMatroid(mat.col_labels, tuple(mat.columns()), limits)

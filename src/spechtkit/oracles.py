@@ -3,8 +3,9 @@
 Nothing here shares code paths with the main constructions: characters come
 from the Murnaghan-Nakayama rule on beta-numbers, coefficient values from
 character sums over partition-indexed conjugacy classes, dimensions from a
-brute-force standard-filling counter, and Chow graded dimensions from a
-quotient-ring relation-matrix rank.
+brute-force standard-filling counter, Chow graded dimensions from a
+quotient-ring relation-matrix rank, and polytope facets from a search over
+every spanning point subset.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from typing import Sequence
 
 from .combinatorics import Partition, partitions_of
 
@@ -235,3 +237,40 @@ def chow_dims_quotient_oracle(m) -> list[int]:
                     rows.append(row)
         dims.append(len(mons) - int_rank(rows, len(mons)))
     return dims
+
+
+# ---------------------------------------------------------------------------
+# brute-force polytope facets
+
+
+def facets_oracle(
+    points: Sequence[Sequence[int]], dim: int
+) -> set[tuple[tuple[int, ...], int, frozenset[int]]]:
+    """Facets of a full-dimensional point set in Z^dim by trying every subset.
+
+    Each dim-subset of affinely independent points spans a hyperplane; it is
+    a facet hyperplane when every point lies on one side.  Facets come back
+    as (primitive inner normal, offset, indices of the points on it), the
+    inside being normal . x >= offset.  C(N, dim) subsets: small sets only.
+    """
+    from .linalg import int_rank, nullspace_vector
+
+    out = set()
+    if dim == 0:  # a single point has no facets
+        return out
+    for combo in itertools.combinations(range(len(points)), dim):
+        base = points[combo[0]]
+        rows = [tuple(a - b for a, b in zip(points[i], base)) for i in combo[1:]]
+        if int_rank(rows, dim) != dim - 1:
+            continue
+        normal = nullspace_vector(rows, dim)
+        offset = sum(a * b for a, b in zip(normal, base))
+        values = [sum(a * b for a, b in zip(normal, p)) for p in points]
+        if min(values) < offset < max(values):
+            continue
+        tight = frozenset(i for i, v in enumerate(values) if v == offset)
+        if min(values) < offset:  # flip so the points satisfy normal . x >= offset
+            normal = tuple(-a for a in normal)
+            offset = -offset
+        out.add((normal, offset, tight))
+    return out

@@ -216,6 +216,41 @@ def test_limit_flag_overrides(capsys):
     assert code == 2
 
 
+def test_limit_flags_reach_lambda_matroids(capsys):
+    # (4,2) has 180 columns: past max_ground = 128 unless the flag raises it
+    for command in (("matroid", "bases"), ("chow", "dims")):
+        code, _, err = run(capsys, *command, "--lambda", "4,2")
+        assert code == 3
+        assert "max_ground" in err
+    code, _, err = run(
+        capsys, "matroid", "circuits", "--lambda", "4,2", "--max-ground", "500"
+    )
+    assert code == 3
+    assert "max_circuit_ground: requested 180" in err
+
+
+BAD_MATRICES = {
+    "not-an-object": [[1, 0], [0, 1]],
+    "ragged-rows": {"entries": [[1, 0, 1], [0, 1]]},
+    "floats": {"entries": [[1.7, 0], [0, 0.5]]},
+    "booleans": {"entries": [[True, 0], [0, 1]]},
+    "strings": {"entries": [["1", 0], [0, 1]]},
+    "short-labels": {"entries": [[1, 0], [0, 1]], "col_labels": ["a"]},
+}
+
+
+@pytest.mark.parametrize("command", [("matroid", "charpoly"), ("polytope", "fvector")], ids=str)
+@pytest.mark.parametrize("case", sorted(BAD_MATRICES))
+def test_bad_matrix_file_is_usage_error(capsys, tmp_path, command, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(BAD_MATRICES[case]))
+    code, out, err = run(capsys, *command, "--matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: usage:")
+    assert str(path) in err
+
+
 def test_limit_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("SPECHTKIT_MAX_MATRIX_CELLS", "2")
     code, _, err = run(capsys, "specht-matrix", "--lambda", "4,3")

@@ -96,6 +96,12 @@ def test_hook_matroid_rejects_tiny_n():
         hook_matroid(1)
 
 
+def test_conjecture2_honours_ground_guard():
+    assert hook_matroid(4, Limits(max_ground=4)).size == 4
+    with pytest.raises(ResourceLimitError):
+        check_conjecture2(4, Limits(max_ground=3))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_hook_dimensions_match_excedances(n):
     report = check_conjecture2(n)

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from spechtkit.combinatorics import Partition, all_permutations, partitions_of, word_from_text
-from spechtkit.errors import DomainError
+from spechtkit.config import Limits
+from spechtkit.errors import DomainError, ResourceLimitError
 from spechtkit.matroid import (
     LinearMatroid,
     format_poly1,
@@ -21,6 +22,17 @@ def test_labels_must_match_columns():
         LinearMatroid((0, 1), ((1, 0),))
     with pytest.raises(DomainError):
         LinearMatroid((0, 0), ((1, 0), (0, 1)))
+
+
+def test_specht_matroid_honours_limits():
+    p = Partition((4, 2))
+    # the guard holds whether or not the pairing matrix is already built
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            specht_matroid(p)
+        m = specht_matroid(p, Limits(max_ground=500))
+        assert m.size == 180
+        assert m.limits.max_ground == 500
 
 
 def test_rank_and_closure(x_matroid):

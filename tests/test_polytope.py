@@ -1,9 +1,15 @@
+import itertools
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from spechtkit import polytope
 from spechtkit.combinatorics import Partition, partitions_of
 from spechtkit.errors import DomainError
+from spechtkit.linalg import int_rank
+from spechtkit.oracles import facets_oracle
 from spechtkit.polytope import (
     polytope_from_columns,
     root_polytope,
@@ -120,3 +126,128 @@ def test_polytope_guards():
         polytope_from_columns([(0, 0), (1, 0), (0, 1)], Limits(max_polytope_points=2))
     with pytest.raises(ResourceLimitError):
         polytope_from_columns([(1,), (0,)]).lattice_points(Limits(max_box_volume=1))
+
+
+# ---------------------------------------------------------------------------
+# gift-wrapping against the brute-force oracle
+
+
+def assert_matches_oracle(poly):
+    got = {(f.normal, f.offset, f.vertex_indices) for f in poly.facets}
+    want = facets_oracle(poly.points, poly.dim)
+    assert got == want
+    keys = [sorted(f.vertex_indices) for f in poly.facets]
+    assert keys == sorted(keys) and len(keys) == len(got)
+    # a vertex is a point whose facets' normals span the whole space
+    vertices = [
+        i
+        for i in range(len(poly.points))
+        if int_rank([n for n, _, tight in want if i in tight], poly.dim) == poly.dim
+    ]
+    assert list(poly.vertex_indices) == vertices
+
+
+def assert_euler(poly):
+    fvec = poly.f_vector()
+    assert sum((-1) ** i * c for i, c in enumerate(fvec)) == 0
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [p.parts for n in range(1, 6) for p in partitions_of(n)],
+    ids=str,
+)
+def test_facets_match_oracle_on_specht_shapes(parts):
+    assert_matches_oracle(column_polytope(parts))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_facets_match_oracle_on_root_polytopes(k):
+    assert_matches_oracle(root_polytope(k))
+
+
+def test_non_simplicial_facets_match_oracle():
+    cube = list(itertools.product((0, 1), repeat=3))
+    octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    # a square pyramid with points inside its base edges and faces
+    pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2), (1, 0, 0), (1, 1, 0)]
+    for pts in (cube, octahedron, pyramid):
+        poly = polytope_from_columns(pts)
+        assert_matches_oracle(poly)
+        assert_euler(poly)
+    assert len(polytope_from_columns(cube).facets) == 6
+
+
+@st.composite
+def point_sets(draw):
+    """Small integer point sets, often lower-dimensional or repeated.
+
+    Points are drawn in Z^m and mapped into Z^d by a random integer affine
+    map, so collinear and coplanar sets, duplicates (from repeats or from a
+    map that is not one to one) and grid-like sets with non-simplicial
+    facets all come up.
+    """
+    m = draw(st.integers(0, 4))
+    d = draw(st.integers(max(m, 1), 5))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * m), min_size=1, max_size=9))
+    if draw(st.booleans()):
+        amap = [draw(st.tuples(*[st.integers(-2, 2)] * m)) for _ in range(d)]
+    else:  # coordinate embedding
+        amap = [tuple(int(r == c) for c in range(m)) for r in range(d)]
+    shift = draw(st.tuples(*[coord] * d))
+    return [
+        tuple(sum(a * x for a, x in zip(row, p)) + s for row, s in zip(amap, shift))
+        for p in pts
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_facets_match_oracle_on_random_point_sets(pts):
+    poly = polytope_from_columns(pts)
+    assert poly.dim == int_rank(
+        [tuple(a - b for a, b in zip(p, pts[0])) for p in pts], len(pts[0])
+    )
+    assert_matches_oracle(poly)
+    assert_euler(poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=8)
+    )
+)
+def test_lattice_points_match_box_scan(pts):
+    poly = polytope_from_columns(pts)
+    d = len(pts[0])
+    assume(poly.dim == d)
+    # facets of the ambient set itself, from the oracle
+    facets = facets_oracle(list(dict.fromkeys(pts)), d)
+    box = itertools.product(
+        *(range(min(p[i] for p in pts), max(p[i] for p in pts) + 1) for i in range(d))
+    )
+    want = [x for x in box if all(sum(a * b for a, b in zip(n, x)) >= c for n, c, _ in facets)]
+    assert poly.lattice_points() == want
+
+
+def test_lattice_points_of_a_tilted_triangle():
+    poly = polytope_from_columns([(0, 0, 1), (2, 0, 1), (0, 2, 1)])
+    assert poly.lattice_points() == [
+        (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1), (2, 0, 1)
+    ]
+
+
+def test_lattice_scan_sets_up_hull_data_once(monkeypatch):
+    calls = []
+    real = polytope._hull_basis
+
+    def counting(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(polytope, "_hull_basis", counting)
+    poly = polytope_from_columns([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
+    assert len(poly.lattice_points()) == 20
+    assert len(calls) <= 2  # once for the hull, once for membership
