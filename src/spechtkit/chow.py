@@ -1,15 +1,14 @@
 """Chow rings of matroids: presentations and graded dimensions.
 
-The ring has one generator x_F per nonempty proper-or-top flat... precisely:
-generators are indexed by the nonempty flats excluding the ground set, with
-relations
+The ring has one generator x_F per flat F strictly between the closure of the
+empty set (the loops) and the ground set, with relations
 
 * x_F * x_G for incomparable flats F, G, and
 * sum over flats F containing a of x_F  minus  the same sum for b,
   for every pair of non-loop elements a, b.
 
 Graded dimensions come from a chain-counting basis: monomials
-x_{F1}^{d1} ... x_{Fk}^{dk} over chains of nonempty proper flats with
+x_{F1}^{d1} ... x_{Fk}^{dk} over chains of flats above the bottom with
 0 < d_i < rank(F_i) - rank(F_{i-1}) for i < k and the top-of-chain exponent
 bounded the same way against the previous flat, where the chain may also end
 at the full ground set.
@@ -78,33 +77,35 @@ class ChowPresentation:
 
 def chow_presentation(m: LinearMatroid) -> ChowPresentation:
     """Generators and the complete defining relations of the Chow ring."""
-    flats = [f for f in m.proper_nonempty_flats()]
-    flats.sort(key=_flat_key)
-    quads = []
-    for i, a in enumerate(flats):
-        for b in flats[i + 1 :]:
-            if not (a <= b or b <= a):
-                quads.append((a, b))
-    loops = m.loops()
-    elements = [e for e in m.labels if e not in loops]
+    # the flats strictly between the bottom (the loops) and the top
+    masks = sorted(m._flat_masks()[1:-1], key=lambda x: _flat_key(m._labels_of(x)))
+    flats = [m._labels_of(x) for x in masks]
+    quads = [
+        (flats[i], flats[j])
+        for i, x in enumerate(masks)
+        for j in range(i + 1, len(masks))
+        if x & masks[j] not in (x, masks[j])
+    ]
+    loops = m._loop_mask()
+    elements = [i for i in range(m.size) if not loops >> i & 1]
     linear = []
     if elements:
-        a0 = elements[0]
-        sum0 = [f for f in flats if a0 in f]
+
+        def containing(i):
+            return [f for f, x in zip(flats, masks) if x >> i & 1]
+
+        sum0 = containing(elements[0])
         for b in elements[1:]:
-            minus = [f for f in flats if b in f]
+            minus = containing(b)
             if minus != sum0:
                 linear.append({"plus": sum0, "minus": minus})
     return ChowPresentation(tuple(flats), tuple(quads), tuple(linear))
 
 
 def _chain_monomial_data(m: LinearMatroid):
-    """Flats (as masks), their ranks, and the containment order."""
-    masks = m._flat_masks()
-    ranks = [m._rank_mask(x) for x in masks]
-    bottom = m._closure_mask(0)
-    keep = [i for i, x in enumerate(masks) if x != bottom]
-    return masks, ranks, keep
+    """Flats (as masks) above the bottom and their ranks, in rank order."""
+    masks = m._flat_masks()[1:]
+    return masks, [m._flat_ranks[x] for x in masks]
 
 
 def chow_graded_dimensions(m: LinearMatroid) -> list[int]:
@@ -118,37 +119,30 @@ def chow_graded_dimensions(m: LinearMatroid) -> list[int]:
     r = m.rank()
     if r == 0:
         return [1]
-    masks, ranks, keep = _chain_monomial_data(m)
-    bottom_rank = m._rank_mask(m._closure_mask(0))
+    masks, ranks = _chain_monomial_data(m)
     dims = [0] * r
     dims[0] = 1  # the empty monomial
 
     # dp over flats in rank order: ways[i][d] = number of monomials of total
     # degree d whose largest chain element is flat i
-    order = sorted(keep, key=lambda i: ranks[i])
-    ways: dict[int, list[int]] = {}
-    for i in order:
-        ri = ranks[i]
+    ways: list[list[int]] = []
+    start = 0  # index of the first flat of rank ri
+    for i, (mi, ri) in enumerate(zip(masks, ranks)):
+        if ranks[start] < ri:
+            start = i
         acc = [0] * r
-        # chains starting at i: exponent 1..(ri - bottom_rank - 1)
-        for d in range(1, ri - bottom_rank):
-            if d < r:
-                acc[d] += 1
+        # chains starting at i: exponent 1..(ri - 1)
+        for d in range(1, min(ri, r)):
+            acc[d] += 1
         # extend chains ending at a smaller flat j
-        for j in order:
-            if ranks[j] >= ri:
-                break
-            if masks[j] & masks[i] != masks[j]:
-                continue
-            wj = ways.get(j)
-            if not wj:
-                continue
+        for j in [j for j in range(start) if masks[j] & mi == masks[j]]:
+            wj = ways[j]
             gap = ri - ranks[j]
             for d in range(1, gap):
                 for prev, cnt in enumerate(wj):
                     if cnt and prev + d < r:
                         acc[prev + d] += cnt
-        ways[i] = acc
+        ways.append(acc)
         for d, cnt in enumerate(acc):
             if cnt and d:
                 dims[d] += cnt
@@ -157,29 +151,25 @@ def chow_graded_dimensions(m: LinearMatroid) -> list[int]:
 
 def fy_basis_monomials(m: LinearMatroid, degree: int) -> list[tuple[tuple[frozenset, int], ...]]:
     """Basis monomials of the given degree as ((flat, exponent), ...) chains."""
-    masks, ranks, keep = _chain_monomial_data(m)
-    bottom_rank = m._rank_mask(m._closure_mask(0))
-    order = sorted(keep, key=lambda i: ranks[i])
+    masks, ranks = _chain_monomial_data(m)
     out = []
 
-    def extend(chain, last_idx, last_rank, remaining):
+    def extend(chain, last_mask, last_rank, remaining):
         if remaining == 0:
             out.append(tuple(chain))
             return
-        for i in order:
-            if ranks[i] <= last_rank:
+        for x, rx in zip(masks, ranks):
+            if rx <= last_rank or last_mask & x != last_mask:
                 continue
-            if last_idx is not None and masks[last_idx] & masks[i] != masks[last_idx]:
-                continue
-            gap = ranks[i] - last_rank
+            gap = rx - last_rank
             for d in range(1, min(gap - 1, remaining) + 1):
-                chain.append((m._labels_of(masks[i]), d))
-                extend(chain, i, ranks[i], remaining - d)
+                chain.append((m._labels_of(x), d))
+                extend(chain, x, rx, remaining - d)
                 chain.pop()
 
     if degree == 0:
         return [()]
-    extend([], None, bottom_rank, degree)
+    extend([], 0, 0, degree)
     return out
 
 

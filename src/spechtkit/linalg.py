@@ -40,7 +40,17 @@ class RowSpace:
         return len(self.pivots)
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...] | None:
-        """Reduce *vec* against the basis; None if it lies in the span."""
+        """Reduce *vec* against the basis; None if it lies in the span.
+
+        Every stored row is zero at the pivot columns of the rows stored
+        before it, so the residue is zero at every pivot column.  Up to scale
+        it is the only vector a*vec + s (a != 0, s in the span) with that
+        property: the projection of *vec* that kills the span.  Normalised, it
+        is therefore the same for every nonzero multiple of *vec* plus any
+        element of the span, and two vectors outside the span have equal
+        residues exactly when each lies in the span of the other and the
+        basis.
+        """
         row = list(vec)
         for col, piv in self.pivots:
             c = row[col]

@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
-from .linalg import RowSpace, int_rank
+from .linalg import RowSpace, _normalize, int_rank
 
 Poly2 = dict[tuple[int, int], int]
 Poly1 = dict[int, int]
@@ -42,7 +42,11 @@ class LinearMatroid:
         self.limits.require("max_ground", len(self.labels))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._dim = len(self.columns[0]) if self.columns else 0
-        self._rank_cache: dict[int, int] = {}
+        if any(len(c) != self._dim for c in self.columns):
+            raise DomainError("columns must have equal length")
+        self._vectors, self._rank = _row_basis(self.columns, self._dim)
+        # mask -> rank of every flat, in (rank, mask) order, once enumerated
+        self._flat_ranks: dict[int, int] | None = None
 
     # -- basic data ---------------------------------------------------------
 
@@ -64,29 +68,28 @@ class LinearMatroid:
             self.labels[i] for i in range(self.size) if mask >> i & 1
         )
 
-    def _rank_mask(self, mask: int) -> int:
-        hit = self._rank_cache.get(mask)
-        if hit is not None:
-            return hit
-        space = RowSpace(self._dim)
+    def _span(self, mask: int) -> RowSpace:
+        space = RowSpace(self._rank)
         for i in range(self.size):
             if mask >> i & 1:
-                space.add(self.columns[i])
-        self._rank_cache[mask] = space.rank
-        return space.rank
+                space.add(self._vectors[i])
+        return space
+
+    def _rank_mask(self, mask: int) -> int:
+        return self._span(mask).rank
 
     def rank(self, subset: Iterable[Hashable] | None = None) -> int:
         if subset is None:
-            return self._rank_mask((1 << self.size) - 1)
+            return self._rank
         return self._rank_mask(self._mask(subset))
 
     # -- closure and flats --------------------------------------------------
 
     def _closure_mask(self, mask: int) -> int:
-        r = self._rank_mask(mask)
+        space = self._span(mask)
         out = mask
         for i in range(self.size):
-            if not (out >> i & 1) and self._rank_mask(mask | 1 << i) == r:
+            if not (mask >> i & 1) and space.contains(self._vectors[i]):
                 out |= 1 << i
         return out
 
@@ -94,47 +97,77 @@ class LinearMatroid:
         return self._labels_of(self._closure_mask(self._mask(subset)))
 
     def _flat_masks(self) -> list[int]:
-        """All flats (closed sets) including the empty closure and the top."""
-        start = self._closure_mask(0)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for i in range(self.size):
-                    if f >> i & 1:
-                        continue
-                    g = self._closure_mask(f | 1 << i)
-                    if g not in seen:
-                        seen.add(g)
-                        nxt.append(g)
-            frontier = nxt
-        return sorted(seen, key=lambda m: (self._rank_mask(m), m))
+        """All flats, from the closure of the empty set to the top, sorted by
+        (rank, mask).
+
+        The lattice grows one rank at a time by covers.  Each flat F carries
+        the residues of the columns outside it against span(F) (see
+        :meth:`RowSpace.reduce`): normalised, two columns have the same
+        residue exactly when they are parallel modulo span(F), so each
+        residue class R gives the cover F | R, of rank r(F) + 1.  The cover's
+        residues are F's, eliminated once more against R's residue, which
+        keeps them zero at every pivot column so far.  The ranks are kept in
+        ``_flat_ranks``, one per flat.
+        """
+        if self._flat_ranks is None:
+            ranks: dict[int, int] = {}
+            bottom = self._loop_mask()
+            level = {
+                bottom: {
+                    i: _normalize(vec)
+                    for i, vec in enumerate(self._vectors)
+                    if not bottom >> i & 1
+                }
+            }
+            rank = 0
+            while level:
+                covers: dict[int, dict[int, tuple[int, ...]]] = {}
+                for flat in sorted(level):
+                    ranks[flat] = rank
+                    residues = level[flat]
+                    classes: dict[tuple[int, ...], int] = {}
+                    for i, res in residues.items():
+                        classes[res] = classes.get(res, 0) | 1 << i
+                    for piv, members in classes.items():
+                        cover = flat | members
+                        if cover in covers:
+                            continue
+                        col = next(j for j, x in enumerate(piv) if x)
+                        p = piv[col]
+                        covers[cover] = {
+                            i: _normalize([p * a - res[col] * b for a, b in zip(res, piv)])
+                            if res[col]
+                            else res
+                            for i, res in residues.items()
+                            if not members >> i & 1
+                        }
+                level = covers
+                rank += 1
+            self._flat_ranks = ranks
+        return list(self._flat_ranks)
 
     def flats(self, rank: int | None = None) -> list[frozenset]:
         masks = self._flat_masks()
         if rank is not None:
-            masks = [m for m in masks if self._rank_mask(m) == rank]
+            masks = [m for m in masks if self._flat_ranks[m] == rank]
         return [self._labels_of(m) for m in masks]
 
     def proper_nonempty_flats(self) -> list[frozenset]:
+        """Flats other than the top and the empty set, in (rank, mask) order."""
         top = (1 << self.size) - 1
-        topc = self._closure_mask(top)
-        bottom = self._closure_mask(0)
-        return [
-            self._labels_of(m)
-            for m in self._flat_masks()
-            if m != topc and (m != bottom or bottom != 0) and m != 0
-        ]
+        return [self._labels_of(m) for m in self._flat_masks() if m not in (0, top)]
 
     # -- circuits, bases, loops --------------------------------------------
 
+    def _loop_mask(self) -> int:
+        out = 0
+        for i, vec in enumerate(self._vectors):
+            if not any(vec):
+                out |= 1 << i
+        return out
+
     def loops(self) -> frozenset:
-        return frozenset(
-            self.labels[i]
-            for i in range(self.size)
-            if all(x == 0 for x in self.columns[i])
-        )
+        return self._labels_of(self._loop_mask())
 
     def circuits(self, max_size: int | None = None) -> list[frozenset]:
         """Minimal dependent sets, smallest first.
@@ -159,8 +192,8 @@ class LinearMatroid:
 
     def has_two_element_circuit(self) -> bool:
         seen: dict[tuple[int, ...] | None, int] = {}
-        for col in self.columns:
-            key = _primitive(col)
+        for vec in self._vectors:
+            key = _normalize(vec)
             if key is None:
                 return True  # a loop forms a one-element circuit already
             if key in seen:
@@ -191,13 +224,33 @@ class LinearMatroid:
         raise DomainError(f"unknown tutte strategy {strategy!r}")
 
     def _tutte_subsets(self) -> Poly2:
-        """Corank-nullity sum over all subsets of the ground set."""
-        r = self.rank()
+        """Corank-nullity sum over all subsets of the ground set.
+
+        Subsets are walked depth first, so each one extends its parent's span
+        by one column.  Once a span has full rank, so has every subset the
+        walk would reach from it, and those are counted by size alone.
+        """
+        r, n = self._rank, self.size
         counts: dict[tuple[int, int], int] = {}
-        for mask in range(1 << self.size):
-            rk = self._rank_mask(mask)
-            key = (r - rk, _popcount(mask) - rk)
+        space = RowSpace(r)
+
+        def walk(start: int, size: int) -> None:
+            rk = space.rank
+            if rk == r:
+                rest = n - start
+                for k in range(rest + 1):
+                    key = (0, size + k - r)
+                    counts[key] = counts.get(key, 0) + _binom(rest, k)
+                return
+            key = (r - rk, size - rk)
             counts[key] = counts.get(key, 0) + 1
+            for i in range(start, n):
+                grew = space.add(self._vectors[i])
+                walk(i + 1, size + 1)
+                if grew:
+                    space.pivots.pop()
+
+        walk(0, 0)
         return _expand_corank_nullity(counts)
 
     def _tutte_deletion_contraction(self) -> Poly2:
@@ -222,60 +275,38 @@ class LinearMatroid:
             memo[key] = out
             return out
 
-        return solve(self.columns)
+        return solve(self._vectors)
 
     def _tutte_flats(self) -> Poly2:
-        """Convolution over the lattice of flats via Mobius inversion.
+        """Sum over the lattice of flats.
 
-        T(x, y) = sum_F (x-1)^(r - r(F)) * h_F(y - 1) where h_F collects the
-        subsets whose closure is exactly F; h_F is recovered from the subset
-        generating functions of the lower intervals by Mobius inversion and is
-        divisible by v^(r(F)) exactly.
+        T(x, y) = sum_F (x-1)^(r - r(F)) * h_F(y - 1) / (y - 1)^r(F), where
+        h_F(v) = sum of v^|S| over the subsets S whose closure is exactly F.
+        Every subset of F closes to a flat below F, so
+        h_F(v) = (1 + v)^|F| - sum_{G < F} h_G(v), taken over the flats in
+        rank order; h_F is divisible by v^r(F) exactly.
         """
-        masks = self._flat_masks()
-        ranks = [self._rank_mask(m) for m in masks]
-        r = self.rank()
-        idx = {m: i for i, m in enumerate(masks)}
-        below = [
-            [j for j, g in enumerate(masks) if g & m == g] for m in masks
-        ]
-        # mobius function mu(G, F) on the lattice of flats
-        mu: list[dict[int, int]] = [dict() for _ in masks]
-        for fi, m in enumerate(masks):
-            mu[fi][fi] = 1
-            for gi in sorted(below[fi], key=lambda j: -ranks[j]):
-                if gi == fi:
-                    continue
-                s = -sum(
-                    mu[fi][hi]
-                    for hi in below[fi]
-                    if hi in mu[fi] and masks[gi] & masks[hi] == masks[gi] and hi != gi
-                )
-                mu[fi][gi] = s
-        out: Poly2 = {}
-        for fi, m in enumerate(masks):
-            # sum over G <= F of mu(G,F) * (1+v)^|G|, as a polynomial in v
-            acc: Poly1 = {}
-            for gi in below[fi]:
-                coeff = mu[fi].get(gi, 0)
-                if coeff:
-                    k = _popcount(masks[gi])
-                    for t in range(k + 1):
-                        acc[t] = acc.get(t, 0) + coeff * _binom(k, t)
-            # exact division by v^(r(F))
-            rf = ranks[fi]
-            assert all(c == 0 for t, c in acc.items() if t < rf), "division fails"
-            h = {t - rf: c for t, c in acc.items() if t >= rf and c}
-            # multiply by (x-1)^(r - rf) and substitute u = x-1, v = y-1
-            for a in range(r - rf + 1):
-                cu = _binom(r - rf, a) * (-1) ** (r - rf - a)
-                for t, c in h.items():
-                    # (y-1)^t expanded
-                    for b in range(t + 1):
-                        cv = _binom(t, b) * (-1) ** (t - b)
-                        key = (a, b)
-                        out[key] = out.get(key, 0) + cu * c * cv
-        return {k: v for k, v in out.items() if v}
+        counts: dict[tuple[int, int], int] = {}
+        lower: list[tuple[int, list[int]]] = []  # (G, h_G) for r(G) < rank
+        level: list[tuple[int, list[int]]] = []  # the same for r(G) == rank
+        rank = 0
+        for m in self._flat_masks():
+            rf = self._flat_ranks[m]
+            if rf > rank:
+                lower += level
+                level, rank = [], rf
+            size = _popcount(m)
+            h = [_binom(size, t) for t in range(size + 1)]
+            for hg in [hg for g, hg in lower if g & m == g]:
+                for t, c in enumerate(hg):
+                    h[t] -= c
+            assert not any(h[:rf]), "division fails"
+            for t in range(rf, size + 1):
+                if h[t]:
+                    key = (self._rank - rf, t - rf)
+                    counts[key] = counts.get(key, 0) + h[t]
+            level.append((m, h))
+        return _expand_corank_nullity(counts)
 
     def characteristic_polynomial(self) -> Poly1:
         """p(t) = (-1)^r T(1 - t, 0)."""
@@ -293,18 +324,20 @@ class LinearMatroid:
         return {k: sign * v for k, v in out.items() if v}
 
 
-def _primitive(col: Sequence[int]) -> tuple[int, ...] | None:
-    from math import gcd
+def _row_basis(columns, dim: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Columns restricted to a maximal independent set of coordinates, and
+    their rank.
 
-    g = 0
-    for x in col:
-        g = gcd(g, x)
-    if g == 0:
-        return None
-    lead = next(x for x in col if x)
-    if lead < 0:
-        g = -g
-    return tuple(x // g for x in col)
+    The pivot coordinates of an echelon basis of the column span index such a
+    set: restricting the span to them is injective, so the restricted columns
+    have the same column matroid and every later reduction runs on vectors of
+    length rank instead of dim.
+    """
+    space = RowSpace(dim)
+    for col in columns:
+        space.add(col)
+    coords = sorted(c for c, _ in space.pivots)
+    return tuple(tuple(col[i] for i in coords) for col in columns), space.rank
 
 
 def _contract(cols: Sequence[tuple[int, ...]], e: tuple[int, ...]):

@@ -3,8 +3,9 @@
 Nothing here shares code paths with the main constructions: characters come
 from the Murnaghan-Nakayama rule on beta-numbers, coefficient values from
 character sums over partition-indexed conjugacy classes, dimensions from a
-brute-force standard-filling counter, Chow graded dimensions from a
-quotient-ring relation-matrix rank, and polytope facets from a search over
+brute-force standard-filling counter, matroid flats from the closure of
+every independent subset, Chow graded dimensions from a quotient-ring
+relation-matrix rank over those flats, and polytope facets from a search over
 every spanning point subset.
 """
 
@@ -174,6 +175,58 @@ def standard_filling_count(p: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
+# matroid flats
+
+
+def flats_oracle(columns: Sequence[Sequence[int]]) -> set[frozenset[int]]:
+    """Flats of the column matroid, as sets of column indices.
+
+    The closure of a set is the closure of any maximal independent subset of
+    it, so the flats are the closures of the independent sets.  These are
+    walked depth first over parallel-class representatives (columns with
+    proportional nonzero entries); each closure takes one rank per class.
+    Exponential in the number of classes; intended for small matroids only.
+    """
+    from .linalg import int_rank
+
+    dim = len(columns[0]) if columns else 0
+    classes: list[list[int]] = []
+    loops = []
+    for i, col in enumerate(columns):
+        if not any(col):
+            loops.append(i)
+            continue
+        for cls in classes:
+            if int_rank([columns[cls[0]], col], dim) == 1:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    reps = [columns[cls[0]] for cls in classes]
+    out = set()
+
+    def walk(chosen: list, start: int) -> None:
+        vecs = [reps[k] for k in chosen]
+        out.add(
+            frozenset(
+                loops
+                + [
+                    i
+                    for k, cls in enumerate(classes)
+                    if int_rank(vecs + [reps[k]], dim) == len(chosen)
+                    for i in cls
+                ]
+            )
+        )
+        for k in range(start, len(classes)):
+            if int_rank(vecs + [reps[k]], dim) > len(chosen):
+                walk(chosen + [k], k + 1)
+
+    walk([], 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Chow ring quotient oracle
 
 
@@ -181,44 +234,46 @@ def chow_dims_quotient_oracle(m) -> list[int]:
     """Graded dimensions by explicit linear algebra in the quotient ring.
 
     Works degree by degree: monomials in the flat generators span each graded
-    piece, relations are (a) rewriting by incomparable products being zero and
-    (b) multiples of the linear forms.  Dimension = monomials minus relation
-    rank.  Exponential in the flat count; intended for tiny matroids only.
+    piece, relations are (a) incomparable products being zero and (b)
+    multiples of the linear forms.  Relations (a) set to zero every monomial
+    containing an incomparable pair, so the dimension is the number of the
+    other monomials minus the rank of relations (b) restricted to them.  The
+    generators are the flats strictly between the loops and the ground set,
+    from :func:`flats_oracle`.  Exponential in the flat count; intended for
+    tiny matroids only.
     """
     from .linalg import int_rank
 
-    flats = sorted(m.proper_nonempty_flats(), key=lambda f: (len(f), sorted(map(str, f))))
+    everything = frozenset(range(len(m.columns)))
+    loops = frozenset(i for i, col in enumerate(m.columns) if not any(col))
+    flats = sorted(
+        (f for f in flats_oracle(m.columns) if f not in (loops, everything)),
+        key=lambda f: (len(f), sorted(f)),
+    )
     k = len(flats)
-    r = m.rank()
+    r = int_rank(m.columns, len(m.columns[0])) if m.columns else 0
     comparable = [
         [flats[i] <= flats[j] or flats[j] <= flats[i] for j in range(k)]
         for i in range(k)
     ]
-    loops = m.loops()
-    elements = [e for e in m.labels if e not in loops]
+    elements = [i for i in range(len(m.columns)) if i not in loops]
 
-    def monomials(degree):
-        return list(
-            itertools.combinations_with_replacement(range(k), degree)
-        )
+    def surviving(degree):
+        """Monomials of the degree with no incomparable pair."""
+        return [
+            mo
+            for mo in itertools.combinations_with_replacement(range(k), degree)
+            if all(comparable[a][b] for a, b in itertools.combinations(mo, 2))
+        ]
 
     dims = [1]
-    prev_basis = [()]  # chains of generator indices for the previous degree
+    smaller = [()]
     for degree in range(1, r):
-        mons = monomials(degree)
+        mons = surviving(degree)
         index = {mo: i for i, mo in enumerate(mons)}
         rows = []
-        # incomparability relations: any monomial containing an incomparable
-        # pair is zero
-        for mo in mons:
-            if any(
-                not comparable[a][b]
-                for a, b in itertools.combinations(set(mo), 2)
-            ):
-                row = [0] * len(mons)
-                row[index[mo]] = 1
-                rows.append(row)
-        # linear relations times every monomial of degree - 1
+        # linear relations times every surviving monomial of degree - 1 (the
+        # other multiples lie in the span of relations (a))
         if elements:
             a0 = elements[0]
             for b in elements[1:]:
@@ -228,14 +283,15 @@ def chow_dims_quotient_oracle(m) -> list[int]:
                         coeffs[i] += 1
                     if b in f:
                         coeffs[i] -= 1
-                for small in monomials(degree - 1):
+                for small in smaller:
                     row = [0] * len(mons)
                     for i, c in enumerate(coeffs):
-                        if c:
-                            mo = tuple(sorted(small + (i,)))
-                            row[index[mo]] += c
+                        j = index.get(tuple(sorted(small + (i,)))) if c else None
+                        if j is not None:
+                            row[j] += c
                     rows.append(row)
         dims.append(len(mons) - int_rank(rows, len(mons)))
+        smaller = mons
     return dims
 
 

@@ -121,3 +121,25 @@ def test_rank_zero_and_one_matroids():
     assert chow_graded_dimensions(loop_only) == [1]
     point = LinearMatroid(("a",), ((1,),))
     assert chow_graded_dimensions(point) == [1]
+
+
+# a zero column (the loop 0) in front of a loopless configuration
+LOOPED = {
+    "plane": ([(0, 0), (1, 0), (0, 1)], [1, 1]),
+    "four-points": ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [1, 7, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOPED))
+def test_loops_are_not_generators(case):
+    cols, dims = LOOPED[case]
+    m = LinearMatroid(tuple(range(len(cols))), cols)
+    loopless = LinearMatroid(tuple(range(1, len(cols))), cols[1:])
+    pres = chow_presentation(m)
+    bare = chow_presentation(loopless)
+    # the loop lies in every flat and changes nothing else
+    assert [f - {0} for f in pres.generators] == list(bare.generators)
+    assert len(pres.quadratic_relations) == len(bare.quadratic_relations)
+    assert len(pres.linear_relations) == len(bare.linear_relations)
+    assert chow_graded_dimensions(m) == chow_graded_dimensions(loopless) == dims
+    assert chow_dims_quotient_oracle(m) == dims

@@ -104,6 +104,19 @@ def test_chow_dims_and_presentation(capsys, x_matrix_file):
     assert out.splitlines()[2] == "A = R/I;"
 
 
+def test_chow_presentation_with_a_zero_column(capsys, tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"entries": [[0, 1, 0], [0, 0, 1]]}))
+    code, out, _ = run(capsys, "chow", "presentation", "--matrix", str(path), "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["generators"] == [["0", "1"], ["0", "2"]]
+    assert data["quadratic"] == [[["0", "1"], ["0", "2"]]]
+    code, out, _ = run(capsys, "chow", "dims", "--matrix", str(path))
+    assert code == 0
+    assert out.strip() == "1+T"
+
+
 def test_polytope_fvector_and_dim(capsys):
     code, out, _ = run(capsys, "polytope", "fvector", "--lambda", "2,1,1")
     assert code == 0

@@ -13,6 +13,7 @@ from spechtkit.matroid import (
     poly2_to_json,
     specht_matroid,
 )
+from spechtkit.oracles import flats_oracle
 
 W = word_from_text
 
@@ -22,6 +23,8 @@ def test_labels_must_match_columns():
         LinearMatroid((0, 1), ((1, 0),))
     with pytest.raises(DomainError):
         LinearMatroid((0, 0), ((1, 0), (0, 1)))
+    with pytest.raises(DomainError):
+        LinearMatroid((0, 1), ((1, 0), (0, 1, 0)))
 
 
 def test_specht_matroid_honours_limits():
@@ -71,6 +74,49 @@ def test_x_matroid_flats(x_matroid):
     assert sorted(flats) == sorted(expected)
     assert len(x_matroid.flats(rank=1)) == 6
     assert len(x_matroid.proper_nonempty_flats()) == 16
+
+
+def test_closure_and_flats_with_loops():
+    m = LinearMatroid("abcd", ((0, 0, 0), (1, 2, 0), (2, 4, 0), (0, 0, 0)))
+    assert m.loops() == {"a", "d"}
+    assert m.closure([]) == {"a", "d"}
+    assert m.closure(["b"]) == {"a", "b", "c", "d"}
+    assert [sorted(f) for f in m.flats()] == [["a", "d"], ["a", "b", "c", "d"]]
+    assert [sorted(f) for f in m.proper_nonempty_flats()] == [["a", "d"]]
+
+
+SHAPES = [p for n in range(1, 6) for p in partitions_of(n)]
+
+
+@pytest.mark.parametrize("p", SHAPES, ids=[str(p.parts) for p in SHAPES])
+def test_flats_match_oracle_on_specht_shapes(p):
+    m = specht_matroid(p)
+    masks = m._flat_masks()
+    flats = {frozenset(i for i in range(m.size) if x >> i & 1) for x in masks}
+    assert flats == flats_oracle(m.columns)
+    assert masks == sorted(masks, key=lambda x: (m._rank_mask(x), x))
+    assert all(m._flat_ranks[x] == m._rank_mask(x) for x in masks)
+
+
+def test_flat_count_of_3_1_1_1():
+    m = specht_matroid(Partition((3, 1, 1, 1)))
+    assert (m.size, m.rank()) == (30, 10)
+    assert len(m.flats()) == 13667
+
+
+def test_subset_tutte_keeps_no_per_subset_state():
+    # 14 points on the moment curve: the uniform matroid U(4, 14)
+    m = LinearMatroid(tuple(range(14)), [(1, t, t * t, t**3) for t in range(1, 15)])
+
+    def state():
+        return {k: len(v) if hasattr(v, "__len__") else v for k, v in vars(m).items()}
+
+    before = state()
+    t = m.tutte_polynomial("subsets")
+    assert state() == before
+    assert all(v is None or not hasattr(v, "__len__") or len(v) <= 14 for v in vars(m).values())
+    assert sum(c * 2**i * 2**j for (i, j), c in t.items()) == 2**14
+    assert t == m.tutte_polynomial("flats")
 
 
 def test_x_matroid_polynomials(x_matroid):
