@@ -13,7 +13,6 @@ import sys
 from dataclasses import fields, replace
 
 from . import __version__
-from .cache import CacheStore
 from .chow import chow_graded_dimensions, chow_presentation, hilbert_series_text
 from .coefficients import (
     kronecker_coefficient,
@@ -41,7 +40,7 @@ from .matroid import (
     specht_matroid,
 )
 from .polytope import polytope_from_columns, root_polytope_structure_check
-from .specht import SpechtMatrix, specht_matrix
+from .specht import specht_matrix
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,19 +123,6 @@ def _columns_from_args(args, limits: Limits):
     raise DomainError("provide --lambda or --matrix")
 
 
-def _specht_matrix_cached(p: Partition, limits: Limits, cache_dir: str | None):
-    if not cache_dir:
-        return specht_matrix(p, limits)
-    store = CacheStore(cache_dir)
-    key = "specht-matrix-" + str(p)
-    payload = store.get(key)
-    if payload is not None:
-        return SpechtMatrix.from_json_dict(payload)
-    mat = specht_matrix(p, limits)
-    store.put(key, mat.to_json_dict())
-    return mat
-
-
 def _emit(args, text_value, json_value, csv_value=None) -> None:
     fmt = getattr(args, "format", "text") or "text"
     if fmt == "json":
@@ -155,7 +141,7 @@ def _emit(args, text_value, json_value, csv_value=None) -> None:
 
 def _cmd_specht_matrix(args, limits):
     p = _parse_partition(args.lam)
-    mat = _specht_matrix_cached(p, limits, args.cache_dir)
+    mat = specht_matrix(p, limits)
     header = " ".join(format_word(w) for w in mat.col_labels)
     lines = ["# columns: " + header]
     for label, row in zip(mat.row_labels, mat.entries):
@@ -369,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, matrix_input=False):
         p.add_argument("--format", choices=["text", "json", "csv", "macaulay2-text"], default="text")
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--seed", type=int, default=0)
         if matrix_input:
             p.add_argument("--matrix", default=None, metavar="FILE")
         _add_limit_flags(p)
@@ -425,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--mode", choices=["full", "sampled"], default="full")
     p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_check)
 

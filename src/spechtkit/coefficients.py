@@ -1,10 +1,14 @@
 """Coefficient matrices for tensor-invariant dimensions.
 
-Three constructions share one engine: a list of factor matrices together with
-a finite group and a per-factor action on column labels.  The assembled matrix
-has rows and columns indexed by tuples of factor labels and entries
+Three constructions share one engine: a list of factor matrices, a finite
+group G and a +-1 character w of G.  Every action here pulls a factor's
+column label, read as one word, back along a position permutation,
+``result[k] = word[p_g(k)]``, so a construction is given by its factors, one
+``(|G|, word length)`` array of positions per factor, and the weights w(g).
+The coefficient matrix has rows and columns indexed by tuples of factor
+labels and entries
 
-    sum over g of  prod over factors f of  M_f[p_f, g . s_f],
+    sum over g of  w(g) * prod over factors f of  M_f[p_f, g . s_f],
 
 so its rank is the dimension of the relevant invariant space:
 
@@ -12,8 +16,17 @@ so its rank is the dimension of the relevant invariant space:
 * Littlewood-Richardson: factors of sizes l, m, l+m with S_l x S_m acting on
   the first two separately and through the prefix embedding on the third;
 * plethysm: m copies of the size-l factor plus factors of sizes m and l*m,
-  with the wreath group acting slotwise, on the slot permutation, and through
-  the dot-array embedding respectively.
+  with the wreath group S_l wr S_m acting through its dot permutation on the
+  l*m letters of the m copies and of the third factor, and through its slot
+  permutation on the second.
+
+The engine, ``_orbit_walk``, never forms the group sum.  Because w is a
+character, the columns at the labels of one orbit agree up to sign,
+A_{g.c} = w(g) A_c, so the walk sums one column per orbit representative and
+records, for every column, its representative and that sign.
+``*_coefficient`` ranks the representatives; ``*_matrix`` expands them into
+the full labelled matrix.  The column-label tables the walk reads are built
+for each call and dropped with it.
 """
 
 from __future__ import annotations
@@ -21,8 +34,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import factorial
-from typing import Callable, Sequence
+from math import factorial, prod
+from typing import Sequence
 
 import numpy as np
 
@@ -30,12 +43,11 @@ from .combinatorics import (
     Partition,
     Permutation,
     Word,
-    all_permutations,
     format_word,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
-from .linalg import RowSpace, affine_rank
+from .linalg import affine_rank, int_rank
 from .specht import SpechtMatrix, specht_matrix
 
 Label = tuple[Word, ...]
@@ -54,10 +66,7 @@ class LabeledCoefficientMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
     def rank(self) -> int:
-        space = RowSpace(self.entries.shape[1])
-        for row in self.entries:
-            space.add([int(x) for x in row])
-        return space.rank
+        return int_rank(self.entries.tolist(), self.entries.shape[1])
 
     def columns(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in self.entries[:, j]) for j in range(self.entries.shape[1])]
@@ -80,147 +89,148 @@ class LabeledCoefficientMatrix:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _assemble(
-    kind: str,
-    partitions: tuple[Partition, ...],
-    factors: Sequence,
-    group: Sequence,
-    actions: Sequence[Callable],
-    weight: Callable,
-    limits: Limits,
-) -> LabeledCoefficientMatrix:
-    """Sum the tensor products M_f[:, g-permuted columns] over the group.
+# ---------------------------------------------------------------------------
+# the orbit engine
 
-    Each term is weighted by a +-1 character of the group chosen so that the
-    pairing-value sign picked up under the column action cancels; every column
-    of the sum is then an invariant vector of the natural action and the rank
-    equals the invariant-space dimension.
+
+def _column_table(labels: Sequence, positions: np.ndarray) -> np.ndarray:
+    """(|G|, len(labels)) array whose entry [g, c] is the index of g . labels[c].
+
+    Each label is read as one word (a tuple of words as their concatenation)
+    and encoded in mixed radix; the acted words are the gathered letters
+    ``L[:, P]``, located among the label codes by binary search.
     """
-    limits.require("max_group_order", len(group))
-    n_rows = 1
-    n_cols = 1
-    for f in factors:
-        n_rows *= len(f.row_labels)
-        n_cols *= len(f.col_labels)
-    limits.require("max_matrix_cells", n_rows * n_cols)
-
-    mats = [np.array(f.entries, dtype=np.int64) for f in factors]
-    col_index = [
-        {lab: j for j, lab in enumerate(f.col_labels)} for f in factors
-    ]
-    total = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for g in group:
-        w = weight(g)
-        acc = None
-        for f, mat, index, act in zip(factors, mats, col_index, actions):
-            perm = [index[act(g, lab)] for lab in f.col_labels]
-            piece = mat[:, perm]
-            acc = piece if acc is None else np.kron(acc, piece)
-        total += w * acc
-
-    row_labels = tuple(itertools.product(*(f.row_labels for f in factors)))
-    col_labels = tuple(itertools.product(*(f.col_labels for f in factors)))
-    return LabeledCoefficientMatrix(kind, partitions, row_labels, col_labels, total)
+    letters = np.array(labels, dtype=np.int64).reshape(len(labels), -1)
+    radix = int(letters.max()) + 1
+    if radix ** letters.shape[1] >= 2**63:
+        raise DomainError("column labels are too long to encode in 64 bits")
+    powers = radix ** np.arange(letters.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes = letters @ powers
+    order = np.argsort(codes)
+    acted = letters[:, positions] @ powers  # (labels, |G|)
+    return order[np.searchsorted(codes[order], acted.T)]
 
 
-# reusable column-permutation tables: (factor identity, group-element key) ->
-# index array sending column j to the column holding the permuted label
-_perm_table_cache: dict[tuple, list[int]] = {}
+# entries per numpy temporary of the walk; bounds its working memory
+_CHUNK = 1 << 18
 
 
-def _perm_table(factor, key_part, act) -> list[int]:
-    key = (factor.partition, key_part)
-    cached = _perm_table_cache.get(key)
-    if cached is None:
-        index = {lab: j for j, lab in enumerate(factor.col_labels)}
-        cached = [index[act(lab)] for lab in factor.col_labels]
-        _perm_table_cache[key] = cached
-    return cached
+@dataclass(frozen=True)
+class _Orbits:
+    """The orbits of G on the column labels of the factor product."""
+
+    columns: np.ndarray  # (k, rows): row i is the i-th representative's summed column, nonzero
+    rep: np.ndarray  # per column: its representative's index in columns, or -1
+    sign: np.ndarray  # per column j: w(g) for g taking the representative to j, or 0
 
 
-def _invariant_rank(
+def _orbit_walk(
     factors: Sequence,
-    group: Sequence,
-    actions: Sequence[Callable],
-    keys: Sequence[Callable],
-    weight: Callable,
+    positions: Sequence[np.ndarray],
+    weights: np.ndarray,
     limits: Limits,
-) -> int:
-    """Rank of the assembled matrix without materializing it.
+) -> _Orbits:
+    """Summed columns of the orbit representatives, and the orbit map.
 
-    The weight is multiplicative in the group element, so the assembled
-    columns indexed by one orbit of the column-label action all agree up to
-    sign.  The rank is therefore the rank of one summed column per orbit,
-    which keeps the work proportional to the number of cells of the factor
-    tensor product rather than cells times group order.
+    A representative is the least column of its orbit.  The elements taking
+    it to j form a coset of its stabiliser, so the weights summed over them
+    are w(g_j) times the stabiliser's weight sum s: the representative's
+    column is s times the sum over j of w(g_j) E_j, with E_j the tensor
+    product of the factor columns at j.  Orbits with s = 0 are not summed.
     """
-    limits.require("max_group_order", len(group))
-    n_factors = len(factors)
-    mats = [np.asarray(f.entries, dtype=np.int64) for f in factors]
-    sizes = [len(f.col_labels) for f in factors]
-    n_rows = 1
-    for f in factors:
-        n_rows *= len(f.row_labels)
-    n_cols = 1
-    for s in sizes:
-        n_cols *= s
+    # factor columns as rows, to gather them whole
+    mats = [np.asarray(f.entries, dtype=np.int64).T.copy() for f in factors]
+    sizes = [mat.shape[0] for mat in mats]
+    n_rows = prod(mat.shape[1] for mat in mats)
+    n_cols = prod(sizes)
     limits.require("max_matrix_cells", n_cols)
     limits.require("max_matrix_cells", n_rows)
+    tables = [_column_table(f.col_labels, p) for f, p in zip(factors, positions)]
+    strides = [prod(sizes[f + 1 :]) for f in range(len(sizes))]
 
-    strides = [1] * n_factors
-    for f in range(n_factors - 2, -1, -1):
-        strides[f] = strides[f + 1] * sizes[f + 1]
-    # factors with a single column never move; drop them from the index walk
-    active = [f for f in range(n_factors) if sizes[f] > 1]
-    wide = [f for f in range(n_factors) if mats[f].shape[0] > 1 or sizes[f] > 1]
-    scalar = 1
-    for f in range(n_factors):
-        if f not in wide:
-            scalar *= int(mats[f][0, 0])
+    # walk the columns in blocks; a column not yet reached is a representative
+    # when no element takes it lower, and then its images are its orbit,
+    # disjoint from the others: the first occurrence of each column, rep by
+    # rep, names its representative and the element taking it there
+    index = np.full(n_cols, -1, dtype=np.int64)
+    sign = np.zeros(n_cols, dtype=np.int8)
+    reached = np.zeros(n_cols, dtype=bool)
+    blocks = [np.zeros((0, n_rows), dtype=np.int64)]
+    n_live = 0
+    n_group = len(weights)
+    step = max(1, _CHUNK // n_group)
+    for start in range(0, n_cols, step):
+        cols = start + np.flatnonzero(~reached[start : start + step])
+        if not len(cols):
+            continue
+        images = sum(t[:, cols // s % n] * s for t, s, n in zip(tables, strides, sizes))
+        is_rep = images.min(axis=0) == cols
+        images = images[:, is_rep].T.ravel()  # representative-major
+        stabiliser = weights @ (images.reshape(-1, n_group).T == cols[is_rep])
+        orbit, first = np.unique(images, return_index=True)
+        reached[orbit] = True
 
-    weights: list[int] = []
-    factor_perms: list[list] = []
-    for g in group:
-        row = [None] * n_factors
-        for f in active:
-            row[f] = _perm_table(factors[f], keys[f](g), lambda lab: actions[f](g, lab))
-        weights.append(weight(g))
-        factor_perms.append(row)
+        # sum the live orbits' elementary columns, representative by representative
+        first = np.sort(first[stabiliser[first // n_group] != 0])
+        rep, g, js = first // n_group, first % n_group, images[first]
+        number = np.cumsum(stabiliser != 0) - 1  # among this block's live representatives
+        index[js] = n_live + number[rep]
+        sign[js] = weights[g]
+        coef = stabiliser[rep] * weights[g]
+        n_new = np.count_nonzero(stabiliser)
+        limits.require("max_matrix_cells", n_rows * (n_live + n_new))
+        summed = np.zeros((n_new, n_rows), dtype=np.int64)
+        chunk = max(1, _CHUNK // n_rows)
+        for lo in range(0, len(js), chunk):
+            part = js[lo : lo + chunk]
+            acc = coef[lo : lo + chunk, None]
+            for mat, s, n in zip(mats, strides, sizes):
+                acc = (acc[:, :, None] * mat[part // s % n][:, None, :]).reshape(len(part), -1)
+            segment = number[rep[lo : lo + chunk]]
+            bounds = np.flatnonzero(np.r_[True, segment[1:] != segment[:-1]])
+            summed[segment[bounds]] += np.add.reduceat(acc, bounds)
+        blocks.append(summed)
+        n_live += n_new
 
-    visited = bytearray(n_cols)
-    space = RowSpace(n_rows)
-    reps = 0
-    for c in range(n_cols):
-        if visited[c]:
-            continue
-        digits = [c // strides[f] % sizes[f] for f in range(n_factors)]
-        coef: dict[int, int] = {}
-        for w, row in zip(weights, factor_perms):
-            j = 0
-            for f in active:
-                j += row[f][digits[f]] * strides[f]
-            visited[j] = 1
-            coef[j] = coef.get(j, 0) + w
-        js = [j for j, a in coef.items() if a]
-        if not js:
-            continue
-        # col = sum over j of coef[j] * (tensor of the factor columns at j)
-        chunk = max(1, 4_000_000 // max(1, n_rows))
-        col = np.zeros(n_rows, dtype=np.int64)
-        for start in range(0, len(js), chunk):
-            part = js[start : start + chunk]
-            acc = np.array([scalar * coef[j] for j in part], dtype=np.int64)[None, :]
-            for f in wide:
-                d = [j // strides[f] % sizes[f] for j in part]
-                piece = mats[f][:, d]
-                acc = (acc[:, None, :] * piece[None, :, :]).reshape(-1, len(part))
-            col += acc.sum(axis=1)
-        if not np.any(col):
-            continue
-        reps += 1
-        limits.require("max_matrix_cells", n_rows * reps)
-        space.add([int(x) for x in col])
-    return space.rank
+    # elementary columns can cancel: drop representatives that summed to zero
+    summed = np.concatenate(blocks)
+    nonzero = summed.any(axis=1)
+    if not nonzero.all():
+        renumber = np.full(n_live + 1, -1, dtype=np.int64)
+        renumber[:-1][nonzero] = np.arange(np.count_nonzero(nonzero))
+        index = renumber[index]
+        sign[index < 0] = 0
+        summed = summed[nonzero]
+    return _Orbits(summed, index, sign)
+
+
+def _coefficient(factors, positions, weights, limits: Limits) -> int:
+    walk = _orbit_walk(factors, positions, weights, limits)
+    return int_rank(walk.columns.tolist())
+
+
+def _coefficient_matrix(
+    kind: str, partitions: tuple[Partition, ...], factors, positions, weights, limits: Limits
+) -> LabeledCoefficientMatrix:
+    n_rows = prod(len(f.row_labels) for f in factors)
+    limits.require("max_matrix_cells", n_rows * prod(len(f.col_labels) for f in factors))
+    walk = _orbit_walk(factors, positions, weights, limits)
+    # representative -1 reads the appended zero column
+    reps = np.vstack([walk.columns, np.zeros((1, n_rows), dtype=np.int64)])
+    return LabeledCoefficientMatrix(
+        kind,
+        partitions,
+        tuple(itertools.product(*(f.row_labels for f in factors))),
+        tuple(itertools.product(*(f.col_labels for f in factors))),
+        np.ascontiguousarray((reps[walk.rep] * walk.sign[:, None]).T),
+    )
+
+
+def _symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based one-line images of S_n, one row per element, and the signs."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    inversions = sum((perms[:, [i]] > perms[:, i + 1 :]).sum(axis=1) for i in range(n))
+    return perms, 1 - 2 * (inversions % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,35 +243,26 @@ def _kronecker_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limit
         raise DomainError("all three partitions must have the same size")
     limits.require("max_coefficient_n", n)
     factors = [specht_matrix(p, limits) for p in (lam, mu, nu)]
-    group = list(all_permutations(n))
-    act = lambda g, w: g.apply(w)
-    key = lambda g: g.images
-    weight = lambda g: g.sign()
-    return factors, group, [act, act, act], [key, key, key], weight
+    limits.require("max_group_order", factorial(n))
+    perms, signs = _symmetric_group(n)
+    return factors, [perms, perms, perms], signs
 
 
 def kronecker_matrix(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> LabeledCoefficientMatrix:
-    factors, group, actions, keys, weight = _kronecker_setup(lam, mu, nu, limits)
-    return _assemble("kronecker", (lam, mu, nu), factors, group, actions, weight, limits)
+    setup = _kronecker_setup(lam, mu, nu, limits)
+    return _coefficient_matrix("kronecker", (lam, mu, nu), *setup, limits)
 
 
 def kronecker_coefficient(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> int:
-    return _invariant_rank(*_kronecker_setup(lam, mu, nu, limits), limits)
+    return _coefficient(*_kronecker_setup(lam, mu, nu, limits), limits)
 
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson
-
-
-def _prefix_embedding(sigma: Permutation, tau: Permutation) -> Permutation:
-    """sigma x tau inside the symmetric group on 1..(l+m), sigma on 1..l."""
-    l = sigma.n
-    images = list(sigma.images) + [l + x for x in tau.images]
-    return Permutation(tuple(images))
 
 
 def _lr_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits):
@@ -271,37 +272,27 @@ def _lr_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits):
     # guard admits one letter more than the diagonal constructions
     limits.require("max_coefficient_n", l + m - 1)
     factors = [specht_matrix(p, limits) for p in (lam, mu, nu)]
-    group = [
-        (s, t)
-        for s in all_permutations(l)
-        for t in all_permutations(m)
-    ]
-    actions = [
-        lambda g, w: g[0].apply(w),
-        lambda g, w: g[1].apply(w),
-        lambda g, w: _prefix_embedding(g[0], g[1]).apply(w),
-    ]
-    keys = [
-        lambda g: g[0].images,
-        lambda g: g[1].images,
-        lambda g: (g[0].images, g[1].images),
-    ]
+    limits.require("max_group_order", factorial(l) * factorial(m))
+    sigma, _ = _symmetric_group(l)
+    tau, _ = _symmetric_group(m)
+    # (sigma, tau) acts on the third factor as sigma x tau on 1..l+m
+    left = np.repeat(sigma, len(tau), axis=0)
+    right = np.tile(tau, (len(sigma), 1))
     # the two tensor-factor signs cancel against the embedded sign
-    weight = lambda g: 1
-    return factors, group, actions, keys, weight
+    weights = np.ones(len(left), dtype=np.int64)
+    return factors, [left, right, np.hstack([left, l + right])], weights
 
 
 def lr_matrix(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> LabeledCoefficientMatrix:
-    factors, group, actions, keys, weight = _lr_setup(lam, mu, nu, limits)
-    return _assemble("lr", (lam, mu, nu), factors, group, actions, weight, limits)
+    return _coefficient_matrix("lr", (lam, mu, nu), *_lr_setup(lam, mu, nu, limits), limits)
 
 
 def lr_coefficient(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> int:
-    return _invariant_rank(*_lr_setup(lam, mu, nu, limits), limits)
+    return _coefficient(*_lr_setup(lam, mu, nu, limits), limits)
 
 
 # ---------------------------------------------------------------------------
@@ -322,38 +313,57 @@ class WreathElement:
     permutation: Permutation  # realized on {1..lm}
 
 
+def _wreath_group(l: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wreath group on an l x m array of dots, zero-based.
+
+    Returns the dot permutations (|G|, l*m), the slot permutations (|G|, m)
+    and the slot permutations' signs, one row per element (tau, rows) with
+    tau in S_m major and the m row permutations in S_l in product order.
+    """
+    rows, _ = _symmetric_group(l)
+    slots, signs = _symmetric_group(m)
+    choices = np.array(list(itertools.product(range(len(rows)), repeat=m)), dtype=np.int64)
+    # dot (i, j) goes to (rows_j(i), tau(j))
+    dots = slots[:, None, :, None] * l + rows[choices][None, :, :, :]
+    return (
+        dots.reshape(-1, l * m),
+        np.repeat(slots, len(choices), axis=0),
+        np.repeat(signs, len(choices)),
+    )
+
+
 def wreath_elements(
     l: int, m: int, limits: Limits = DEFAULT_LIMITS
 ) -> list[WreathElement]:
-    order = factorial(l) ** m * factorial(m)
-    limits.require("max_group_order", order)
-    out = []
-    for tau in all_permutations(m):
-        for rows in itertools.product(all_permutations(l), repeat=m):
-            images = [0] * (l * m)
-            for j in range(1, m + 1):
-                for i in range(1, l + 1):
-                    src = (j - 1) * l + i
-                    images[src - 1] = (tau(j) - 1) * l + rows[j - 1](i)
-            out.append(WreathElement(rows, tau, Permutation(tuple(images))))
-    assert len(out) == order
-    return out
+    limits.require("max_group_order", factorial(l) ** m * factorial(m))
+    dots, slots, _ = _wreath_group(l, m)
+    perm = lambda images: Permutation(tuple(int(x) + 1 for x in images))
+    return [
+        WreathElement(
+            tuple(perm(row) for row in d.reshape(m, l) - l * t[:, None]),
+            perm(t),
+            perm(d),
+        )
+        for d, t in zip(dots, slots)
+    ]
 
 
 @dataclass(frozen=True)
 class _TensorPowerFactor:
     """The m-fold tensor power of one pairing matrix, as a single factor.
 
-    Labels are m-tuples of the base labels; the wreath group permutes the
-    columns by acting within each slot and then shuffling the slots, which is
-    a genuine group action on the column labels (acting slotwise alone is
-    not, because slot components compose across the slot shuffle).
+    Labels are m-tuples of the base labels, read as one word of length l*m
+    by concatenating the slots, so the wreath group acts on them through the
+    dot permutation, as on the third factor: slot j of g . w is slot tau(j)
+    of w pulled back along rows_j.  (Acting slotwise alone is no group
+    action, because slot components compose across the slot shuffle; nor is
+    moving slot j to tau(j), which composes the slot shuffles in the
+    opposite order to the other two factors once m >= 3.)
     """
 
-    partition: tuple  # identity key for the permutation-table cache
     row_labels: tuple
     col_labels: tuple
-    entries: tuple
+    entries: np.ndarray
 
 
 def _tensor_power_factor(base: SpechtMatrix, m: int, limits: Limits) -> _TensorPowerFactor:
@@ -365,10 +375,9 @@ def _tensor_power_factor(base: SpechtMatrix, m: int, limits: Limits) -> _TensorP
     for _ in range(m):
         acc = np.kron(acc, mat)
     return _TensorPowerFactor(
-        partition=("tensor-power", base.partition.parts, m),
         row_labels=tuple(itertools.product(base.row_labels, repeat=m)),
         col_labels=tuple(itertools.product(base.col_labels, repeat=m)),
-        entries=tuple(tuple(int(x) for x in row) for row in acc),
+        entries=acc,
     )
 
 
@@ -381,40 +390,19 @@ def _plethysm_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits
         specht_matrix(mu, limits),
         specht_matrix(nu, limits),
     ]
-    group = wreath_elements(l, m, limits)
-
-    def block_act(g: WreathElement, lab: tuple) -> tuple:
-        # slot shuffle composed with the same handedness as the word action
-        out = [None] * m
-        for j in range(1, m + 1):
-            s = g.slot_perm(j)
-            out[s - 1] = g.rows[s - 1].apply(lab[j - 1])
-        return tuple(out)
-
-    actions = [
-        block_act,
-        lambda g, w: g.slot_perm.apply(w),
-        lambda g, w: g.permutation.apply(w),
-    ]
-    keys = [
-        lambda g: g.permutation.images,
-        lambda g: g.slot_perm.images,
-        lambda g: g.permutation.images,
-    ]
+    limits.require("max_group_order", factorial(l) ** m * factorial(m))
+    dots, slots, signs = _wreath_group(l, m)
     # the within-slot signs cancel against the embedded-permutation sign,
     # leaving sgn(slot shuffle)^(l+1)
-    if l % 2 == 0:
-        weight = lambda g: g.slot_perm.sign()
-    else:
-        weight = lambda g: 1
-    return factors, group, actions, keys, weight
+    weights = signs if l % 2 == 0 else np.ones_like(signs)
+    return factors, [dots, slots, dots], weights
 
 
 def plethysm_matrix(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> LabeledCoefficientMatrix:
-    factors, group, actions, keys, weight = _plethysm_setup(lam, mu, nu, limits)
-    raw = _assemble("plethysm", (lam, mu, nu), factors, group, actions, weight, limits)
+    setup = _plethysm_setup(lam, mu, nu, limits)
+    raw = _coefficient_matrix("plethysm", (lam, mu, nu), *setup, limits)
     flatten = lambda lab: tuple(lab[0]) + (lab[1], lab[2])
     return LabeledCoefficientMatrix(
         raw.kind,
@@ -428,4 +416,4 @@ def plethysm_matrix(
 def plethysm_coefficient(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> int:
-    return _invariant_rank(*_plethysm_setup(lam, mu, nu, limits), limits)
+    return _coefficient(*_plethysm_setup(lam, mu, nu, limits), limits)

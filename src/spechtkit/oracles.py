@@ -2,11 +2,12 @@
 
 Nothing here shares code paths with the main constructions: characters come
 from the Murnaghan-Nakayama rule on beta-numbers, coefficient values from
-character sums over partition-indexed conjugacy classes, dimensions from a
-brute-force standard-filling counter, matroid flats from the closure of
-every independent subset, Chow graded dimensions from a quotient-ring
-relation-matrix rank over those flats, and polytope facets from a search over
-every spanning point subset.
+character sums over partition-indexed conjugacy classes, coefficient matrices
+from a sum of pairing-matrix tensor products over every group element,
+dimensions from a brute-force standard-filling counter, matroid flats from
+the closure of every independent subset, Chow graded dimensions from a
+quotient-ring relation-matrix rank over those flats, and polytope facets from
+a search over every spanning point subset.
 """
 
 from __future__ import annotations
@@ -141,6 +142,84 @@ def plethysm_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     )
     assert total.denominator == 1
     return int(total)
+
+
+def coefficient_matrix_oracle(
+    kind: str, lam: Partition, mu: Partition, nu: Partition
+) -> tuple[tuple, tuple, list[list[int]]]:
+    """Row labels, column labels and entries of a coefficient matrix.
+
+    The entries are the dense group sum  sum_g w(g) (x)_f M_f[:, g . s_f]
+    over every group element, each acting on the column labels through
+    ``Permutation.apply``: S_n diagonally (w = sign) for "kronecker";
+    S_l x S_m on the two small factors and through sigma x tau on 1..l+m
+    (w = 1) for "lr"; for "plethysm" the wreath group on m slots of size l,
+    through its permutation of the l*m dots on the concatenated slot words of
+    the tensor power and on the third factor, and through the slot shuffle on
+    the second (w = sgn(slot shuffle)^(l+1)).
+    Labels are tuples of words in ``itertools.product`` order, the plethysm
+    slot words flattened into the tuple.
+    """
+    import numpy as np
+
+    from .combinatorics import Permutation, all_permutations
+    from .specht import specht_matrix
+
+    factors = [
+        (mat.row_labels, mat.col_labels, np.array(mat.entries, dtype=np.int64))
+        for mat in map(specht_matrix, (lam, mu, nu))
+    ]
+    l, m = lam.n, mu.n
+    group = []  # (per-factor label actions, weight)
+    if kind == "kronecker":
+        for g in all_permutations(l):
+            group.append(([g.apply] * 3, g.sign()))
+    elif kind == "lr":
+        for s in all_permutations(l):
+            for t in all_permutations(m):
+                joint = Permutation(s.images + tuple(l + x for x in t.images))
+                group.append(([s.apply, t.apply, joint.apply], 1))
+    elif kind == "plethysm":
+        rows0, cols0, mat0 = factors[0]
+        power = np.ones((1, 1), dtype=np.int64)
+        for _ in range(m):
+            power = np.kron(power, mat0)
+        factors[0] = (
+            tuple(itertools.product(rows0, repeat=m)),
+            tuple(itertools.product(cols0, repeat=m)),
+            power,
+        )
+        for tau in all_permutations(m):
+            for rows in itertools.product(all_permutations(l), repeat=m):
+                dots = [0] * (l * m)
+                for j in range(1, m + 1):
+                    for i in range(1, l + 1):
+                        dots[(j - 1) * l + i - 1] = (tau(j) - 1) * l + rows[j - 1](i)
+                big = Permutation(tuple(dots))
+
+                def slots(lab, big=big):
+                    word = big.apply(sum(lab, ()))
+                    return tuple(word[k * l : (k + 1) * l] for k in range(m))
+
+                weight = tau.sign() if l % 2 == 0 else 1
+                group.append(([slots, tau.apply, big.apply], weight))
+    else:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+
+    total = 0
+    for acts, weight in group:
+        term = np.ones((1, 1), dtype=np.int64)
+        for (_, cols, mat), act in zip(factors, acts):
+            index = {lab: j for j, lab in enumerate(cols)}
+            term = np.kron(term, mat[:, [index[act(lab)] for lab in cols]])
+        total = total + weight * term
+    row_labels = tuple(itertools.product(*(f[0] for f in factors)))
+    col_labels = tuple(itertools.product(*(f[1] for f in factors)))
+    if kind == "plethysm":
+        flat = lambda lab: tuple(lab[0]) + lab[1:]
+        row_labels = tuple(map(flat, row_labels))
+        col_labels = tuple(map(flat, col_labels))
+    return row_labels, col_labels, total.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import json
-import os
 from importlib import resources
 
 import jsonschema
@@ -280,15 +279,20 @@ def test_bad_limit_env_value_is_usage_error(capsys, monkeypatch, value):
     assert "SPECHTKIT_MAX_GROUND" in err
 
 
-def test_cache_dir_round_trip(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    code, first, _ = run(
-        capsys, "specht-matrix", "--lambda", "2,2", "--cache-dir", cache
+def test_seed_is_a_check_flag_only(capsys):
+    code, out, err = run(capsys, "matroid", "flats", "--lambda", "2,1", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+    code, out, _ = run(
+        capsys, "check", "conjecture1", "--n", "5", "--mode", "sampled", "--seed", "3"
     )
     assert code == 0
-    assert os.listdir(cache)
-    code, second, _ = run(
-        capsys, "specht-matrix", "--lambda", "2,2", "--cache-dir", cache
-    )
-    assert code == 0
-    assert second == first
+    assert out.startswith("conjecture1 n=5 mode=sampled")
+
+
+def test_cache_dir_flag_is_gone(capsys, tmp_path):
+    code, _, err = run(capsys, "specht-matrix", "--lambda", "2,2", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "--cache-dir" in err
+    assert not any(tmp_path.iterdir())

@@ -1,9 +1,17 @@
+import itertools
 import json
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spechtkit.coefficients import (
+    _column_table,
+    _kronecker_setup,
+    _lr_setup,
+    _plethysm_setup,
     kronecker_coefficient,
     kronecker_matrix,
     lr_coefficient,
@@ -12,9 +20,15 @@ from spechtkit.coefficients import (
     plethysm_matrix,
     wreath_elements,
 )
-from spechtkit.combinatorics import Partition, partitions_of
-from spechtkit.errors import DomainError
-from spechtkit.oracles import kronecker_oracle, lr_oracle, plethysm_oracle
+from spechtkit.combinatorics import Partition, Permutation, partitions_of
+from spechtkit.config import Limits
+from spechtkit.errors import DomainError, ResourceLimitError
+from spechtkit.oracles import (
+    coefficient_matrix_oracle,
+    kronecker_oracle,
+    lr_oracle,
+    plethysm_oracle,
+)
 
 P = Partition.parse
 
@@ -170,8 +184,136 @@ def test_plethysm_labels_are_flattened_word_tuples():
 
 
 def test_coefficient_guard():
-    from spechtkit.config import Limits
-    from spechtkit.errors import ResourceLimitError
-
     with pytest.raises(ResourceLimitError):
         kronecker_matrix(P("2,2"), P("2,2"), P("2,2"), Limits(max_coefficient_n=3))
+
+
+def small_triples(kind):
+    """Kronecker n = 2..4 (unordered), LR l+m <= 4, plethysm l*m <= 4 with l, m < 4."""
+    if kind == "kronecker":
+        for n in range(2, 5):
+            yield from itertools.combinations_with_replacement(partitions_of(n), 3)
+    elif kind == "lr":
+        for l, m in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]:
+            yield from itertools.product(partitions_of(l), partitions_of(m), partitions_of(l + m))
+    else:
+        for l, m in [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
+            yield from itertools.product(partitions_of(l), partitions_of(m), partitions_of(l * m))
+
+
+BUILDERS = {"kronecker": kronecker_matrix, "lr": lr_matrix, "plethysm": plethysm_matrix}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_matrix_equals_dense_group_sum(kind):
+    triples = list(small_triples(kind))
+    assert len(triples) == {"kronecker": 49, "lr": 64, "plethysm": 46}[kind]
+    for triple in triples:
+        mat = BUILDERS[kind](*triple)
+        rows, cols, entries = coefficient_matrix_oracle(kind, *triple)
+        assert mat.row_labels == rows, triple
+        assert mat.col_labels == cols, triple
+        assert mat.entries.tolist() == entries, triple
+
+
+@st.composite
+def coefficient_triples(draw):
+    kind = draw(st.sampled_from(["kronecker", "lr", "plethysm"]))
+    if kind == "kronecker":
+        n = draw(st.integers(1, 4))
+        sizes = (n, n, n)
+    elif kind == "lr":
+        l = draw(st.integers(1, 3))
+        m = draw(st.integers(1, 4 - l))
+        sizes = (l, m, l + m)
+    else:
+        l, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)]))
+        sizes = (l, m, l * m)
+    return kind, tuple(draw(st.sampled_from(partitions_of(k))) for k in sizes)
+
+
+ORACLES = {"kronecker": kronecker_oracle, "lr": lr_oracle, "plethysm": plethysm_oracle}
+VALUES = {"kronecker": kronecker_coefficient, "lr": lr_coefficient, "plethysm": plethysm_coefficient}
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_triples())
+def test_coefficient_equals_matrix_rank_and_character_oracle(case):
+    kind, triple = case
+    expected = ORACLES[kind](*triple)
+    assert VALUES[kind](*triple) == expected
+    assert BUILDERS[kind](*triple).rank() == expected
+
+
+def test_matrix_guard_counts_dense_cells_and_value_guard_does_not():
+    # (2,1) has a 3 x 3 pairing matrix: 27 x 27 = 729 dense cells, but the
+    # orbit walk holds 27-long columns, one per orbit
+    limits = Limits(max_matrix_cells=200)
+    p = P("2,1")
+    with pytest.raises(ResourceLimitError, match="max_matrix_cells"):
+        kronecker_matrix(p, p, p, limits)
+    assert kronecker_coefficient(p, p, p, limits) == 1
+
+
+def test_column_table_follows_the_position_pullback():
+    labels = [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    # row g holds the zero-based one-line images of a permutation p_g, and
+    # g . w is Permutation.apply: result[k] = w[p_g(k)]
+    positions = np.array([[0, 1, 2], [2, 0, 1], [1, 0, 2]])
+    table = _column_table(labels, positions)
+    assert table.tolist() == [[0, 1, 2], [2, 0, 1], [0, 2, 1]]
+    for p, row in zip(positions, table.tolist()):
+        g = Permutation(tuple(int(x) + 1 for x in p))
+        assert row == [labels.index(g.apply(w)) for w in labels]
+
+
+def test_column_table_refuses_codes_beyond_64_bits():
+    word = tuple(range(1, 17))
+    with pytest.raises(DomainError):
+        _column_table([word], np.arange(16)[None, :])
+
+
+def test_plethysm_matrix_with_three_slots_equals_dense_group_sum():
+    # three slots: the first wreath groups whose slot shuffles do not commute
+    shapes = [P(nu) for nu in ("4,2", "3,2,1", "3,1,1,1", "2,2,2")]
+    for triple in itertools.product(partitions_of(2), partitions_of(3), shapes):
+        mat = plethysm_matrix(*triple)
+        rows, cols, entries = coefficient_matrix_oracle("plethysm", *triple)
+        assert (mat.row_labels, mat.col_labels) == (rows, cols), triple
+        assert mat.entries.tolist() == entries, triple
+        assert mat.rank() == plethysm_oracle(*triple), triple
+
+
+@pytest.mark.parametrize("kind,triple", [
+    ("kronecker", ("2,1", "2,1", "2,1")),
+    ("lr", ("2,1", "1", "2,1,1")),
+    ("plethysm", ("2", "2,1", "4,2")),
+    ("plethysm", ("2,1", "2", "3,2,1")),
+])
+def test_factor_actions_form_one_group_action(kind, triple):
+    # the orbit engine relies on g -> (action on every factor) being a group
+    # action of the product: the composite of two elements is a third
+    setup = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
+    factors, positions, weights = setup[kind](*map(P, triple), Limits())
+    tables = [_column_table(f.col_labels, p) for f, p in zip(factors, positions)]
+    elements = {}
+    for g in range(len(weights)):
+        elements[tuple(np.concatenate([t[g] for t in tables]).tolist())] = int(weights[g])
+    for g in range(len(weights)):
+        for h in range(len(weights)):
+            composite = tuple(np.concatenate([t[h][t[g]] for t in tables]).tolist())
+            assert composite in elements
+            assert elements[composite] == weights[g] * weights[h]
+
+
+def test_coefficients_module_keeps_no_state():
+    # tables are built per call; nothing may persist between calls
+    import spechtkit.coefficients as module
+
+    kronecker_coefficient(P("2,1"), P("2,1"), P("2,1"))
+    state = [
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray))
+    ]
+    assert state == []
