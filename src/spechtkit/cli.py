@@ -92,16 +92,24 @@ def _load_matrix_columns(path: str):
             if type(x) is not int:
                 raise DomainError(f"{path}: row {i}: entry {x!r} is not an integer")
     labels = data.get("col_labels") or list(range(n_cols))
+    if isinstance(labels, list):
+        # a coefficient matrix labels a column by its factor words, read as "w1|w2|w3"
+        labels = ["|".join(x) if _is_word_list(x) else x for x in labels]
     if (
         not isinstance(labels, list)
         or len(labels) != n_cols
         or not all(isinstance(x, str) or type(x) is int for x in labels)
     ):
         raise DomainError(
-            f"{path}: col_labels must be {n_cols} strings or integers, one per column"
+            f"{path}: col_labels must be {n_cols} strings, integers or non-empty "
+            "lists of strings, one per column"
         )
     columns = [tuple(row[j] for row in entries) for j in range(n_cols)]
     return tuple(labels), tuple(columns)
+
+
+def _is_word_list(label) -> bool:
+    return isinstance(label, list) and bool(label) and all(isinstance(w, str) for w in label)
 
 
 def _matroid_from_args(args, limits: Limits) -> LinearMatroid:
@@ -282,15 +290,15 @@ def _cmd_coeff(args, limits):
         "plethysm": (plethysm_matrix, plethysm_coefficient),
     }
     build_matrix, build_value = builders[args.kind]
+    shape = None
     if args.emit_matrix:
         mat = build_matrix(lam, mu, nu, limits)
         with open(args.emit_matrix, "w", encoding="utf-8") as fh:
             fh.write(mat.to_json())
-        value = mat.rank()
         shape = list(mat.shape)
-    else:
-        value = build_value(lam, mu, nu, limits)
-        shape = None
+    # the value path ranks the orbit representatives on row bases, far
+    # cheaper than the dense rank, and never refuses what the matrix passed
+    value = build_value(lam, mu, nu, limits)
     payload = {
         "kind": args.kind,
         "partitions": [list(p.parts) for p in (lam, mu, nu)],

@@ -22,11 +22,17 @@ so its rank is the dimension of the relevant invariant space:
 
 The engine, ``_orbit_walk``, never forms the group sum.  Because w is a
 character, the columns at the labels of one orbit agree up to sign,
-A_{g.c} = w(g) A_c, so the walk sums one column per orbit representative and
-records, for every column, its representative and that sign.
-``*_coefficient`` ranks the representatives; ``*_matrix`` expands them into
-the full labelled matrix.  The column-label tables the walk reads are built
-for each call and dropped with it.
+A_{g.c} = w(g) A_c, so the walk sums one column per orbit representative.
+``*_matrix`` runs it on the full factors, records for every column its
+representative and that sign, and expands the representatives into the
+full labelled matrix.  ``*_coefficient`` runs it on row bases: each factor
+M_f = B_f R_f, with R_f its first rank-many independent rows
+(``SpechtMatrix.row_basis``, or its Kronecker power for the plethysm factor)
+and B_f injective, so A = (tensor of the B_f) C with C the walk's output on
+the R_f, and rank A = rank C.  That path's ``max_matrix_cells`` guard counts
+the columns and the compressed rows times the live representatives, the
+memory it holds.  The column-label tables the walk reads are built for each
+call and dropped with it.
 """
 
 from __future__ import annotations
@@ -120,8 +126,9 @@ class _Orbits:
     """The orbits of G on the column labels of the factor product."""
 
     columns: np.ndarray  # (k, rows): row i is the i-th representative's summed column, nonzero
-    rep: np.ndarray  # per column: its representative's index in columns, or -1
-    sign: np.ndarray  # per column j: w(g) for g taking the representative to j, or 0
+    # the orbit map, filled for the matrix path only
+    rep: np.ndarray | None = None  # per column: its representative's index in columns, or -1
+    sign: np.ndarray | None = None  # per column j: w(g) for g taking the representative to j, or 0
 
 
 def _orbit_walk(
@@ -129,17 +136,24 @@ def _orbit_walk(
     positions: Sequence[np.ndarray],
     weights: np.ndarray,
     limits: Limits,
+    dense: bool = False,
 ) -> _Orbits:
-    """Summed columns of the orbit representatives, and the orbit map.
+    """Summed columns of the orbit representatives, and for *dense* the orbit map.
 
     A representative is the least column of its orbit.  The elements taking
     it to j form a coset of its stabiliser, so the weights summed over them
     are w(g_j) times the stabiliser's weight sum s: the representative's
     column is s times the sum over j of w(g_j) E_j, with E_j the tensor
     product of the factor columns at j.  Orbits with s = 0 are not summed.
+
+    The factor columns are read on each factor's ``row_basis``, or on its
+    full ``entries`` when *dense*, which also records the orbit map.
     """
     # factor columns as rows, to gather them whole
-    mats = [np.asarray(f.entries, dtype=np.int64).T.copy() for f in factors]
+    mats = [
+        np.asarray(f.entries if dense else f.row_basis, dtype=np.int64).T.copy()
+        for f in factors
+    ]
     sizes = [mat.shape[0] for mat in mats]
     n_rows = prod(mat.shape[1] for mat in mats)
     n_cols = prod(sizes)
@@ -150,10 +164,13 @@ def _orbit_walk(
 
     # walk the columns in blocks; a column not yet reached is a representative
     # when no element takes it lower, and then its images are its orbit,
-    # disjoint from the others: the first occurrence of each column, rep by
-    # rep, names its representative and the element taking it there
-    index = np.full(n_cols, -1, dtype=np.int64)
-    sign = np.zeros(n_cols, dtype=np.int8)
+    # disjoint from the others.  Sorting each live orbit's images lists its
+    # columns once, each with an element taking the representative there;
+    # w is trivial on a live orbit's stabiliser, so any such element has the
+    # same weight.
+    if dense:
+        index = np.full(n_cols, -1, dtype=np.int64)
+        sign = np.zeros(n_cols, dtype=np.int8)
     reached = np.zeros(n_cols, dtype=bool)
     blocks = [np.zeros((0, n_rows), dtype=np.int64)]
     n_live = 0
@@ -165,20 +182,24 @@ def _orbit_walk(
             continue
         images = sum(t[:, cols // s % n] * s for t, s, n in zip(tables, strides, sizes))
         is_rep = images.min(axis=0) == cols
-        images = images[:, is_rep].T.ravel()  # representative-major
-        stabiliser = weights @ (images.reshape(-1, n_group).T == cols[is_rep])
-        orbit, first = np.unique(images, return_index=True)
-        reached[orbit] = True
-
-        # sum the live orbits' elementary columns, representative by representative
-        first = np.sort(first[stabiliser[first // n_group] != 0])
-        rep, g, js = first // n_group, first % n_group, images[first]
-        number = np.cumsum(stabiliser != 0) - 1  # among this block's live representatives
-        index[js] = n_live + number[rep]
-        sign[js] = weights[g]
+        orbits = images[:, is_rep]  # column i: the images of representative i
+        reached[orbits] = True
+        stabiliser = weights @ (orbits == cols[is_rep])
+        live = stabiliser != 0
+        orbits, stabiliser = orbits[:, live].T, stabiliser[live]
+        g = orbits.argsort(axis=1)
+        js = np.take_along_axis(orbits, g, axis=1)
+        once = np.ones(js.shape, dtype=bool)
+        once[:, 1:] = js[:, 1:] != js[:, :-1]
+        # rep: among this block's live representatives, in runs
+        rep, g, js = np.nonzero(once)[0], g[once], js[once]
+        if dense:
+            index[js] = n_live + rep
+            sign[js] = weights[g]
         coef = stabiliser[rep] * weights[g]
-        n_new = np.count_nonzero(stabiliser)
+        n_new = len(stabiliser)
         limits.require("max_matrix_cells", n_rows * (n_live + n_new))
+        # sum the live orbits' elementary columns, representative by representative
         summed = np.zeros((n_new, n_rows), dtype=np.int64)
         chunk = max(1, _CHUNK // n_rows)
         for lo in range(0, len(js), chunk):
@@ -186,7 +207,7 @@ def _orbit_walk(
             acc = coef[lo : lo + chunk, None]
             for mat, s, n in zip(mats, strides, sizes):
                 acc = (acc[:, :, None] * mat[part // s % n][:, None, :]).reshape(len(part), -1)
-            segment = number[rep[lo : lo + chunk]]
+            segment = rep[lo : lo + chunk]
             bounds = np.flatnonzero(np.r_[True, segment[1:] != segment[:-1]])
             summed[segment[bounds]] += np.add.reduceat(acc, bounds)
         blocks.append(summed)
@@ -195,6 +216,8 @@ def _orbit_walk(
     # elementary columns can cancel: drop representatives that summed to zero
     summed = np.concatenate(blocks)
     nonzero = summed.any(axis=1)
+    if not dense:
+        return _Orbits(summed[nonzero])
     if not nonzero.all():
         renumber = np.full(n_live + 1, -1, dtype=np.int64)
         renumber[:-1][nonzero] = np.arange(np.count_nonzero(nonzero))
@@ -212,9 +235,9 @@ def _coefficient(factors, positions, weights, limits: Limits) -> int:
 def _coefficient_matrix(
     kind: str, partitions: tuple[Partition, ...], factors, positions, weights, limits: Limits
 ) -> LabeledCoefficientMatrix:
-    n_rows = prod(len(f.row_labels) for f in factors)
-    limits.require("max_matrix_cells", n_rows * prod(len(f.col_labels) for f in factors))
-    walk = _orbit_walk(factors, positions, weights, limits)
+    n_rows = prod(f.shape[0] for f in factors)
+    limits.require("max_matrix_cells", n_rows * prod(f.shape[1] for f in factors))
+    walk = _orbit_walk(factors, positions, weights, limits, dense=True)
     # representative -1 reads the appended zero column
     reps = np.vstack([walk.columns, np.zeros((1, n_rows), dtype=np.int64)])
     return LabeledCoefficientMatrix(
@@ -359,37 +382,54 @@ class _TensorPowerFactor:
     action, because slot components compose across the slot shuffle; nor is
     moving slot j to tau(j), which composes the slot shuffles in the
     opposite order to the other two factors once m >= 3.)
+
+    The entries are built only when read: the value path reads the row
+    basis, the m-fold Kronecker power of the base's, and never the dense
+    power.
     """
 
-    row_labels: tuple
-    col_labels: tuple
-    entries: np.ndarray
+    base: SpechtMatrix
+    m: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        rows, cols = self.base.shape
+        return (rows**self.m, cols**self.m)
+
+    @property
+    def row_labels(self) -> tuple:
+        return tuple(itertools.product(self.base.row_labels, repeat=self.m))
+
+    @property
+    def col_labels(self) -> tuple:
+        return tuple(itertools.product(self.base.col_labels, repeat=self.m))
+
+    @property
+    def entries(self) -> np.ndarray:
+        return _kron_power(self.base.entries, self.m)
+
+    @property
+    def row_basis(self) -> np.ndarray:
+        return _kron_power(self.base.row_basis, self.m)
 
 
-def _tensor_power_factor(base: SpechtMatrix, m: int, limits: Limits) -> _TensorPowerFactor:
-    rows = len(base.row_labels) ** m
-    cols = len(base.col_labels) ** m
-    limits.require("max_matrix_cells", rows * cols)
-    mat = np.array(base.entries, dtype=np.int64)
+def _kron_power(rows, m: int) -> np.ndarray:
+    mat = np.array(rows, dtype=np.int64)
     acc = np.ones((1, 1), dtype=np.int64)
     for _ in range(m):
         acc = np.kron(acc, mat)
-    return _TensorPowerFactor(
-        row_labels=tuple(itertools.product(base.row_labels, repeat=m)),
-        col_labels=tuple(itertools.product(base.col_labels, repeat=m)),
-        entries=acc,
-    )
+    return acc
 
 
 def _plethysm_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits):
     l, m = lam.n, mu.n
     if nu.n != l * m:
         raise DomainError("third partition must have size l * m")
-    factors = [
-        _tensor_power_factor(specht_matrix(lam, limits), m, limits),
-        specht_matrix(mu, limits),
-        specht_matrix(nu, limits),
-    ]
+    base = specht_matrix(lam, limits)
+    # the power's row basis is what the value path holds; the matrix path
+    # checks the dense cells of the whole product, which bound the power's
+    limits.require("max_matrix_cells", len(base.row_basis) ** m * len(base.col_labels) ** m)
+    factors = [_TensorPowerFactor(base, m), specht_matrix(mu, limits), specht_matrix(nu, limits)]
     limits.require("max_group_order", factorial(l) ** m * factorial(m))
     dots, slots, signs = _wreath_group(l, m)
     # the within-slot signs cancel against the embedded-permutation sign,

@@ -79,12 +79,15 @@ class RowSpace:
 
 
 def int_rank(rows: Iterable[Sequence[int]], dim: int | None = None) -> int:
+    """Rank of integer rows of length *dim*; stops once the rank is *dim*."""
     rows = list(rows)
     if not rows:
         return 0
     space = RowSpace(dim if dim is not None else len(rows[0]))
     for r in rows:
         space.add(r)
+        if space.rank == space.dim:
+            break
     return space.rank
 
 

@@ -22,6 +22,7 @@ import itertools
 import json
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from .combinatorics import (
     Partition,
@@ -36,7 +37,7 @@ from .combinatorics import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
-from .linalg import int_rank
+from .linalg import RowSpace
 
 
 def young_character(w1: Word, w2: Word, r1: Word, r2: Word) -> int:
@@ -79,8 +80,21 @@ class SpechtMatrix:
     def entry(self, w1: Word, w2: Word) -> int:
         return self.entries[self.row_labels.index(w1)][self.col_labels.index(w2)]
 
+    @cached_property
+    def row_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The first rank-many independent rows of ``entries``, in row order.
+
+        Every row is a combination of these, so ``entries = B R`` with R these
+        rows and B holding the identity on them; B is injective, and any
+        construction that only combines whole columns has the same rank on R
+        as on ``entries``.  Kept on the instance, so it is computed once per
+        memoised matrix.
+        """
+        space = RowSpace(len(self.col_labels))
+        return tuple(row for row in self.entries if space.rank < space.dim and space.add(row))
+
     def rank(self) -> int:
-        return int_rank(self.entries, len(self.col_labels))
+        return len(self.row_basis)
 
     def column(self, w2: Word) -> tuple[int, ...]:
         j = self.col_labels.index(w2)

@@ -5,6 +5,9 @@ import jsonschema
 import pytest
 
 from spechtkit.cli import main
+from spechtkit.coefficients import kronecker_matrix
+from spechtkit.combinatorics import Partition
+from spechtkit.matroid import LinearMatroid
 
 
 def run(capsys, *argv):
@@ -248,6 +251,8 @@ BAD_MATRICES = {
     "booleans": {"entries": [[True, 0], [0, 1]]},
     "strings": {"entries": [["1", 0], [0, 1]]},
     "short-labels": {"entries": [[1, 0], [0, 1]], "col_labels": ["a"]},
+    "empty-word-list-label": {"entries": [[1, 0], [0, 1]], "col_labels": [[], "b"]},
+    "mixed-word-list-label": {"entries": [[1, 0], [0, 1]], "col_labels": [["12", 3], "b"]},
 }
 
 
@@ -296,3 +301,22 @@ def test_cache_dir_flag_is_gone(capsys, tmp_path):
     assert code == 2
     assert "--cache-dir" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_emitted_coefficient_matrix_loads_as_matroid_and_polytope(capsys, tmp_path):
+    target = str(tmp_path / "k.json")
+    triple = ["--lambda", "2,1", "--mu", "2,1", "--nu", "2,1"]
+    code, out, _ = run(capsys, "coeff", "kronecker", *triple, "--emit-matrix", target)
+    assert (code, out.strip()) == (0, "1")
+    with open(target, "r", encoding="utf-8") as fh:
+        emitted = json.load(fh)
+    labels = ["|".join(words) for words in emitted["col_labels"]]
+    code, out, _ = run(capsys, "matroid", "flats", "--matrix", target, "--format", "json")
+    assert code == 0
+    # the flats of the dense columns, labelled by their factor words
+    dense = kronecker_matrix(*map(Partition.parse, triple[1::2]))
+    expected = LinearMatroid(labels, dense.columns()).flats()
+    assert json.loads(out) == [sorted(f) for f in expected]
+    assert "112|121|211" in expected[-1]
+    code, out, _ = run(capsys, "polytope", "fvector", "--matrix", target)
+    assert (code, out.strip()) == (0, "(1, 2, 1)")

@@ -11,7 +11,9 @@ from spechtkit.coefficients import (
     _column_table,
     _kronecker_setup,
     _lr_setup,
+    _orbit_walk,
     _plethysm_setup,
+    _TensorPowerFactor,
     kronecker_coefficient,
     kronecker_matrix,
     lr_coefficient,
@@ -23,12 +25,14 @@ from spechtkit.coefficients import (
 from spechtkit.combinatorics import Partition, Permutation, partitions_of
 from spechtkit.config import Limits
 from spechtkit.errors import DomainError, ResourceLimitError
+from spechtkit.linalg import int_rank
 from spechtkit.oracles import (
     coefficient_matrix_oracle,
     kronecker_oracle,
     lr_oracle,
     plethysm_oracle,
 )
+from spechtkit.specht import specht_matrix
 
 P = Partition.parse
 
@@ -317,3 +321,55 @@ def test_coefficients_module_keeps_no_state():
         if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray))
     ]
     assert state == []
+
+
+def triples_up_to_4(kind):
+    """Every triple whose largest partition has size at most 4."""
+    if kind == "kronecker":
+        sizes = [(n, n, n) for n in range(1, 5)]
+    elif kind == "lr":
+        sizes = [(l, m, l + m) for l in range(1, 4) for m in range(1, 5 - l)]
+    else:
+        sizes = [(l, m, l * m) for l in range(1, 5) for m in range(1, 5) if l * m <= 4]
+    for size in sizes:
+        yield from itertools.product(*map(partitions_of, size))
+
+
+SETUPS = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
+
+
+@pytest.mark.parametrize("kind", sorted(SETUPS))
+def test_row_basis_value_equals_full_walk_and_oracle(kind):
+    # M_f = B_f R_f with B_f injective, so the walk on the row bases R_f has
+    # the rank of the walk on the full factors
+    triples = list(triples_up_to_4(kind))
+    assert len(triples) == {"kronecker": 161, "lr": 64, "plethysm": 97}[kind]
+    for triple in triples:
+        full = _orbit_walk(*SETUPS[kind](*triple, Limits()), Limits(), dense=True)
+        expected = ORACLES[kind](*triple)
+        assert int_rank(full.columns.tolist()) == expected, triple
+        assert VALUES[kind](*triple) == expected, triple
+
+
+def test_tensor_power_row_basis_is_the_power_of_the_base_row_basis():
+    factor = _TensorPowerFactor(specht_matrix(P("2,1")), 2)
+    dense, basis = factor.entries.tolist(), factor.row_basis.tolist()
+    indices = [dense.index(row) for row in basis]
+    assert indices == sorted(set(indices))
+    assert len(basis) == int_rank(basis) == int_rank(dense) == 4
+
+
+def test_plethysm_value_path_builds_no_dense_tensor_power(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense tensor power read on the value path")
+
+    monkeypatch.setattr(_TensorPowerFactor, "entries", property(refuse))
+    for triple in [("2,1", "2", "3,2,1"), ("2", "2,1", "4,2"), ("1,1", "3", "2,2,1,1")]:
+        triple = tuple(map(P, triple))
+        assert plethysm_coefficient(*triple) == plethysm_oracle(*triple)
+
+
+def test_kronecker_at_n_6_under_raised_limits():
+    limits = Limits(max_coefficient_n=6, max_group_order=1000, max_matrix_cells=10**9)
+    triple = (P("2,2,1,1"), P("3,2,1"), P("3,2,1"))
+    assert kronecker_coefficient(*triple, limits) == kronecker_oracle(*triple) == 3

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spechtkit.linalg import RowSpace, _normalize
+from spechtkit.linalg import RowSpace, _normalize, int_rank
 
 vectors = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(tuple)
 
@@ -39,3 +39,10 @@ def test_residue_kills_the_span_and_is_canonical(basis, vec, scale, seed):
 def test_normalize():
     assert _normalize([0, -2, 4]) == (0, 1, -2)
     assert _normalize([0, 0]) is None
+
+
+def test_int_rank_stops_once_the_rank_is_dim():
+    # a row after the rank reaches dim is never reduced
+    assert int_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1), ("not", "a", "row")]) == 3
+    assert int_rank([(1, 1), (2, 2), (0, 1)], 2) == 2
+    assert int_rank([(1, 1, 0), (2, 2, 0)]) == 1

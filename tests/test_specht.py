@@ -12,6 +12,7 @@ from spechtkit.combinatorics import (
 from spechtkit import specht
 from spechtkit.config import Limits
 from spechtkit.errors import DomainError, ResourceLimitError
+from spechtkit.linalg import int_rank
 from spechtkit.specht import (
     SpechtMatrix,
     column_action_witness,
@@ -111,6 +112,22 @@ def test_row_sums_vanish_for_non_column_shapes(n):
 def test_rank_equals_hook_length_dimension(n):
     for p in partitions_of(n):
         assert specht_module_dimension(p) == p.dimension()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_row_basis_is_the_first_independent_rows(n):
+    for p in partitions_of(n):
+        mat = specht_matrix(p)
+        basis = mat.row_basis
+        assert len(basis) == p.dimension() == specht_module_dimension(p)
+        assert int_rank(basis, len(mat.col_labels)) == len(basis)
+        # rows of entries in row order, each the first row outside the span
+        # of the rows above it
+        indices = [mat.entries.index(row) for row in basis]
+        assert indices == sorted(set(indices))
+        for k, i in enumerate(indices):
+            assert int_rank(mat.entries[:i], len(mat.col_labels)) == k
+        assert specht_matrix(p).row_basis is basis
 
 
 @pytest.mark.parametrize("n", range(1, 5))
