@@ -1,21 +1,25 @@
 """Exact convex polytopes from integer point sets.
 
-Points are reduced to integer coordinates inside their affine hull.  Facets
-are found by gift-wrapping across ridges (Chand and Kapur, 1970): starting
-from one facet, each ridge is crossed by rotating the facet's hyperplane
-about it until it meets another point, and the ridges of a facet are found
-by wrapping that facet in turn, one dimension down.  The face lattice is
-generated by intersecting facet vertex sets.  All arithmetic is exact
-(integers and Fractions), so results like f-vectors and lattice-point lists
-carry no numerical tolerance.
+Points get integer coordinates in their affine hull from one frame per hull:
+the echelon basis of the differences from the first point has pivot
+coordinates piv, and reduced = (x - base)[piv] . q / g with integer q and g.
+Facets are found by gift-wrapping across ridges (Chand and Kapur, 1970):
+starting from one facet, each ridge is crossed by rotating the facet's
+hyperplane about it until it meets another point.  The ridges of a facet are
+found by wrapping the facet one dimension down, without the last nonzero
+coordinate of its normal.  The coordinates left are the pivot coordinates of
+the facet's direction space, so a face's frame, and the normals of its
+ridges found there, are the same whichever way the face is reached.
+Membership is a span test and one integer functional per facet, and the face
+lattice is generated by intersecting facet vertex sets.  All arithmetic is on
+integers, so f-vectors and lattice-point lists carry no numerical tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -43,6 +47,10 @@ class Polytope:
     dim: int
     facets: tuple[Facet, ...]  # sorted by vertex indices
     vertex_indices: tuple[int, ...]
+    # x is in P iff x - ambient_points[0] lies in hull_space and w . x[piv] >= c
+    # for every (w, c) in facet_functionals, piv being hull_space's pivots.
+    hull_space: RowSpace = field(repr=False, compare=False)
+    facet_functionals: tuple[tuple[IntPoint, int], ...] = field(repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -53,34 +61,16 @@ class Polytope:
 
     # -- membership ---------------------------------------------------------
 
-    @cached_property
-    def _basis(self) -> list[IntPoint]:
-        return _hull_basis(self.ambient_points)
-
-    @cached_property
-    def _scale(self) -> int:
-        return _denominator_lcm(_hull_coords(self.ambient_points, self._basis))
-
-    def _reduce_ambient(self, point: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """Map an ambient point into reduced coordinates; None if off the hull."""
-        base = self.ambient_points[0]
-        diff = [Fraction(x) - b for x, b in zip(point, base)]
-        coords = _solve_exact(self._basis, diff)
-        if coords is None:
-            return None
-        return tuple(c * self._scale for c in coords)
-
     def contains_point(self, point: Sequence[int | Fraction]) -> bool:
-        if len(point) != len(self.ambient_points[0]):
+        """Whether *point*, with int or Fraction coordinates, lies in P."""
+        base = self.ambient_points[0]
+        if len(point) != len(base):
             raise DomainError("point has wrong ambient dimension")
-        reduced = self._reduce_ambient([Fraction(x) for x in point])
-        if reduced is None:
+        m, x = _clear_denominators(point)
+        if not self.hull_space.contains([a - m * b for a, b in zip(x, base)]):
             return False
-        for f in self.facets:
-            val = sum(a * x for a, x in zip(f.normal, reduced))
-            if val < f.offset:
-                return False
-        return True
+        y = [x[c] for c, _ in self.hull_space.pivots]
+        return all(_dot(w, y) >= m * c for w, c in self.facet_functionals)
 
     def contains_origin(self) -> bool:
         return self.contains_point([0] * len(self.ambient_points[0]))
@@ -91,7 +81,7 @@ class Polytope:
         """All faces as vertex-index sets, including the empty face and P."""
         verts = frozenset(self.vertex_indices)
         faces = {verts, frozenset()}
-        frontier = [frozenset(f.vertex_indices) for f in self.facets]
+        frontier = [f.vertex_indices & verts for f in self.facets]
         faces.update(frontier)
         while frontier:
             nxt = []
@@ -137,6 +127,15 @@ class Polytope:
         return out
 
 
+def _clear_denominators(point: Sequence[int | Fraction]) -> tuple[int, IntPoint]:
+    """(m, m * point) for the least m that makes every coordinate an integer."""
+    for x in point:
+        if type(x) is bool or not isinstance(x, (int, Fraction)):
+            raise DomainError(f"coordinate {x!r} is not an int or a Fraction")
+    m = lcm(*(x.denominator for x in point))
+    return m, tuple(x.numerator * (m // x.denominator) for x in point)
+
+
 def _dedup(points: Sequence[Sequence[int]]) -> tuple[IntPoint, ...]:
     seen = {}
     for p in points:
@@ -144,49 +143,53 @@ def _dedup(points: Sequence[Sequence[int]]) -> tuple[IntPoint, ...]:
     return tuple(seen)
 
 
-def _hull_basis(points: tuple[IntPoint, ...]) -> list[IntPoint]:
-    """Echelon basis for the span of the difference vectors."""
+def _hull_basis(points: tuple[IntPoint, ...]) -> RowSpace:
+    """Echelon basis for the span of the differences from the first point."""
     base = points[0]
     space = RowSpace(len(base))
     for p in points[1:]:
         space.add(tuple(a - b for a, b in zip(p, base)))
-    return [row for _, row in space.pivots]
+    return space
 
 
-def _hull_coords(
-    points: tuple[IntPoint, ...], basis: list[IntPoint]
-) -> list[list[Fraction]]:
-    """Coordinates of every point, relative to the first, in the hull basis."""
+def _hull_frame(
+    points: tuple[IntPoint, ...], space: RowSpace
+) -> tuple[list[list[int]], int, tuple[IntPoint, ...]]:
+    """(q, g, reduced): reduced coordinates (x - base)[piv] . q / g of *points*.
+
+    A hull point x is base + c . rows with c . t = (x - base)[piv], where
+    t[i][j] = row_i[piv_j].  With q = s * t^-1 integral, the reduced
+    coordinates s * c / g are the least multiple of c that is integral on
+    every input point.
+    """
     base = points[0]
-    out = []
+    piv = [c for c, _ in space.pivots]
+    q, s = _scaled_inverse([[row[c] for c in piv] for _, row in space.pivots])
+    cols = list(zip(*q))
+    lifted = []
     for p in points:
-        coords = _solve_exact(basis, [Fraction(a - b) for a, b in zip(p, base)])
-        assert coords is not None
-        out.append(coords)
-    return out
+        y = [p[c] - base[c] for c in piv]
+        lifted.append([_dot(y, col) for col in cols])
+    g = gcd(s, *(v for row in lifted for v in row))
+    return q, g, tuple(tuple(v // g for v in row) for row in lifted)
 
 
-def _denominator_lcm(coords: list[list[Fraction]]) -> int:
-    """Smallest factor that makes every coordinate an integer."""
-    return lcm(1, *(c.denominator for row in coords for c in row))
-
-
-def _solve_exact(
-    basis: list[IntPoint], target: list[Fraction]
-) -> list[Fraction] | None:
-    """Coordinates of *target* in the row span of *basis*, or None."""
-    if not basis:
-        return [] if all(x == 0 for x in target) else None
-    coords = []
-    residue = list(target)
-    for row in basis:
-        pivot = next(i for i, x in enumerate(row) if x != 0)
-        c = residue[pivot] / row[pivot]
-        coords.append(c)
-        residue = [r - c * x for r, x in zip(residue, row)]
-    if any(x != 0 for x in residue):
-        return None
-    return coords
+def _scaled_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(a, s) with s > 0 and a = s * m^-1 integral, by Gauss-Jordan elimination."""
+    k = len(m)
+    rows = [list(row) + [int(i == c) for c in range(k)] for i, row in enumerate(m)]
+    for c in range(k):
+        r = next(r for r in range(c, k) if rows[r][c])
+        pivot = rows[r] if rows[r][c] > 0 else [-x for x in rows[r]]
+        rows[r], rows[c] = rows[c], pivot
+        for r, row in enumerate(rows):
+            if row[c] and r != c:
+                row = [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row]
+    # Now rows = [diag | diag * m^-1] with a positive diagonal.
+    s = lcm(*(rows[i][i] for i in range(k)))
+    return [[x * (s // rows[i][i]) for x in rows[i][k:]] for i in range(k)], s
 
 
 def polytope_from_columns(
@@ -198,12 +201,10 @@ def polytope_from_columns(
         raise DomainError("no points given")
     limits.require("max_polytope_points", len(ambient))
 
-    basis = _hull_basis(ambient)
-    dim = len(basis)
+    space = _hull_basis(ambient)
+    dim = space.rank
     limits.require("max_polytope_dim", dim)
-    coords = _hull_coords(ambient, basis)
-    scale = _denominator_lcm(coords)
-    reduced = tuple(tuple(int(c * scale) for c in row) for row in coords)
+    q, g, reduced = _hull_frame(ambient, space)
 
     wrapped = _gift_wrap(dict(enumerate(reduced)), dim, {}) if dim else []
     facets = sorted(
@@ -211,7 +212,13 @@ def polytope_from_columns(
         key=lambda f: sorted(f.vertex_indices),
     )
     vertex_indices = _find_vertices(len(reduced), [mask for _, _, mask in wrapped])
-    return Polytope(ambient, reduced, dim, tuple(facets), tuple(vertex_indices))
+    # normal . reduced(x) >= offset, times g, is w . x[piv] >= c with w = q . normal
+    base = [ambient[0][c] for c, _ in space.pivots]
+    ws = [tuple(_dot(row, f.normal) for row in q) for f in facets]
+    functionals = tuple((w, g * f.offset + _dot(w, base)) for w, f in zip(ws, facets))
+    return Polytope(
+        ambient, reduced, dim, tuple(facets), tuple(vertex_indices), space, functionals
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +242,13 @@ def _bits(mask: int) -> list[int]:
 
 
 def _gift_wrap(
-    pts: dict[int, IntPoint], k: int, memo: dict[int, list[int]]
+    pts: dict[int, IntPoint], k: int, memo: dict[int, list[tuple[IntPoint, int]]]
 ) -> list[tuple[IntPoint, int, int]]:
     """Facets of the hull of *pts* as (primitive inner normal, offset, mask).
 
-    *memo* maps a face's mask to the masks of its own facets; faces are
-    intrinsic to the point set, so it is shared by every wrap of one hull.
+    *memo* maps a face's mask to its own facets as (inner normal, mask) in
+    the face's frame; faces and their frames are intrinsic to the point set,
+    so it is shared by every wrap of one hull.
     """
     if k == 1:
         lo = min(pts, key=lambda i: pts[i][0])
@@ -253,58 +261,45 @@ def _gift_wrap(
     while queue:
         normal, offset, mask = queue.pop()
         height = {i: _dot(normal, p) - offset for i, p in pts.items()}
-        j = next(c for c, a in enumerate(normal) if a)
-        for ridge in _facet_masks(mask, j, pts, k, memo):
+        j = max(c for c, a in enumerate(normal) if a)
+        if mask not in memo:
+            # Dropping x_j maps the facet's hyperplane onto Z^(k-1) one to one.
+            sub = {i: pts[i][:j] + pts[i][j + 1 :] for i in _bits(mask)}
+            if len(sub) == k:
+                memo[mask] = _simplex_facets(sub, k - 1)
+            else:
+                memo[mask] = [(n, m) for n, _, m in _gift_wrap(sub, k - 1, memo)]
+        for sub_normal, ridge in memo[mask]:
             if ridge in crossed:
                 continue
             crossed.add(ridge)
-            nxt = _cross_ridge(pts, k, normal, height, mask, ridge, j)
+            # The ridge's inner normal in the facet, negated and lifted with
+            # b_j = 0: it vanishes on the ridge and points out of the facet.
+            b = tuple(-x for x in sub_normal[:j]) + (0,) + tuple(-x for x in sub_normal[j:])
+            r0 = pts[(ridge & -ridge).bit_length() - 1]
+            nxt = _rotate(pts, normal, b, height, r0)
             if nxt[2] not in found:
                 found[nxt[2]] = nxt
                 queue.append(nxt)
     return list(found.values())
 
 
-def _facet_masks(
-    mask: int, j: int, pts: dict[int, IntPoint], k: int, memo: dict[int, list[int]]
-) -> list[int]:
-    """Facets of the facet *mask* of a k-polytope, whose normal has x_j != 0.
+def _simplex_facets(pts: dict[int, IntPoint], k: int) -> list[tuple[IntPoint, int]]:
+    """Facets (inner normal, mask) of the k-simplex with the k + 1 vertices *pts*.
 
-    Dropping x_j maps the facet's hyperplane onto Z^(k-1) one to one, so the
-    facet is wrapped there; a facet with k points is a simplex.
+    With the edges p_l - p_0 as the rows of e, column l of e^-1 is the inner
+    normal of the facet opposite p_l, and minus their sum is the one opposite
+    p_0, so one inversion gives them all.
     """
-    hit = memo.get(mask)
-    if hit is None:
-        idx = _bits(mask)
-        if len(idx) == k:
-            hit = [mask ^ (1 << i) for i in idx]
-        else:
-            sub = {i: pts[i][:j] + pts[i][j + 1 :] for i in idx}
-            hit = [m for _, _, m in _gift_wrap(sub, k - 1, memo)]
-        memo[mask] = hit
-    return hit
-
-
-def _cross_ridge(
-    pts: dict[int, IntPoint],
-    k: int,
-    normal: IntPoint,
-    height: dict[int, int],
-    facet: int,
-    ridge: int,
-    j: int,
-) -> tuple[IntPoint, int, int]:
-    """The facet beyond *ridge* from the facet with inner *normal*."""
-    idx = _bits(ridge)
-    r0 = pts[idx[0]]
-    rows = [tuple(a - b for a, b in zip(pts[i], r0)) for i in idx[1:]]
-    unit = tuple(int(c == j) for c in range(k))
-    # The ridge's hyperplane inside the facet, lifted with b_j = 0.
-    b = nullspace_vector(rows + [unit], k)
-    off = pts[_bits(facet & ~ridge)[0]]
-    if _dot(b, off) > _dot(b, r0):  # point b out of the facet
-        b = tuple(-x for x in b)
-    return _rotate(pts, normal, b, height, r0)
+    p0, *rest = pts.values()
+    a, _ = _scaled_inverse([[x - y for x, y in zip(p, p0)] for p in rest])
+    cols = [[-sum(row) for row in a]] + [list(col) for col in zip(*a)]
+    full = sum(1 << i for i in pts)
+    out = []
+    for i, col in zip(pts, cols):
+        g = gcd(*col)
+        out.append((tuple(x // g for x in col), full ^ (1 << i)))
+    return out
 
 
 def _rotate(
@@ -321,7 +316,8 @@ def _rotate(
     with t_q = b . (q - r0), is on their inner side while t_q/h_q <= t/h, so
     the point with the largest t_q/h_q (compared by cross-multiplying) gives
     the first supporting hyperplane met.  Its tight set is the points of the
-    flat and those with equal ratio.
+    flat and those with equal ratio.  Adding a multiple of the normal to b
+    shifts every ratio by the same amount and leaves the result unchanged.
     """
     b0 = _dot(b, r0)
     turn = {i: _dot(b, pts[i]) - b0 for i in pts}

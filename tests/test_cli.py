@@ -128,6 +128,17 @@ def test_polytope_fvector_and_dim(capsys):
     assert json.loads(out) == {"dim": 2}
 
 
+def test_polytope_faces_list_vertices_only(capsys, tmp_path):
+    # the triangle (0,0), (2,0), (0,2) with (1,0) and (1,1) on two of its edges
+    target = tmp_path / "triangle.json"
+    target.write_text(json.dumps({"entries": [[0, 2, 0, 1, 1], [0, 0, 2, 0, 1]]}))
+    code, out, _ = run(capsys, "polytope", "faces", "--matrix", str(target), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        [], ["0"], ["1"], ["2"], ["0", "1"], ["0", "2"], ["1", "2"], ["0", "1", "2"]
+    ]
+
+
 def test_polytope_root_check(capsys):
     code, out, _ = run(capsys, "polytope", "root-check", "--k", "4", "--format", "json")
     assert code == 0

@@ -1,5 +1,8 @@
 import itertools
-from math import comb
+import random
+import sys
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -251,3 +254,152 @@ def test_lattice_scan_sets_up_hull_data_once(monkeypatch):
     poly = polytope_from_columns([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
     assert len(poly.lattice_points()) == 20
     assert len(calls) <= 2  # once for the hull, once for membership
+
+
+# ---------------------------------------------------------------------------
+# membership against an independent reference
+
+
+def solve_exact(vectors, target):
+    """Rational mu with sum(mu_l * vectors[l]) == target, or None.
+
+    *vectors* are linearly independent; plain Fraction Gauss-Jordan.
+    """
+    n = len(vectors)
+    eqs = [[Fraction(v[c]) for v in vectors] + [Fraction(t)] for c, t in enumerate(target)]
+    for col in range(n):
+        r = next(r for r in range(col, len(eqs)) if eqs[r][col])
+        eqs[col], eqs[r] = eqs[r], eqs[col]
+        eqs[col] = [x / eqs[col][col] for x in eqs[col]]
+        for r, row in enumerate(eqs):
+            if r != col and row[col]:
+                eqs[r] = [a - row[col] * b for a, b in zip(row, eqs[col])]
+    if any(row[-1] for row in eqs[n:]):
+        return None
+    return [eqs[i][-1] for i in range(n)]
+
+
+def diff(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def reference_membership(poly):
+    """Membership from the oracle's facets and an exact affine-hull solve.
+
+    Reduced coordinates are affine in the ambient ones, so a point x of the
+    hull maps to the same combination of the points' reduced coordinates as
+    of their ambient ones, taken over an affinely independent subset.
+    """
+    amb, red = poly.ambient_points, poly.points
+    basis = []
+    for i in range(1, len(amb)):
+        if int_rank([diff(amb[j], amb[0]) for j in basis + [i]]) > len(basis):
+            basis.append(i)
+    vectors = [diff(amb[i], amb[0]) for i in basis]
+    facets = facets_oracle(red, poly.dim)
+
+    def contains(x):
+        mu = solve_exact(vectors, diff(x, amb[0]))
+        if mu is None:
+            return False
+        y = [red[0][c] + sum(m * (red[i][c] - red[0][c]) for m, i in zip(mu, basis))
+             for c in range(poly.dim)]
+        return all(sum(a * b for a, b in zip(n, y)) >= offset for n, offset, _ in facets)
+
+    return contains
+
+
+def probe_points(poly, limit=16000, sample=1500):
+    """Every point of the bounding box widened by one, when it has at most
+    *limit* points; else the input points, their unit-step neighbours and a
+    seeded sample of the box.  Then midpoints and thirds of input pairs and
+    of input points with probes, as Fractions."""
+    amb = poly.ambient_points
+    d = len(amb[0])
+    ranges = [range(min(p[c] for p in amb) - 1, max(p[c] for p in amb) + 2) for c in range(d)]
+    if prod(map(len, ranges)) <= limit:
+        probes = list(itertools.product(*ranges))
+    else:
+        rng = random.Random(0)
+        probes = list(amb) + [(0,) * d]
+        probes += [p[:c] + (p[c] + s,) + p[c + 1 :] for p in amb for c in range(d) for s in (-1, 1)]
+        probes += [tuple(rng.choice(r) for r in ranges) for _ in range(sample)]
+    pairs = list(itertools.combinations(amb, 2)) + [(p, q) for p in amb for q in probes[:40]]
+    for p, q in pairs:
+        probes.append(tuple(Fraction(a + b, 2) for a, b in zip(p, q)))
+        probes.append(tuple(Fraction(a + 2 * b, 3) for a, b in zip(p, q)))
+    return probes
+
+
+def assert_membership_matches_reference(poly, **probes):
+    reference = reference_membership(poly)
+    for x in probe_points(poly, **probes):
+        assert poly.contains_point(x) == reference(x), x
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [p.parts for n in range(1, 5) for p in partitions_of(n)],
+    ids=str,
+)
+def test_membership_matches_reference_on_specht_shapes(parts):
+    assert_membership_matches_reference(column_polytope(parts))
+
+
+def test_membership_matches_reference_on_a_point():
+    poly = polytope_from_columns([(3, -1, 2)])
+    assert poly.dim == 0
+    assert_membership_matches_reference(poly)
+    assert poly.contains_point((Fraction(6, 2), -1, 2))
+    assert not poly.contains_point((Fraction(7, 2), -1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets())
+def test_membership_matches_reference_on_random_point_sets(pts):
+    assert_membership_matches_reference(polytope_from_columns(pts), limit=400, sample=200)
+
+
+def test_membership_is_exact_and_refuses_other_types():
+    square = polytope_from_columns([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+    assert square.contains_point((Fraction(1, 2), Fraction(1, 2), 1))
+    assert square.contains_point((Fraction(1, 3), 1, Fraction(3, 3)))
+    assert not square.contains_point((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+    assert not square.contains_point((Fraction(-1, 10**9), 0, 1))
+    for bad in ((0.5, 0.5, 1), (0, 0, True), ("0", 0, 1), (0, 0, 1.0)):
+        with pytest.raises(DomainError):
+            square.contains_point(bad)
+    with pytest.raises(DomainError):
+        square.contains_point((0, 0))
+
+
+def test_face_lattice_holds_vertex_sets_only():
+    # (1, 0) sits on an edge and (1, 1) on the hypotenuse: neither is a vertex
+    poly = polytope_from_columns([(0, 0), (2, 0), (0, 2), (1, 0), (1, 1)])
+    assert poly.vertex_indices == (0, 1, 2)
+    assert poly.face_lattice() == [
+        frozenset(s) for s in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+    ]
+    assert poly.f_vector() == [1, 3, 3, 1]
+
+
+def test_wrap_calls_nullspace_only_for_first_facet_rotations(monkeypatch):
+    callers, rotations = [], []
+    real_nullspace, real_rotate = polytope.nullspace_vector, polytope._rotate
+
+    def nullspace(rows, dim):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_nullspace(rows, dim)
+
+    def rotate(*args):
+        rotations.append(sys._getframe(1).f_code.co_name)
+        return real_rotate(*args)
+
+    monkeypatch.setattr(polytope, "nullspace_vector", nullspace)
+    monkeypatch.setattr(polytope, "_rotate", rotate)
+    poly = column_polytope((3, 1, 1))
+    assert len(poly.facets) == 24
+    # ridge crossings take their functional from the facet's own wrap
+    assert set(callers) == {"_first_facet"}
+    assert len(callers) == rotations.count("_first_facet")
+    assert rotations.count("_gift_wrap") > 10 * len(callers)
