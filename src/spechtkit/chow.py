@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Hashable
 
-from .matroid import LinearMatroid
+from .matroid import LinearMatroid, _members
 
 
 def _flat_key(f: frozenset) -> tuple:
@@ -77,14 +77,19 @@ class ChowPresentation:
 
 def chow_presentation(m: LinearMatroid) -> ChowPresentation:
     """Generators and the complete defining relations of the Chow ring."""
-    # the flats strictly between the bottom (the loops) and the top
-    masks = sorted(m._flat_masks()[1:-1], key=lambda x: _flat_key(m._labels_of(x)))
+    # the flats strictly between the bottom (the loops) and the top, by index
+    all_masks, _, below = m.flat_lattice()
+    order = sorted(
+        range(1, len(all_masks) - 1), key=lambda i: _flat_key(m._labels_of(all_masks[i]))
+    )
+    masks = [all_masks[i] for i in order]
     flats = [m._labels_of(x) for x in masks]
+    down = {i: set(_members(below[i])) for i in order}
     quads = [
-        (flats[i], flats[j])
-        for i, x in enumerate(masks)
-        for j in range(i + 1, len(masks))
-        if x & masks[j] not in (x, masks[j])
+        (flats[a], flats[b])
+        for a, i in enumerate(order)
+        for b, j in enumerate(order[a + 1 :], a + 1)
+        if j not in down[i] and i not in down[j]
     ]
     loops = m._loop_mask()
     elements = [i for i in range(m.size) if not loops >> i & 1]
@@ -102,12 +107,6 @@ def chow_presentation(m: LinearMatroid) -> ChowPresentation:
     return ChowPresentation(tuple(flats), tuple(quads), tuple(linear))
 
 
-def _chain_monomial_data(m: LinearMatroid):
-    """Flats (as masks) above the bottom and their ranks, in rank order."""
-    masks = m._flat_masks()[1:]
-    return masks, [m._flat_ranks[x] for x in masks]
-
-
 def chow_graded_dimensions(m: LinearMatroid) -> list[int]:
     """Dimensions of the graded pieces, computed by counting basis monomials.
 
@@ -117,59 +116,48 @@ def chow_graded_dimensions(m: LinearMatroid) -> list[int]:
     and total degree d.
     """
     r = m.rank()
-    if r == 0:
-        return [1]
-    masks, ranks = _chain_monomial_data(m)
-    dims = [0] * r
-    dims[0] = 1  # the empty monomial
-
-    # dp over flats in rank order: ways[i][d] = number of monomials of total
-    # degree d whose largest chain element is flat i
-    ways: list[list[int]] = []
-    start = 0  # index of the first flat of rank ri
-    for i, (mi, ri) in enumerate(zip(masks, ranks)):
-        if ranks[start] < ri:
-            start = i
+    _, ranks, below = m.flat_lattice()
+    # ways[i][d] = number of monomials of total degree d whose largest chain
+    # element is flat i; the bottom holds the empty monomial.  A monomial
+    # ending at F extends one ending at G < F by x_F^e, 0 < e < r(F) - r(G),
+    # so the step depends on r(G) alone: sum the down-set by rank first.
+    ways = [[1] + [0] * (r - 1)]
+    for rf, down in zip(ranks[1:], below[1:]):
+        by_rank = [[0] * r for _ in range(rf)]
+        for g in _members(down):
+            row = by_rank[ranks[g]]
+            for d, cnt in enumerate(ways[g]):
+                row[d] += cnt
         acc = [0] * r
-        # chains starting at i: exponent 1..(ri - 1)
-        for d in range(1, min(ri, r)):
-            acc[d] += 1
-        # extend chains ending at a smaller flat j
-        for j in [j for j in range(start) if masks[j] & mi == masks[j]]:
-            wj = ways[j]
-            gap = ri - ranks[j]
-            for d in range(1, gap):
-                for prev, cnt in enumerate(wj):
-                    if cnt and prev + d < r:
-                        acc[prev + d] += cnt
+        for rg, row in enumerate(by_rank):
+            for e in range(1, rf - rg):
+                for d, cnt in enumerate(row[: r - e]):
+                    acc[d + e] += cnt
         ways.append(acc)
-        for d, cnt in enumerate(acc):
-            if cnt and d:
-                dims[d] += cnt
-    return dims
+    return [sum(col) for col in zip(*ways)]
 
 
 def fy_basis_monomials(m: LinearMatroid, degree: int) -> list[tuple[tuple[frozenset, int], ...]]:
     """Basis monomials of the given degree as ((flat, exponent), ...) chains."""
-    masks, ranks = _chain_monomial_data(m)
+    masks, ranks, below = m.flat_lattice()
     out = []
 
-    def extend(chain, last_mask, last_rank, remaining):
+    def extend(chain, last, remaining):
         if remaining == 0:
             out.append(tuple(chain))
             return
-        for x, rx in zip(masks, ranks):
-            if rx <= last_rank or last_mask & x != last_mask:
+        for x in range(last + 1, len(masks)):
+            if not below[x] >> last & 1:
                 continue
-            gap = rx - last_rank
+            gap = ranks[x] - ranks[last]
             for d in range(1, min(gap - 1, remaining) + 1):
-                chain.append((m._labels_of(x), d))
-                extend(chain, x, rx, remaining - d)
+                chain.append((m._labels_of(masks[x]), d))
+                extend(chain, x, remaining - d)
                 chain.pop()
 
     if degree == 0:
         return [()]
-    extend([], 0, 0, degree)
+    extend([], 0, degree)
     return out
 
 

@@ -130,6 +130,8 @@ def check_conjecture1(
                     )
         return FunnySumReport(n, mode, count, True)
     if mode == "sampled":
+        if samples < 1:
+            raise DomainError("samples must be positive")
         rng = random.Random(seed)
         perms = list(all_permutations(n))
         for i in range(samples):
@@ -242,6 +244,9 @@ def cyclic_orbit_structures(
     k+1 excedances by conjugation and (b) degree-k chain-basis monomials of
     the hook matroid by relabeling."""
     limits.require("max_derangement_n", n)
+    m = hook_matroid(n, limits)
+    if not 0 <= k <= n - 2:  # excedances run from 1 to n - 1
+        raise DomainError(f"k must lie in 0..{n - 2} for n = {n}")
     cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
     cycle_inv = cycle.inverse()
 
@@ -256,7 +261,6 @@ def cyclic_orbit_structures(
         lambda img: (cycle * Permutation(img) * cycle_inv).images,
     )
 
-    m = hook_matroid(n)
     monomials = fy_basis_monomials(m, k)
 
     def relabel(mono):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from math import comb
+from typing import Hashable, Iterable, Iterator
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
-from .linalg import RowSpace, _normalize, int_rank
+from .linalg import RowSpace, _normalize
 
 Poly2 = dict[tuple[int, int], int]
 Poly1 = dict[int, int]
@@ -24,6 +25,15 @@ Poly1 = dict[int, int]
 
 def _popcount(x: int) -> int:
     return bin(x).count("1")
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The indices of the set bits, ascending."""
+    s = bin(bits)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
 
 
 @dataclass
@@ -45,8 +55,10 @@ class LinearMatroid:
         if any(len(c) != self._dim for c in self.columns):
             raise DomainError("columns must have equal length")
         self._vectors, self._rank = _row_basis(self.columns, self._dim)
-        # mask -> rank of every flat, in (rank, mask) order, once enumerated
+        # mask -> rank of every flat, in (rank, mask) order, and each flat's
+        # down-set in the same order, once enumerated
         self._flat_ranks: dict[int, int] | None = None
+        self._flat_below: list[int] | None = None
 
     # -- basic data ---------------------------------------------------------
 
@@ -107,10 +119,13 @@ class LinearMatroid:
         residue class R gives the cover F | R, of rank r(F) + 1.  The cover's
         residues are F's, eliminated once more against R's residue, which
         keeps them zero at every pivot column so far.  The ranks are kept in
-        ``_flat_ranks``, one per flat.
+        ``_flat_ranks``, one per flat, and the down-sets, read through
+        :meth:`flat_lattice`, in ``_flat_below``: a cover's down-set is the
+        union of the flats it covers and their down-sets.
         """
         if self._flat_ranks is None:
             ranks: dict[int, int] = {}
+            below: list[int] = []
             bottom = self._loop_mask()
             level = {
                 bottom: {
@@ -119,11 +134,15 @@ class LinearMatroid:
                     if not bottom >> i & 1
                 }
             }
+            under = {bottom: 0}  # the down-set of each flat in level
             rank = 0
             while level:
                 covers: dict[int, dict[int, tuple[int, ...]]] = {}
+                over: dict[int, int] = {}
                 for flat in sorted(level):
                     ranks[flat] = rank
+                    down = under[flat] | 1 << len(below)
+                    below.append(under[flat])
                     residues = level[flat]
                     classes: dict[tuple[int, ...], int] = {}
                     for i, res in residues.items():
@@ -131,7 +150,9 @@ class LinearMatroid:
                     for piv, members in classes.items():
                         cover = flat | members
                         if cover in covers:
+                            over[cover] |= down
                             continue
+                        over[cover] = down
                         col = next(j for j, x in enumerate(piv) if x)
                         p = piv[col]
                         covers[cover] = {
@@ -141,21 +162,22 @@ class LinearMatroid:
                             for i, res in residues.items()
                             if not members >> i & 1
                         }
-                level = covers
+                level, under = covers, over
                 rank += 1
-            self._flat_ranks = ranks
+            self._flat_ranks, self._flat_below = ranks, below
         return list(self._flat_ranks)
+
+    def flat_lattice(self) -> tuple[list[int], list[int], list[int]]:
+        """The flats as masks in (rank, mask) order, their ranks, and their
+        down-sets: bitsets over those indices of the flats strictly below."""
+        masks = self._flat_masks()
+        return masks, list(self._flat_ranks.values()), self._flat_below
 
     def flats(self, rank: int | None = None) -> list[frozenset]:
         masks = self._flat_masks()
         if rank is not None:
             masks = [m for m in masks if self._flat_ranks[m] == rank]
         return [self._labels_of(m) for m in masks]
-
-    def proper_nonempty_flats(self) -> list[frozenset]:
-        """Flats other than the top and the empty set, in (rank, mask) order."""
-        top = (1 << self.size) - 1
-        return [self._labels_of(m) for m in self._flat_masks() if m not in (0, top)]
 
     # -- circuits, bases, loops --------------------------------------------
 
@@ -174,6 +196,8 @@ class LinearMatroid:
 
         Exhaustive over subsets, so guarded by ``max_circuit_ground``.
         """
+        if max_size is not None and max_size < 1:
+            raise DomainError("max_size must be positive")
         self.limits.require("max_circuit_ground", self.size)
         found: list[int] = []
         out: list[frozenset] = []
@@ -202,12 +226,7 @@ class LinearMatroid:
         return False
 
     def bases_count(self) -> int:
-        return _eval_poly2(self.tutte_polynomial(), 1, 1)
-
-    def is_basis(self, subset: Iterable[Hashable]) -> bool:
-        mask = self._mask(subset)
-        r = self.rank()
-        return _popcount(mask) == r and self._rank_mask(mask) == r
+        return sum(self.tutte_polynomial().values())  # T(1, 1)
 
     # -- Tutte and characteristic polynomials -------------------------------
 
@@ -217,8 +236,6 @@ class LinearMatroid:
         if strategy == "subsets":
             self.limits.require("tutte_subset_limit", self.size)
             return self._tutte_subsets()
-        if strategy == "deletion-contraction":
-            return self._tutte_deletion_contraction()
         if strategy == "flats":
             return self._tutte_flats()
         raise DomainError(f"unknown tutte strategy {strategy!r}")
@@ -240,7 +257,7 @@ class LinearMatroid:
                 rest = n - start
                 for k in range(rest + 1):
                     key = (0, size + k - r)
-                    counts[key] = counts.get(key, 0) + _binom(rest, k)
+                    counts[key] = counts.get(key, 0) + comb(rest, k)
                 return
             key = (r - rk, size - rk)
             counts[key] = counts.get(key, 0) + 1
@@ -253,75 +270,45 @@ class LinearMatroid:
         walk(0, 0)
         return _expand_corank_nullity(counts)
 
-    def _tutte_deletion_contraction(self) -> Poly2:
-        memo: dict[tuple, Poly2] = {}
-
-        def solve(cols: tuple[tuple[int, ...], ...]) -> Poly2:
-            key = tuple(sorted(cols))
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if not cols:
-                out = {(0, 0): 1}
-            else:
-                e = cols[0]
-                rest = cols[1:]
-                if all(x == 0 for x in e):  # loop
-                    out = _poly2_mul(solve(rest), {(0, 1): 1})
-                elif int_rank(rest, len(e)) < int_rank(cols, len(e)):  # coloop
-                    out = _poly2_mul(solve(_contract(rest, e)), {(1, 0): 1})
-                else:
-                    out = _poly2_add(solve(rest), solve(_contract(rest, e)))
-            memo[key] = out
-            return out
-
-        return solve(self._vectors)
-
     def _tutte_flats(self) -> Poly2:
         """Sum over the lattice of flats.
 
         T(x, y) = sum_F (x-1)^(r - r(F)) * h_F(y - 1) / (y - 1)^r(F), where
         h_F(v) = sum of v^|S| over the subsets S whose closure is exactly F.
         Every subset of F closes to a flat below F, so
-        h_F(v) = (1 + v)^|F| - sum_{G < F} h_G(v), taken over the flats in
-        rank order; h_F is divisible by v^r(F) exactly.
+        h_F(v) = (1 + v)^|F| - sum_{G < F} h_G(v), taken over F's down-set;
+        h_F is divisible by v^r(F) exactly.
         """
         counts: dict[tuple[int, int], int] = {}
-        lower: list[tuple[int, list[int]]] = []  # (G, h_G) for r(G) < rank
-        level: list[tuple[int, list[int]]] = []  # the same for r(G) == rank
-        rank = 0
-        for m in self._flat_masks():
-            rf = self._flat_ranks[m]
-            if rf > rank:
-                lower += level
-                level, rank = [], rf
+        hs: list[list[int]] = []
+        for m, rf, down in zip(*self.flat_lattice()):
             size = _popcount(m)
-            h = [_binom(size, t) for t in range(size + 1)]
-            for hg in [hg for g, hg in lower if g & m == g]:
-                for t, c in enumerate(hg):
+            h = [comb(size, t) for t in range(size + 1)]
+            for g in _members(down):
+                for t, c in enumerate(hs[g]):
                     h[t] -= c
             assert not any(h[:rf]), "division fails"
             for t in range(rf, size + 1):
                 if h[t]:
                     key = (self._rank - rf, t - rf)
                     counts[key] = counts.get(key, 0) + h[t]
-            level.append((m, h))
+            hs.append(h)
         return _expand_corank_nullity(counts)
 
     def characteristic_polynomial(self) -> Poly1:
-        """p(t) = (-1)^r T(1 - t, 0)."""
-        t = self.tutte_polynomial()
-        r = self.rank()
+        """p(t) = sum over flats F of mu(F) t^(r - r(F)), where mu is the
+        Moebius function from the bottom flat: mu(bottom) = 1 and
+        mu(F) = -sum_{G < F} mu(G).  A matroid with loops has p = 0.
+        """
+        if self._loop_mask():
+            return {}
         out: Poly1 = {}
-        for (i, j), c in t.items():
-            if j != 0:
-                continue
-            # substitute x = 1 - t and expand (1-t)^i binomially
-            for k in range(i + 1):
-                coeff = c * _binom(i, k) * (-1) ** k
-                out[k] = out.get(k, 0) + coeff
-        sign = (-1) ** r
-        return {k: sign * v for k, v in out.items() if v}
+        mus: list[int] = []
+        for rf, down in zip(*self.flat_lattice()[1:]):
+            mu = -sum(mus[g] for g in _members(down)) if down else 1
+            out[self._rank - rf] = out.get(self._rank - rf, 0) + mu
+            mus.append(mu)
+        return {k: v for k, v in out.items() if v}
 
 
 def _row_basis(columns, dim: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -340,55 +327,17 @@ def _row_basis(columns, dim: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(col[i] for i in coords) for col in columns), space.rank
 
 
-def _contract(cols: Sequence[tuple[int, ...]], e: tuple[int, ...]):
-    """Project the remaining columns modulo the span of e."""
-    pivot = next(i for i, x in enumerate(e) if x != 0)
-    p = e[pivot]
-    out = []
-    for c in cols:
-        row = [p * c[i] - c[pivot] * e[i] for i in range(len(e))]
-        row[pivot] = 0
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
-
-
 def _expand_corank_nullity(counts: dict[tuple[int, int], int]) -> Poly2:
     """Convert sum (x-1)^a (y-1)^b counts into coefficients of x^i y^j."""
     out: Poly2 = {}
     for (a, b), c in counts.items():
         for i in range(a + 1):
-            ci = _binom(a, i) * (-1) ** (a - i)
+            ci = comb(a, i) * (-1) ** (a - i)
             for j in range(b + 1):
-                cj = _binom(b, j) * (-1) ** (b - j)
+                cj = comb(b, j) * (-1) ** (b - j)
                 key = (i, j)
                 out[key] = out.get(key, 0) + c * ci * cj
     return {k: v for k, v in out.items() if v}
-
-
-def _poly2_add(p: Poly2, q: Poly2) -> Poly2:
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly2_mul(p: Poly2, q: Poly2) -> Poly2:
-    out: Poly2 = {}
-    for (a, b), c in p.items():
-        for (d, e), f in q.items():
-            key = (a + d, b + e)
-            out[key] = out.get(key, 0) + c * f
-    return {k: v for k, v in out.items() if v}
-
-
-def _eval_poly2(p: Poly2, x: int, y: int) -> int:
-    return sum(c * x**i * y**j for (i, j), c in p.items())
 
 
 def format_poly2(p: Poly2) -> str:

@@ -5,7 +5,8 @@ from the Murnaghan-Nakayama rule on beta-numbers, coefficient values from
 character sums over partition-indexed conjugacy classes, coefficient matrices
 from a sum of pairing-matrix tensor products over every group element,
 dimensions from a brute-force standard-filling counter, matroid flats from
-the closure of every independent subset, Chow graded dimensions from a
+the closure of every independent subset, Tutte polynomials by
+deletion-contraction on the columns, Chow graded dimensions from a
 quotient-ring relation-matrix rank over those flats, and polytope facets from
 a search over every spanning point subset.
 """
@@ -13,9 +14,10 @@ a search over every spanning point subset.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .combinatorics import Partition, partitions_of
@@ -303,6 +305,67 @@ def flats_oracle(columns: Sequence[Sequence[int]]) -> set[frozenset[int]]:
 
     walk([], 0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Tutte polynomial by deletion-contraction
+
+Poly2 = dict[tuple[int, int], int]
+
+
+def tutte_deletion_contraction_oracle(columns: Sequence[Sequence[int]]) -> Poly2:
+    """Tutte polynomial of the column matroid, as {(i, j): coefficient of
+    x^i y^j}, by T(M) = T(M - e) + T(M / e), with T = y T(M - e) for a loop e
+    and T = x T(M / e) for a coloop.  Contracting e projects the other
+    columns modulo its span.  The coefficients are non-negative, so Counter
+    sums keep them exactly.  Memoised on the sorted column tuple; exponential in
+    the worst case, intended for small matroids only.
+    """
+    from .linalg import int_rank
+
+    memo: dict[tuple, Counter] = {}
+
+    def times(p: Counter, i: int, j: int) -> Counter:
+        return Counter({(a + i, b + j): c for (a, b), c in p.items()})
+
+    def solve(cols: tuple[tuple[int, ...], ...]) -> Counter:
+        key = tuple(sorted(cols))
+        if key not in memo:
+            if not cols:
+                memo[key] = Counter({(0, 0): 1})
+            elif not any(cols[0]):  # loop
+                memo[key] = times(solve(cols[1:]), 0, 1)
+            elif int_rank(cols[1:], len(cols[0])) < int_rank(cols, len(cols[0])):  # coloop
+                memo[key] = times(solve(_contract(cols[1:], cols[0])), 1, 0)
+            else:
+                memo[key] = solve(cols[1:]) + solve(_contract(cols[1:], cols[0]))
+        return memo[key]
+
+    return dict(solve(tuple(tuple(c) for c in columns)))
+
+
+def _contract(cols: Sequence[tuple[int, ...]], e: tuple[int, ...]):
+    """Project the remaining columns modulo the span of e."""
+    pivot = next(i for i, x in enumerate(e) if x != 0)
+    p = e[pivot]
+    out = []
+    for c in cols:
+        row = [p * c[i] - c[pivot] * e[i] for i in range(len(e))]
+        row[pivot] = 0
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def characteristic_from_tutte(t: Poly2, rank: int) -> dict[int, int]:
+    """The characteristic polynomial (-1)^r T(1 - t, 0) of a rank-r matroid
+    from its Tutte polynomial, with (1 - t)^i expanded binomially, as
+    {k: coefficient of t^k}."""
+    out: dict[int, int] = {}
+    for (i, j), c in t.items():
+        if j == 0:
+            for k in range(i + 1):
+                out[k] = out.get(k, 0) + (-1) ** (rank + k) * c * comb(i, k)
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

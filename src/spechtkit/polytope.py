@@ -409,12 +409,6 @@ def root_polytope_structure_check(
     """Check counts of vertices/edges/facets/lattice points of the difference
     polytope and whether it equals the column polytope of the two-row hook."""
     poly = root_polytope(k, limits)
-    faces = poly.face_lattice()
-    edges = sum(
-        1
-        for f in faces
-        if f and affine_rank([poly.points[i] for i in f]) == 1
-    )
     n_lattice = len(poly.lattice_points(limits)) if k <= limits.max_lattice_dim else -1
 
     # every facet should be a grid S x S^c of difference vectors
@@ -440,7 +434,7 @@ def root_polytope_structure_check(
         k=k,
         dim=poly.dim,
         n_vertices=poly.n_vertices,
-        n_edges=edges,
+        n_edges=poly.f_vector()[2],
         n_facets=len(poly.facets),
         n_lattice_points=n_lattice,
         facet_grids_ok=grids_ok,

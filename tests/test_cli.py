@@ -210,6 +210,24 @@ def test_usage_errors_exit_2(capsys):
     assert err.startswith("error: io:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "orbits", "--n", "0", "--k", "1"],
+        ["check", "orbits", "--n", "4", "--k", "-1"],
+        ["check", "orbits", "--n", "4", "--k", "3"],
+        ["check", "conjecture1", "--n", "3", "--mode", "sampled", "--samples", "-5"],
+        ["check", "conjecture1", "--n", "3", "--mode", "sampled", "--samples", "0"],
+        ["matroid", "circuits", "--lambda", "2,2", "--max-size", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_vacuous_or_invalid_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: usage:")
+
+
 def test_resource_errors_exit_3(capsys):
     code, _, err = run(
         capsys,

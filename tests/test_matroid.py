@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from spechtkit.combinatorics import Partition, all_permutations, partitions_of, word_from_text
+from spechtkit.chow import chow_graded_dimensions
+from spechtkit.cli import main
+from spechtkit.combinatorics import (
+    Partition,
+    all_permutations,
+    partitions_of,
+    rearrangement_count,
+    word_from_text,
+)
 from spechtkit.config import Limits
 from spechtkit.errors import DomainError, ResourceLimitError
 from spechtkit.matroid import (
@@ -13,7 +21,12 @@ from spechtkit.matroid import (
     poly2_to_json,
     specht_matroid,
 )
-from spechtkit.oracles import flats_oracle
+from spechtkit.oracles import (
+    characteristic_from_tutte,
+    chow_dims_quotient_oracle,
+    flats_oracle,
+    tutte_deletion_contraction_oracle,
+)
 
 W = word_from_text
 
@@ -73,7 +86,7 @@ def test_x_matroid_flats(x_matroid):
     ]
     assert sorted(flats) == sorted(expected)
     assert len(x_matroid.flats(rank=1)) == 6
-    assert len(x_matroid.proper_nonempty_flats()) == 16
+    assert len([f for f in x_matroid.flats() if 0 < len(f) < x_matroid.size]) == 16
 
 
 def test_closure_and_flats_with_loops():
@@ -82,7 +95,7 @@ def test_closure_and_flats_with_loops():
     assert m.closure([]) == {"a", "d"}
     assert m.closure(["b"]) == {"a", "b", "c", "d"}
     assert [sorted(f) for f in m.flats()] == [["a", "d"], ["a", "b", "c", "d"]]
-    assert [sorted(f) for f in m.proper_nonempty_flats()] == [["a", "d"]]
+    assert [sorted(f) for f in m.flats() if 0 < len(f) < m.size] == [["a", "d"]]
 
 
 SHAPES = [p for n in range(1, 6) for p in partitions_of(n)]
@@ -168,8 +181,50 @@ def test_tutte_strategies_agree(x_matroid):
     ]
     for m in mats:
         subsets = m.tutte_polynomial("subsets")
-        assert m.tutte_polynomial("deletion-contraction") == subsets
+        assert tutte_deletion_contraction_oracle(m.columns) == subsets
         assert m.tutte_polynomial("flats") == subsets
+
+
+def test_deletion_contraction_is_not_a_strategy(x_matroid, capsys, x_matrix_file):
+    with pytest.raises(DomainError):
+        x_matroid.tutte_polynomial("deletion-contraction")
+    assert main(["matroid", "tutte", "--matrix", x_matrix_file, "--strategy", "deletion-contraction"]) == 2
+    assert "unknown tutte strategy" in capsys.readouterr().err
+
+
+def check_lattice_paths(m):
+    """Every lattice consumer against the subset walk or an oracle."""
+    subsets = m.tutte_polynomial("subsets")
+    assert m.characteristic_polynomial() == characteristic_from_tutte(subsets, m.rank())
+    assert m.tutte_polynomial("flats") == subsets
+    assert tutte_deletion_contraction_oracle(m.columns) == subsets
+    if len(m.flats()) <= 30:  # the quotient-ring oracle is exponential in the flats
+        assert chow_graded_dimensions(m) == chow_dims_quotient_oracle(m)
+
+
+# the Specht matroids with at most 20 columns, up to n = 6 (the columns are
+# the rearrangements of the column word)
+SMALL_SHAPES = [
+    p for n in range(1, 7) for p in partitions_of(n) if rearrangement_count(p.canonical_words()[1]) <= 20
+]
+
+
+@pytest.mark.parametrize("p", SMALL_SHAPES, ids=[str(p.parts) for p in SMALL_SHAPES])
+def test_lattice_paths_agree_on_small_specht_shapes(p):
+    check_lattice_paths(specht_matroid(p))
+
+
+def test_lattice_paths_agree_on_the_x_matroid(x_matroid):
+    check_lattice_paths(x_matroid)
+
+
+def test_down_sets_are_the_strict_order_ideals():
+    m = specht_matroid(Partition((3, 1, 1)))
+    masks, ranks, below = m.flat_lattice()
+    assert masks == m._flat_masks() and ranks == [m._flat_ranks[x] for x in masks]
+    for i, f in enumerate(masks):
+        expect = sum(1 << j for j, g in enumerate(masks) if g != f and g & f == g)
+        assert below[i] == expect
 
 
 def test_tutte_specializations(x_matroid):

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from spechtkit.chow import chow_graded_dimensions
 from spechtkit.matroid import LinearMatroid
-from spechtkit.oracles import chow_dims_quotient_oracle, flats_oracle
+from spechtkit.oracles import (
+    characteristic_from_tutte,
+    chow_dims_quotient_oracle,
+    flats_oracle,
+    tutte_deletion_contraction_oracle,
+)
 
 
 @st.composite
@@ -53,7 +58,8 @@ def test_tutte_strategies_agree(cols):
     m = matroid(cols)
     subsets = m.tutte_polynomial("subsets")
     assert m.tutte_polynomial("flats") == subsets
-    assert m.tutte_polynomial("deletion-contraction") == subsets
+    assert tutte_deletion_contraction_oracle(cols) == subsets
+    assert m.characteristic_polynomial() == characteristic_from_tutte(subsets, m.rank())
 
 
 # rank 3 at most: the quotient-ring oracle takes seconds on rank-4 cases
