@@ -37,7 +37,6 @@ from .matroid import (
     format_poly2,
     poly1_to_json,
     poly2_to_json,
-    specht_matroid,
 )
 from .polytope import polytope_from_columns, root_polytope_structure_check
 from .specht import specht_matrix
@@ -113,18 +112,12 @@ def _is_word_list(label) -> bool:
 
 
 def _matroid_from_args(args, limits: Limits) -> LinearMatroid:
-    if getattr(args, "matrix", None):
-        labels, columns = _load_matrix_columns(args.matrix)
-        return LinearMatroid(labels, columns, limits)
-    if getattr(args, "lam", None):
-        return specht_matroid(_parse_partition(args.lam), limits)
-    raise DomainError("provide --lambda or --matrix")
+    return LinearMatroid(*_columns_from_args(args, limits), limits)
 
 
 def _columns_from_args(args, limits: Limits):
     if getattr(args, "matrix", None):
-        labels, columns = _load_matrix_columns(args.matrix)
-        return labels, columns
+        return _load_matrix_columns(args.matrix)
     if getattr(args, "lam", None):
         mat = specht_matrix(_parse_partition(args.lam), limits)
         return mat.col_labels, tuple(mat.columns())

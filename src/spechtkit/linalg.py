@@ -7,7 +7,8 @@ no floating point or Fraction arithmetic appears on the hot paths.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -102,30 +103,43 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
     )
 
 
+def scaled_inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(a, s) with s > 0 and a = s * m^-1 integral, for an invertible integer
+    matrix m, by Gauss-Jordan elimination."""
+    k = len(m)
+    rows = [list(row) + [int(i == c) for c in range(k)] for i, row in enumerate(m)]
+    for c in range(k):
+        r = next(r for r in range(c, k) if rows[r][c])
+        pivot = rows[r] if rows[r][c] > 0 else [-x for x in rows[r]]
+        rows[r], rows[c] = rows[c], pivot
+        for r, row in enumerate(rows):
+            if row[c] and r != c:
+                row = [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row]
+    # Now rows = [diag | diag * m^-1] with a positive diagonal.
+    s = lcm(*(rows[i][i] for i in range(k)))
+    return [[x * (s // rows[i][i]) for x in rows[i][k:]] for i in range(k)], s
+
+
 def nullspace_vector(rows: Sequence[Sequence[int]], dim: int) -> IntVec | None:
     """Primitive integer kernel vector when the kernel is one-dimensional.
 
-    Returns None if the kernel is trivial or has dimension >= 2.
+    Returns None if the kernel is trivial or has dimension >= 2.  With t the
+    echelon rows at their pivot columns and u their free column, the kernel
+    is spanned by x with x[free] = s and x[piv] = -(s * t^-1) . u.
     """
     space = RowSpace(dim)
     for r in rows:
         space.add(r)
     if space.rank != dim - 1:
         return None
-    # Back-substitute: the free column is the one without a pivot.
-    pivot_cols = {c for c, _ in space.pivots}
-    free = next(i for i in range(dim) if i not in pivot_cols)
+    piv = [c for c, _ in space.pivots]
+    free = next(i for i in range(dim) if i not in piv)
+    a, s = scaled_inverse([[row[c] for c in piv] for _, row in space.pivots])
     sol = [0] * dim
-    sol[free] = 1
-    # Each basis row is zero at the pivot columns of earlier rows, so solving
-    # in reverse insertion order determines one pivot unknown at a time.
-    for col, row in reversed(space.pivots):
-        s = sum(row[i] * sol[i] for i in range(dim) if i != col)
-        p = row[col]
-        g = gcd(p, s)
-        scale = abs(p) // g if g else 1
-        if scale != 1:
-            sol = [x * scale for x in sol]
-            s *= scale
-        sol[col] = -s // p
+    sol[free] = s
+    u = [row[free] for _, row in space.pivots]
+    for c, a_row in zip(piv, a):
+        sol[c] = -sum(map(mul, a_row, u))
     return _normalize(sol)

@@ -297,15 +297,24 @@ class LinearMatroid:
 
     def characteristic_polynomial(self) -> Poly1:
         """p(t) = sum over flats F of mu(F) t^(r - r(F)), where mu is the
-        Moebius function from the bottom flat: mu(bottom) = 1 and
-        mu(F) = -sum_{G < F} mu(G).  A matroid with loops has p = 0.
+        Moebius function from the bottom flat.  A matroid with loops has p = 0.
+
+        By Weisner's theorem mu(bottom) = 1 and mu(F) = -sum mu(G) over the
+        flats G covered by F that miss F's lowest element.  Flats come in
+        (rank, mask) order, so only the slice of F's down-set that holds the
+        flats of rank r(F) - 1 is read.
         """
         if self._loop_mask():
             return {}
+        masks, ranks, below = self.flat_lattice()
         out: Poly1 = {}
         mus: list[int] = []
-        for rf, down in zip(*self.flat_lattice()[1:]):
-            mu = -sum(mus[g] for g in _members(down)) if down else 1
+        lo = hi = 0  # the index range of the flats one rank below
+        for i, (m, rf, down) in enumerate(zip(masks, ranks, below)):
+            if rf != ranks[hi]:
+                lo, hi = hi, i
+            covered = _members((down >> lo) & ((1 << (hi - lo)) - 1))
+            mu = -sum(mus[lo + g] for g in covered if not masks[lo + g] & m & -m) if rf else 1
             out[self._rank - rf] = out.get(self._rank - rf, 0) + mu
             mus.append(mu)
         return {k: v for k, v in out.items() if v}

@@ -10,9 +10,11 @@ found by wrapping the facet one dimension down, without the last nonzero
 coordinate of its normal.  The coordinates left are the pivot coordinates of
 the facet's direction space, so a face's frame, and the normals of its
 ridges found there, are the same whichever way the face is reached.
-Membership is a span test and one integer functional per facet, and the face
-lattice is generated by intersecting facet vertex sets.  All arithmetic is on
-integers, so f-vectors and lattice-point lists carry no numerical tolerance.
+Membership is a span test and one integer functional per facet.  The face
+lattice is walked down by covers from the vertex-facet incidences, one
+dimension per level, so the f-vector is the list of level sizes.  All
+arithmetic is on integers, so f-vectors and lattice-point lists carry no
+numerical tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
-from .linalg import RowSpace, affine_rank, nullspace_vector
+from .linalg import RowSpace, nullspace_vector, scaled_inverse
 
 IntPoint = tuple[int, ...]
 
@@ -77,33 +79,38 @@ class Polytope:
 
     # -- faces --------------------------------------------------------------
 
+    def _face_levels(self) -> list[list[int]]:
+        """Faces as vertex bitmasks, one list per dimension from P down to the
+        empty face, walked by covers (Kaibel and Pfetsch, 2002): the facets of
+        a face F are the inclusion-maximal sets F & H over the facets H of P
+        that do not hold F, and a vertex's only facet is the empty face.
+        """
+        top = sum(1 << i for i in self.vertex_indices)
+        facets = [top & sum(1 << i for i in f.vertex_indices) for f in self.facets]
+        levels = [[top]]
+        while levels[-1] != [0]:
+            covers: set[int] = set()
+            for face in levels[-1]:
+                meets = {face & h for h in facets} - {face}
+                kept: list[int] = []  # the maximal meets, found largest first
+                for m in sorted(meets, key=int.bit_count, reverse=True):
+                    for k in kept:
+                        if m & k == m:
+                            break
+                    else:
+                        kept.append(m)
+                covers.update(kept)
+            levels.append(list(covers) or [0])
+        return levels
+
     def face_lattice(self) -> list[frozenset[int]]:
         """All faces as vertex-index sets, including the empty face and P."""
-        verts = frozenset(self.vertex_indices)
-        faces = {verts, frozenset()}
-        frontier = [f.vertex_indices & verts for f in self.facets]
-        faces.update(frontier)
-        while frontier:
-            nxt = []
-            for face in frontier:
-                for f in self.facets:
-                    inter = face & f.vertex_indices
-                    if inter not in faces:
-                        faces.add(inter)
-                        nxt.append(inter)
-            frontier = nxt
+        faces = [frozenset(_bits(m)) for level in self._face_levels() for m in level]
         return sorted(faces, key=lambda s: (len(s), sorted(s)))
 
     def f_vector(self) -> list[int]:
         """Face counts by dimension from -1 (empty face) to dim (P itself)."""
-        counts = [0] * (self.dim + 2)
-        for face in self.face_lattice():
-            if not face:
-                d = -1
-            else:
-                d = affine_rank([self.points[i] for i in face])
-            counts[d + 1] += 1
-        return counts
+        return [len(level) for level in reversed(self._face_levels())]
 
     # -- lattice points -----------------------------------------------------
 
@@ -164,7 +171,7 @@ def _hull_frame(
     """
     base = points[0]
     piv = [c for c, _ in space.pivots]
-    q, s = _scaled_inverse([[row[c] for c in piv] for _, row in space.pivots])
+    q, s = scaled_inverse([[row[c] for c in piv] for _, row in space.pivots])
     cols = list(zip(*q))
     lifted = []
     for p in points:
@@ -172,24 +179,6 @@ def _hull_frame(
         lifted.append([_dot(y, col) for col in cols])
     g = gcd(s, *(v for row in lifted for v in row))
     return q, g, tuple(tuple(v // g for v in row) for row in lifted)
-
-
-def _scaled_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(a, s) with s > 0 and a = s * m^-1 integral, by Gauss-Jordan elimination."""
-    k = len(m)
-    rows = [list(row) + [int(i == c) for c in range(k)] for i, row in enumerate(m)]
-    for c in range(k):
-        r = next(r for r in range(c, k) if rows[r][c])
-        pivot = rows[r] if rows[r][c] > 0 else [-x for x in rows[r]]
-        rows[r], rows[c] = rows[c], pivot
-        for r, row in enumerate(rows):
-            if row[c] and r != c:
-                row = [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                rows[r] = [x // g for x in row]
-    # Now rows = [diag | diag * m^-1] with a positive diagonal.
-    s = lcm(*(rows[i][i] for i in range(k)))
-    return [[x * (s // rows[i][i]) for x in rows[i][k:]] for i in range(k)], s
 
 
 def polytope_from_columns(
@@ -292,7 +281,7 @@ def _simplex_facets(pts: dict[int, IntPoint], k: int) -> list[tuple[IntPoint, in
     p_0, so one inversion gives them all.
     """
     p0, *rest = pts.values()
-    a, _ = _scaled_inverse([[x - y for x, y in zip(p, p0)] for p in rest])
+    a, _ = scaled_inverse([[x - y for x, y in zip(p, p0)] for p in rest])
     cols = [[-sum(row) for row in a]] + [list(col) for col in zip(*a)]
     full = sum(1 << i for i in pts)
     out = []
@@ -409,7 +398,7 @@ def root_polytope_structure_check(
     """Check counts of vertices/edges/facets/lattice points of the difference
     polytope and whether it equals the column polytope of the two-row hook."""
     poly = root_polytope(k, limits)
-    n_lattice = len(poly.lattice_points(limits)) if k <= limits.max_lattice_dim else -1
+    n_lattice = len(poly.lattice_points(limits))
 
     # every facet should be a grid S x S^c of difference vectors
     grids_ok = True
@@ -429,7 +418,7 @@ def root_polytope_structure_check(
     hook = Partition((k - 1, 1))
     cols = specht_matrix(hook, limits).columns()
     specht_poly = polytope_from_columns(cols, limits)
-    matches = _same_vertex_set(poly, specht_poly)
+    matches = sorted(poly.vertices()) == sorted(specht_poly.vertices())
     return RootPolytopeReport(
         k=k,
         dim=poly.dim,
@@ -440,9 +429,3 @@ def root_polytope_structure_check(
         facet_grids_ok=grids_ok,
         matches_pair_matrix_columns=matches,
     )
-
-
-def _same_vertex_set(a: Polytope, b: Polytope) -> bool:
-    va = sorted(a.vertices())
-    vb = sorted(b.vertices())
-    return va == vb

@@ -148,6 +148,20 @@ def test_polytope_root_check(capsys):
     assert data["matches_pair_matrix_columns"] is True
 
 
+def test_root_check_lattice_guard_refuses(capsys):
+    code, out, err = run(capsys, "polytope", "root-check", "--k", "7")
+    assert code == 3 and out == ""
+    assert err.startswith("error: resource:") and "max_lattice_dim" in err
+
+
+def test_root_check_passes_with_raised_lattice_guard(capsys):
+    code, out, _ = run(capsys, "polytope", "root-check", "--k", "7", "--max-lattice-dim", "7")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[3] == "lattice_points: 43 (expected 43) pass"
+    assert all(line.endswith(("pass", "True")) for line in lines)
+
+
 def test_coeff_fast_path_and_matrix_emission(capsys, tmp_path):
     code, out, _ = run(
         capsys, "coeff", "lr", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from spechtkit import polytope
 from spechtkit.combinatorics import Partition, partitions_of
 from spechtkit.errors import DomainError
-from spechtkit.linalg import int_rank
+from spechtkit.linalg import affine_rank, int_rank
 from spechtkit.oracles import facets_oracle
 from spechtkit.polytope import (
     polytope_from_columns,
@@ -371,6 +371,55 @@ def test_membership_is_exact_and_refuses_other_types():
             square.contains_point(bad)
     with pytest.raises(DomainError):
         square.contains_point((0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the face walk by covers against intersection closure
+
+
+def reference_faces(poly):
+    """Faces from the oracle's facet point sets, closed under intersection
+    and cut down to the vertices, with f-vector counts from affine_rank."""
+    verts = frozenset(poly.vertex_indices)
+    faces = {verts, frozenset()}
+    frontier = [tight & verts for _, _, tight in facets_oracle(poly.points, poly.dim)]
+    while frontier:
+        faces.update(frontier)
+        frontier = list({a & b for a in frontier for b in faces} - faces)
+    fvec = [0] * (poly.dim + 2)
+    for face in faces:
+        fvec[affine_rank([poly.points[i] for i in face]) + 1] += 1
+    return sorted(faces, key=lambda s: (len(s), sorted(s))), fvec
+
+
+def assert_faces_match_reference(poly):
+    faces, fvec = reference_faces(poly)
+    assert poly.face_lattice() == faces
+    assert poly.f_vector() == fvec
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [p.parts for n in range(1, 5) for p in partitions_of(n)],
+    ids=str,
+)
+def test_face_walk_matches_closure_on_specht_shapes(parts):
+    assert_faces_match_reference(column_polytope(parts))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_face_walk_matches_closure_on_root_polytopes(k):
+    assert_faces_match_reference(root_polytope(k))
+
+
+def test_face_walk_matches_closure_on_a_triangle_with_edge_points():
+    assert_faces_match_reference(polytope_from_columns([(0, 0), (2, 0), (0, 2), (1, 0), (1, 1)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets())
+def test_face_walk_matches_closure_on_random_point_sets(pts):
+    assert_faces_match_reference(polytope_from_columns(pts))
 
 
 def test_face_lattice_holds_vertex_sets_only():
