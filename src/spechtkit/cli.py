@@ -90,7 +90,9 @@ def _load_matrix_columns(path: str):
             # bool is a subclass of int; JSON true/false are not entries
             if type(x) is not int:
                 raise DomainError(f"{path}: row {i}: entry {x!r} is not an integer")
-    labels = data.get("col_labels") or list(range(n_cols))
+    labels = data.get("col_labels")
+    if labels is None:
+        labels = list(range(n_cols))
     if isinstance(labels, list):
         # a coefficient matrix labels a column by its factor words, read as "w1|w2|w3"
         labels = ["|".join(x) if _is_word_list(x) else x for x in labels]

@@ -26,7 +26,6 @@ class Limits:
     # polytopes
     max_polytope_points: int = 64
     max_polytope_dim: int = 8
-    max_lattice_dim: int = 6
     max_box_volume: int = 2_000_000
     # coefficient matrices
     max_group_order: int = 10_000

@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import factorial
+from typing import Iterator
 
 from .chow import chow_graded_dimensions, fy_basis_monomials
 from .combinatorics import (
@@ -157,15 +158,19 @@ class ExcedanceTable:
     counts: tuple[int, ...]  # counts[k] = derangements with k+1 excedances
 
 
+def _derangements(n: int) -> Iterator[tuple[Permutation, int]]:
+    """Each derangement g of 1..n with its number of excedances g(i) > i."""
+    for g in all_permutations(n):
+        if all(g(i) != i for i in range(1, n + 1)):
+            yield g, sum(1 for i in range(1, n + 1) if g(i) > i)
+
+
 def derangement_excedance_counts(
     n: int, limits: Limits = DEFAULT_LIMITS
 ) -> ExcedanceTable:
     limits.require("max_derangement_n", n)
     counts: dict[int, int] = {}
-    for g in all_permutations(n):
-        if any(g(i) == i for i in range(1, n + 1)):
-            continue
-        exc = sum(1 for i in range(1, n + 1) if g(i) > i)
+    for _, exc in _derangements(n):
         counts[exc - 1] = counts.get(exc - 1, 0) + 1
     top = max(counts) if counts else -1
     return ExcedanceTable(n, tuple(counts.get(k, 0) for k in range(top + 1)))
@@ -250,14 +255,8 @@ def cyclic_orbit_structures(
     cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
     cycle_inv = cycle.inverse()
 
-    derangements = [
-        g
-        for g in all_permutations(n)
-        if not any(g(i) == i for i in range(1, n + 1))
-        and sum(1 for i in range(1, n + 1) if g(i) > i) == k + 1
-    ]
     conj = _orbits(
-        [g.images for g in derangements],
+        [g.images for g, exc in _derangements(n) if exc == k + 1],
         lambda img: (cycle * Permutation(img) * cycle_inv).images,
     )
 

@@ -1,8 +1,10 @@
 """Exact convex polytopes from integer point sets.
 
-Points get integer coordinates in their affine hull from one frame per hull:
-the echelon basis of the differences from the first point has pivot
-coordinates piv, and reduced = (x - base)[piv] . q / g with integer q and g.
+Every hull has one frame, its pivot coordinates: the echelon basis of the
+differences from the first point has pivot columns piv, and x -> x[piv] is
+integral and one to one on the affine hull, so the points' pivot coordinates
+are a full-dimensional integer point set with the same faces, and each facet
+found there is already an inequality on x[piv].
 Facets are found by gift-wrapping across ridges (Chand and Kapur, 1970):
 starting from one facet, each ridge is crossed by rotating the facet's
 hyperplane about it until it meets another point.  The ridges of a facet are
@@ -10,11 +12,13 @@ found by wrapping the facet one dimension down, without the last nonzero
 coordinate of its normal.  The coordinates left are the pivot coordinates of
 the facet's direction space, so a face's frame, and the normals of its
 ridges found there, are the same whichever way the face is reached.
-Membership is a span test and one integer functional per facet.  The face
-lattice is walked down by covers from the vertex-facet incidences, one
-dimension per level, so the f-vector is the list of level sizes.  All
-arithmetic is on integers, so f-vectors and lattice-point lists carry no
-numerical tolerance.
+Membership is a span test and one facet inequality per facet on x[piv].
+Lattice points are scanned in the box of the vertices' pivot coordinates:
+a point inside every facet is kept when its lift to the affine hull is
+integral.  The face lattice is walked down by covers from the vertex-facet
+incidences, one dimension per level, so the f-vector is the list of level
+sizes.  All arithmetic is on integers, so f-vectors and lattice-point lists
+carry no numerical tolerance.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import index, mul
 from typing import Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -35,24 +39,23 @@ IntPoint = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Facet:
-    normal: IntPoint  # primitive inner normal in reduced coordinates
-    offset: int  # facet hyperplane is normal . x = offset, inside is >=
+    normal: IntPoint  # primitive inner normal in pivot coordinates
+    offset: int  # facet hyperplane is normal . x[piv] = offset, inside is >=
     vertex_indices: frozenset[int]
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """A polytope with both ambient and reduced integer coordinates."""
+    """A polytope with both ambient and pivot integer coordinates."""
 
     ambient_points: tuple[IntPoint, ...]  # distinct input points
-    points: tuple[IntPoint, ...]  # same points in reduced coordinates
+    points: tuple[IntPoint, ...]  # pivot coordinates x[piv] of the same points
     dim: int
     facets: tuple[Facet, ...]  # sorted by vertex indices
     vertex_indices: tuple[int, ...]
-    # x is in P iff x - ambient_points[0] lies in hull_space and w . x[piv] >= c
-    # for every (w, c) in facet_functionals, piv being hull_space's pivots.
+    # echelon basis of x - ambient_points[0] over the points x; piv are the
+    # pivot columns of its rows
     hull_space: RowSpace = field(repr=False, compare=False)
-    facet_functionals: tuple[tuple[IntPoint, int], ...] = field(repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -72,7 +75,7 @@ class Polytope:
         if not self.hull_space.contains([a - m * b for a, b in zip(x, base)]):
             return False
         y = [x[c] for c, _ in self.hull_space.pivots]
-        return all(_dot(w, y) >= m * c for w, c in self.facet_functionals)
+        return all(_dot(f.normal, y) >= m * f.offset for f in self.facets)
 
     def contains_origin(self) -> bool:
         return self.contains_point([0] * len(self.ambient_points[0]))
@@ -115,23 +118,31 @@ class Polytope:
     # -- lattice points -----------------------------------------------------
 
     def lattice_points(self, limits: Limits = DEFAULT_LIMITS) -> list[IntPoint]:
-        """Integer ambient points inside the polytope, by bounding-box scan."""
-        verts = self.vertices()
-        ambient_dim = len(verts[0])
-        limits.require("max_lattice_dim", ambient_dim)
-        lo = [min(v[i] for v in verts) for i in range(ambient_dim)]
-        hi = [max(v[i] for v in verts) for i in range(ambient_dim)]
-        volume = 1
-        for a, b in zip(lo, hi):
-            volume *= b - a + 1
-        limits.require("max_box_volume", volume)
+        """Integer ambient points inside the polytope, sorted.
+
+        The scan walks the box of the vertices' pivot coordinates.  A hull
+        point with pivot coordinates y is base + c . rows with c . t =
+        y - base[piv], t[i][j] = row_i[piv_j]; with q = s * t^-1 integral its
+        lift is base + (y - base[piv]) . q . rows / s, and y inside every
+        facet is kept when that lift is integral.
+        """
+        verts = [self.points[i] for i in self.vertex_indices]
+        box = [range(min(c), max(c) + 1) for c in zip(*verts)]
+        limits.require("max_box_volume", prod(map(len, box)))
+        base, y0 = self.ambient_points[0], self.points[0]
+        pivots = self.hull_space.pivots
+        q, s = scaled_inverse([[row[c] for c, _ in pivots] for _, row in pivots])
+        # lift[a] . (y - y0) = s * (x[a] - base[a])
+        cols = [[row[a] for _, row in pivots] for a in range(len(base))]
+        lift = [[_dot(q_row, col) for q_row in q] for col in cols]
         out = []
-        for cand in itertools.product(
-            *(range(a, b + 1) for a, b in zip(lo, hi))
-        ):
-            if self.contains_point(cand):
-                out.append(cand)
-        return out
+        for y in itertools.product(*box):
+            if all(_dot(f.normal, y) >= f.offset for f in self.facets):
+                d = [a - b for a, b in zip(y, y0)]
+                num = [_dot(w, d) for w in lift]
+                if all(v % s == 0 for v in num):
+                    out.append(tuple(b + v // s for b, v in zip(base, num)))
+        return sorted(out)
 
 
 def _clear_denominators(point: Sequence[int | Fraction]) -> tuple[int, IntPoint]:
@@ -146,8 +157,18 @@ def _clear_denominators(point: Sequence[int | Fraction]) -> tuple[int, IntPoint]
 def _dedup(points: Sequence[Sequence[int]]) -> tuple[IntPoint, ...]:
     seen = {}
     for p in points:
-        seen.setdefault(tuple(int(x) for x in p), None)
+        seen.setdefault(tuple(map(_integer, p)), None)
     return tuple(seen)
+
+
+def _integer(x) -> int:
+    """*x* as an int; Python and numpy integers pass, bool and the rest do not."""
+    if type(x) is not bool:
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"coordinate {x!r} is not an integer")
 
 
 def _hull_basis(points: tuple[IntPoint, ...]) -> RowSpace:
@@ -157,28 +178,6 @@ def _hull_basis(points: tuple[IntPoint, ...]) -> RowSpace:
     for p in points[1:]:
         space.add(tuple(a - b for a, b in zip(p, base)))
     return space
-
-
-def _hull_frame(
-    points: tuple[IntPoint, ...], space: RowSpace
-) -> tuple[list[list[int]], int, tuple[IntPoint, ...]]:
-    """(q, g, reduced): reduced coordinates (x - base)[piv] . q / g of *points*.
-
-    A hull point x is base + c . rows with c . t = (x - base)[piv], where
-    t[i][j] = row_i[piv_j].  With q = s * t^-1 integral, the reduced
-    coordinates s * c / g are the least multiple of c that is integral on
-    every input point.
-    """
-    base = points[0]
-    piv = [c for c, _ in space.pivots]
-    q, s = scaled_inverse([[row[c] for c in piv] for _, row in space.pivots])
-    cols = list(zip(*q))
-    lifted = []
-    for p in points:
-        y = [p[c] - base[c] for c in piv]
-        lifted.append([_dot(y, col) for col in cols])
-    g = gcd(s, *(v for row in lifted for v in row))
-    return q, g, tuple(tuple(v // g for v in row) for row in lifted)
 
 
 def polytope_from_columns(
@@ -193,28 +192,22 @@ def polytope_from_columns(
     space = _hull_basis(ambient)
     dim = space.rank
     limits.require("max_polytope_dim", dim)
-    q, g, reduced = _hull_frame(ambient, space)
+    points = tuple(tuple(p[c] for c, _ in space.pivots) for p in ambient)
 
-    wrapped = _gift_wrap(dict(enumerate(reduced)), dim, {}) if dim else []
+    wrapped = _gift_wrap(dict(enumerate(points)), dim, {}) if dim else []
     facets = sorted(
         (Facet(normal, offset, frozenset(_bits(mask))) for normal, offset, mask in wrapped),
         key=lambda f: sorted(f.vertex_indices),
     )
-    vertex_indices = _find_vertices(len(reduced), [mask for _, _, mask in wrapped])
-    # normal . reduced(x) >= offset, times g, is w . x[piv] >= c with w = q . normal
-    base = [ambient[0][c] for c, _ in space.pivots]
-    ws = [tuple(_dot(row, f.normal) for row in q) for f in facets]
-    functionals = tuple((w, g * f.offset + _dot(w, base)) for w, f in zip(ws, facets))
-    return Polytope(
-        ambient, reduced, dim, tuple(facets), tuple(vertex_indices), space, functionals
-    )
+    vertex_indices = _find_vertices(len(points), [mask for _, _, mask in wrapped])
+    return Polytope(ambient, points, dim, tuple(facets), tuple(vertex_indices), space)
 
 
 # ---------------------------------------------------------------------------
 # facets by gift-wrapping
 #
 # A point set is a dict from point index to integer coordinates whose affine
-# hull is all of Z^k.  Faces are bitmasks over the point indices.
+# hull is all of Q^k.  Faces are bitmasks over the point indices.
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

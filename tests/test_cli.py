@@ -129,9 +129,12 @@ def test_polytope_fvector_and_dim(capsys):
 
 
 def test_polytope_faces_list_vertices_only(capsys, tmp_path):
-    # the triangle (0,0), (2,0), (0,2) with (1,0) and (1,1) on two of its edges
+    # the triangle (0,0), (2,0), (0,2) with (1,0) and (1,1) on two of its edges;
+    # null labels take the default, the column indices
     target = tmp_path / "triangle.json"
-    target.write_text(json.dumps({"entries": [[0, 2, 0, 1, 1], [0, 0, 2, 0, 1]]}))
+    target.write_text(
+        json.dumps({"entries": [[0, 2, 0, 1, 1], [0, 0, 2, 0, 1]], "col_labels": None})
+    )
     code, out, _ = run(capsys, "polytope", "faces", "--matrix", str(target), "--format", "json")
     assert code == 0
     assert json.loads(out) == [
@@ -149,13 +152,17 @@ def test_polytope_root_check(capsys):
 
 
 def test_root_check_lattice_guard_refuses(capsys):
-    code, out, err = run(capsys, "polytope", "root-check", "--k", "7")
+    # at k = 7 the scan's box of pivot coordinates holds 3^6 points
+    code, out, err = run(capsys, "polytope", "root-check", "--k", "7", "--max-box-volume", "100")
     assert code == 3 and out == ""
-    assert err.startswith("error: resource:") and "max_lattice_dim" in err
+    assert err == "error: resource: max_box_volume: requested 729 exceeds limit 100\n"
+    code, out, err = run(capsys, "polytope", "root-check", "--k", "9")
+    assert code == 3 and out == ""
+    assert err.startswith("error: resource: max_polytope_points:")
 
 
-def test_root_check_passes_with_raised_lattice_guard(capsys):
-    code, out, _ = run(capsys, "polytope", "root-check", "--k", "7", "--max-lattice-dim", "7")
+def test_root_check_passes_at_default_guards(capsys):
+    code, out, _ = run(capsys, "polytope", "root-check", "--k", "7")
     assert code == 0
     lines = out.splitlines()
     assert lines[3] == "lattice_points: 43 (expected 43) pass"
@@ -296,6 +303,10 @@ BAD_MATRICES = {
     "short-labels": {"entries": [[1, 0], [0, 1]], "col_labels": ["a"]},
     "empty-word-list-label": {"entries": [[1, 0], [0, 1]], "col_labels": [[], "b"]},
     "mixed-word-list-label": {"entries": [[1, 0], [0, 1]], "col_labels": [["12", 3], "b"]},
+    "empty-labels": {"entries": [[1, 0], [0, 1]], "col_labels": []},
+    "zero-labels": {"entries": [[1, 0], [0, 1]], "col_labels": 0},
+    "empty-string-labels": {"entries": [[1, 0], [0, 1]], "col_labels": ""},
+    "false-labels": {"entries": [[1, 0], [0, 1]], "col_labels": False},
 }
 
 

@@ -4,8 +4,9 @@ import sys
 from fractions import Fraction
 from math import comb, prod
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spechtkit import polytope
@@ -57,6 +58,15 @@ def test_degenerate_inputs():
     assert len(segment.lattice_points()) == 3
     with pytest.raises(DomainError):
         polytope_from_columns([])
+
+
+def test_hull_refuses_non_integer_coordinates():
+    for bad in (0.5, Fraction(1, 2), Fraction(2, 1), True, 2.0, "2", np.True_):
+        with pytest.raises(DomainError):
+            polytope_from_columns([(bad, 0), (2, 0), (0, 2)])
+    poly = polytope_from_columns([(np.int64(0), np.int8(0)), (2, 0), (0, 2)])
+    assert poly.ambient_points == ((0, 0), (2, 0), (0, 2))
+    assert all(type(x) is int for x in poly.ambient_points[0])
 
 
 @pytest.mark.parametrize(
@@ -216,22 +226,57 @@ def test_facets_match_oracle_on_random_point_sets(pts):
     assert_euler(poly)
 
 
+def injective_map(seed, d):
+    """A seeded injective integer map from Z^d into Z^(d + 1), as its rows."""
+    rng = random.Random(seed)
+    while True:
+        rows = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 1)]
+        if int_rank(rows, d) == d:
+            return rows
+
+
+# Two maps of Z^2 into Z^3 whose first two rows have determinant 2; x_0, x_1
+# are the pivot coordinates of their images.  Under the first, a point of the
+# pivot box lifts to an integer point only when x_1 - x_0 is even; under the
+# second, the integer points of the image's span include points such as
+# (1, 2, 1) that are not images of integer points.
+NON_UNIMODULAR = (((1, 0), (1, 2), (0, 1)), ((1, 0), (1, 2), (0, 2)))
+
+
+@st.composite
+def lattice_point_sets(draw):
+    """(points in Z^d, None) with d <= 3, or (points in Z^d, map) with d <= 2
+    and a seeded injective integer map that pushes them into Z^(d + 1)."""
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=8))
+    if d == 3 or draw(st.booleans()):
+        return pts, None
+    return pts, injective_map(draw(st.integers(0, 2**16)), d)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=8)
-    )
-)
-def test_lattice_points_match_box_scan(pts):
+@given(lattice_point_sets())
+@example(([(0, 0), (2, 0), (0, 2)], NON_UNIMODULAR[0]))
+@example(([(0, 0), (2, 0), (0, 2)], NON_UNIMODULAR[1]))
+def test_lattice_points_match_box_scan(case):
+    pts, amap = case
+    if amap:
+        pts = [tuple(sum(a * x for a, x in zip(row, p)) for row in amap) for p in pts]
     poly = polytope_from_columns(pts)
     d = len(pts[0])
-    assume(poly.dim == d)
-    # facets of the ambient set itself, from the oracle
-    facets = facets_oracle(list(dict.fromkeys(pts)), d)
     box = itertools.product(
         *(range(min(p[i] for p in pts), max(p[i] for p in pts) + 1) for i in range(d))
     )
-    want = [x for x in box if all(sum(a * b for a, b in zip(n, x)) >= c for n, c, _ in facets)]
+    if amap:
+        # membership keeps its own span test
+        want = [x for x in box if poly.contains_point(x)]
+    else:
+        assume(poly.dim == d)
+        # facets of the ambient set itself, from the oracle
+        facets = facets_oracle(list(dict.fromkeys(pts)), d)
+        want = [
+            x for x in box if all(sum(a * b for a, b in zip(n, x)) >= c for n, c, _ in facets)
+        ]
     assert poly.lattice_points() == want
 
 
@@ -253,7 +298,7 @@ def test_lattice_scan_sets_up_hull_data_once(monkeypatch):
     monkeypatch.setattr(polytope, "_hull_basis", counting)
     poly = polytope_from_columns([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
     assert len(poly.lattice_points()) == 20
-    assert len(calls) <= 2  # once for the hull, once for membership
+    assert len(calls) == 1  # the scan reads the hull's own basis
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +331,8 @@ def diff(p, q):
 def reference_membership(poly):
     """Membership from the oracle's facets and an exact affine-hull solve.
 
-    Reduced coordinates are affine in the ambient ones, so a point x of the
-    hull maps to the same combination of the points' reduced coordinates as
+    Pivot coordinates are affine in the ambient ones, so a point x of the
+    hull maps to the same combination of the points' pivot coordinates as
     of their ambient ones, taken over an affinely independent subset.
     """
     amb, red = poly.ambient_points, poly.points
