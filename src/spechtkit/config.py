@@ -31,8 +31,7 @@ class Limits:
     max_group_order: int = 10_000
     max_coefficient_n: int = 5
     # conjecture checks
-    max_funny_sum_n: int = 5
-    max_conjecture1_full_n: int = 4
+    max_funny_sum_n: int = 6
     max_derangement_n: int = 9
 
     def require(self, name: str, value: int) -> None:

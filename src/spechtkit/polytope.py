@@ -187,6 +187,8 @@ def polytope_from_columns(
     ambient = _dedup(columns)
     if not ambient:
         raise DomainError("no points given")
+    if len({len(p) for p in ambient}) > 1:
+        raise DomainError("points differ in length")
     limits.require("max_polytope_points", len(ambient))
 
     space = _hull_basis(ambient)

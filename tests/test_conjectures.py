@@ -1,18 +1,25 @@
+import dataclasses
+import random
 from math import factorial
 
 import pytest
 
-from spechtkit.combinatorics import Permutation, all_permutations
-from spechtkit.config import Limits
+from spechtkit import cli, conjectures
+from spechtkit.combinatorics import Partition, Permutation, all_permutations, partitions_of
+from spechtkit.config import DEFAULT_LIMITS, Limits
 from spechtkit.conjectures import (
+    FunnySumReport,
+    _partition_tables,
     check_conjecture1,
     check_conjecture2,
     cyclic_orbit_structures,
     derangement_excedance_counts,
     funny_sum,
+    gram_column,
     hook_matroid,
 )
 from spechtkit.errors import DomainError, ResourceLimitError
+from spechtkit.specht import specht_matrix
 
 DERANGEMENT_TABLES = {
     2: (1,),
@@ -66,11 +73,138 @@ def test_detection_identity_sampled():
     assert data["passed"] is True and data["seed"] == 0
 
 
-def test_detection_identity_guards():
+def test_detection_identity_guards(capsys, monkeypatch):
     with pytest.raises(DomainError):
         check_conjecture1(3, mode="bogus")
-    with pytest.raises(ResourceLimitError):
-        check_conjecture1(5, mode="full", limits=Limits(max_conjecture1_full_n=4))
+    with pytest.raises(DomainError):
+        check_conjecture1(0)
+    with pytest.raises(ResourceLimitError, match="max_funny_sum_n"):
+        check_conjecture1(7)
+
+    # (2, 2) has 6 rows, so its action table is 6 * 4! = 144 cells, although
+    # every n = 4 pairing matrix has at most 48
+    built = []
+    monkeypatch.setattr(conjectures, "specht_matrix", lambda *a: built.append(a))
+    with pytest.raises(ResourceLimitError, match="max_matrix_cells: requested 144"):
+        check_conjecture1(4, limits=Limits(max_matrix_cells=100))
+    assert built == []
+
+    assert cli.main(["check", "conjecture1", "--n", "7"]) == 3
+    assert "max_funny_sum_n" in capsys.readouterr().err
+    assert cli.main(["check", "conjecture1", "--n", "4", "--max-conjecture1-full-n", "4"]) == 2
+    assert "--max-conjecture1-full-n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_detection_identity_full_at_default_guards(n):
+    report = check_conjecture1(n)
+    assert report.passed
+    assert report.pairs_checked == factorial(n) ** 2
+
+
+def _quotient_index(n):
+    """Map (sigma, tau) to the index of tau^-1 * sigma in all_permutations."""
+    index = {p.images: k for k, p in enumerate(all_permutations(n))}
+    return lambda s, t: index[(t.inverse() * s).images]
+
+
+def _pair_loop_report(n, mode="full", samples=200, seed=0):
+    """check_conjecture1 evaluated one funny_sum per pair, as a reference."""
+    tables = _partition_tables(n, DEFAULT_LIMITS)
+    perms = list(all_permutations(n))
+
+    def wrong(s, t):
+        value = funny_sum(n, s, t, _tables=tables)
+        expected = factorial(n) ** 2 if s == t else 0
+        return (s, t, value, expected) if value != expected else None
+
+    if mode == "full":
+        pairs = [(s, t) for s in perms for t in perms]
+    else:
+        rng = random.Random(seed)
+        pairs = []
+        for i in range(samples):
+            s = rng.choice(perms)
+            pairs.append((s, s if i % 4 == 0 else rng.choice(perms)))
+    for count, (s, t) in enumerate(pairs, start=1):
+        bad = wrong(s, t)
+        if bad:
+            return FunnySumReport(n, mode, count, False, None if mode == "full" else seed, bad)
+    return FunnySumReport(n, mode, len(pairs), True, None if mode == "full" else seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_column_matches_funny_sum_on_every_pair(n):
+    column = gram_column(n)
+    at = _quotient_index(n)
+    tables = _partition_tables(n, DEFAULT_LIMITS)
+    perms = list(all_permutations(n))
+    for s in perms:
+        for t in perms:
+            assert funny_sum(n, s, t, _tables=tables) == column[at(s, t)], (s, t)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_gram_column_numpy_path_matches_python_path(n):
+    shapes = partitions_of(n)
+    weights = [p.dimension() ** 2 for p in shapes]
+    python = conjectures._gram_column_python(n, shapes, weights, DEFAULT_LIMITS)
+    assert gram_column(n) == python
+
+
+def test_gram_column_matches_funny_sum_on_sampled_pairs():
+    column = gram_column(5)
+    at = _quotient_index(5)
+    tables = _partition_tables(5, DEFAULT_LIMITS)
+    perms = list(all_permutations(5))
+    rng = random.Random(11)
+    for _ in range(300):
+        s, t = rng.choice(perms), rng.choice(perms)
+        assert funny_sum(5, s, t, _tables=tables) == column[at(s, t)], (s, t)
+
+
+# A sign flip keeps every diagonal Gram entry, so those checks fail off the
+# diagonal, some pairs into the loop; adding 1 to a zero breaks the diagonal.
+@pytest.mark.parametrize(
+    "parts,row,col,change",
+    [
+        ((3, 1), 0, 3, "flip"),
+        ((3, 1), 1, 6, "flip"),
+        ((2, 2), 0, 1, "flip"),
+        ((2, 1, 1), 8, 0, "flip"),
+        ((1, 1, 1, 1), 5, 0, "flip"),
+        ((2, 1, 1), 0, 0, "add"),
+    ],
+)
+def test_corrupted_matrix_reports_the_pair_loop_counterexample(
+    monkeypatch, parts, row, col, change
+):
+    target = Partition(parts)
+
+    def corrupted(p, limits=DEFAULT_LIMITS):
+        mat = specht_matrix(p, limits)
+        if p != target:
+            return mat
+        entries = [list(r) for r in mat.entries]
+        x = entries[row][col]
+        entries[row][col] = -x if change == "flip" else x + 1
+        return dataclasses.replace(mat, entries=tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(conjectures, "specht_matrix", corrupted)
+    column = gram_column(4)
+    at = _quotient_index(4)
+    tables = _partition_tables(4, DEFAULT_LIMITS)
+    perms = list(all_permutations(4))
+    for s in perms:
+        for t in perms:
+            assert funny_sum(4, s, t, _tables=tables) == column[at(s, t)], (s, t)
+
+    report = check_conjecture1(4)
+    assert not report.passed
+    assert report == _pair_loop_report(4)
+    for seed in (0, 3):
+        sampled = check_conjecture1(4, mode="sampled", samples=100, seed=seed)
+        assert sampled == _pair_loop_report(4, "sampled", 100, seed)
 
 
 @pytest.mark.parametrize("n,counts", sorted(DERANGEMENT_TABLES.items()))

@@ -70,6 +70,14 @@ def test_hull_refuses_non_integer_coordinates():
 
 
 @pytest.mark.parametrize(
+    "points", [[(0, 0), (1, 0, 5), (0, 1)], [(0, 0), (1,), (0, 1)]], ids=["longer", "shorter"]
+)
+def test_hull_refuses_points_of_different_lengths(points):
+    with pytest.raises(DomainError, match="differ in length"):
+        polytope_from_columns(points)
+
+
+@pytest.mark.parametrize(
     "parts,fvec", sorted(LIGHT_F_VECTORS.items()), ids=[str(p) for p in sorted(LIGHT_F_VECTORS)]
 )
 def test_column_polytope_f_vectors(parts, fvec):
