@@ -12,7 +12,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import factorial
-from operator import mul
 from typing import Iterator
 
 from .chow import chow_graded_dimensions, fy_basis_monomials
@@ -137,8 +136,6 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     if bound >= 2**63:
         raise ResourceLimitError(f"funny sums up to {bound} overflow int64")
 
-    if n <= 3:
-        return _gram_column_python(n, shapes, weights, limits)
     import numpy as np
 
     # Summing over w' = rho.w instead, v[rho] = sum_w G[w, rho^-1.w], and
@@ -161,22 +158,6 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
         acted = lookup[digits @ place[images].T]
         column += weight * gram[rows[:, None], acted].sum(axis=0)
     return column.tolist()
-
-
-def _gram_column_python(n, shapes, weights, limits):
-    """``gram_column`` entry by entry.  numpy's first calls in a process cost
-    more than the whole column for n <= 3."""
-    perms = list(all_permutations(n))
-    column = [0] * len(perms)
-    for shape, weight in zip(shapes, weights):
-        mat = specht_matrix(shape, limits)
-        index = {w: i for i, w in enumerate(mat.row_labels)}
-        gram = [[sum(map(mul, a, b)) for b in mat.entries] for a in mat.entries]
-        for k, rho in enumerate(perms):
-            column[k] += weight * sum(
-                gram[index[rho.apply(w)]][i] for i, w in enumerate(mat.row_labels)
-            )
-    return column
 
 
 def check_conjecture1(
