@@ -8,10 +8,7 @@ no floating point or Fraction arithmetic appears on the hot paths.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
-
-IntVec = tuple[int, ...]
 
 
 def _normalize(row: list[int]) -> tuple[int, ...] | None:
@@ -121,25 +118,3 @@ def scaled_inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     s = lcm(*(rows[i][i] for i in range(k)))
     return [[x * (s // rows[i][i]) for x in rows[i][k:]] for i in range(k)], s
 
-
-def nullspace_vector(rows: Sequence[Sequence[int]], dim: int) -> IntVec | None:
-    """Primitive integer kernel vector when the kernel is one-dimensional.
-
-    Returns None if the kernel is trivial or has dimension >= 2.  With t the
-    echelon rows at their pivot columns and u their free column, the kernel
-    is spanned by x with x[free] = s and x[piv] = -(s * t^-1) . u.
-    """
-    space = RowSpace(dim)
-    for r in rows:
-        space.add(r)
-    if space.rank != dim - 1:
-        return None
-    piv = [c for c, _ in space.pivots]
-    free = next(i for i in range(dim) if i not in piv)
-    a, s = scaled_inverse([[row[c] for c in piv] for _, row in space.pivots])
-    sol = [0] * dim
-    sol[free] = s
-    u = [row[free] for _, row in space.pivots]
-    for c, a_row in zip(piv, a):
-        sol[c] = -sum(map(mul, a_row, u))
-    return _normalize(sol)

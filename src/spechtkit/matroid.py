@@ -121,9 +121,13 @@ class LinearMatroid:
         keeps them zero at every pivot column so far.  The ranks are kept in
         ``_flat_ranks``, one per flat, and the down-sets, read through
         :meth:`flat_lattice`, in ``_flat_below``: a cover's down-set is the
-        union of the flats it covers and their down-sets.
+        union of the flats it covers and their down-sets.  The flats are
+        counted as they are found and refused past ``max_flats``, since the
+        down-sets take memory quadratic in their number.
         """
         if self._flat_ranks is None:
+            bound = self.limits.max_flats
+            found = 1
             ranks: dict[int, int] = {}
             below: list[int] = []
             bottom = self._loop_mask()
@@ -153,6 +157,9 @@ class LinearMatroid:
                             over[cover] |= down
                             continue
                         over[cover] = down
+                        found += 1
+                        if found > bound:
+                            self.limits.require("max_flats", found)
                         col = next(j for j, x in enumerate(piv) if x)
                         p = piv[col]
                         covers[cover] = {

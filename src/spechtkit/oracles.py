@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Sequence
 
 from .combinatorics import Partition, partitions_of
@@ -451,17 +451,15 @@ def facets_oracle(
     as (primitive inner normal, offset, indices of the points on it), the
     inside being normal . x >= offset.  C(N, dim) subsets: small sets only.
     """
-    from .linalg import int_rank, nullspace_vector
-
     out = set()
     if dim == 0:  # a single point has no facets
         return out
     for combo in itertools.combinations(range(len(points)), dim):
         base = points[combo[0]]
         rows = [tuple(a - b for a, b in zip(points[i], base)) for i in combo[1:]]
-        if int_rank(rows, dim) != dim - 1:
+        normal = _hyperplane_normal(rows, dim)
+        if normal is None:
             continue
-        normal = nullspace_vector(rows, dim)
         offset = sum(a * b for a, b in zip(normal, base))
         values = [sum(a * b for a, b in zip(normal, p)) for p in points]
         if min(values) < offset < max(values):
@@ -472,3 +470,34 @@ def facets_oracle(
             offset = -offset
         out.add((normal, offset, tight))
     return out
+
+
+def _hyperplane_normal(rows: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
+    """The primitive integer vector orthogonal to dim - 1 independent *rows*,
+    up to sign, by cross-multiplying Gauss-Jordan elimination; None if they
+    are dependent."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(dim):
+        r = next((r for r in range(len(pivots), len(m)) if m[r][c]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        m[top], m[r] = m[r], m[top]
+        for i, row in enumerate(m):
+            if i != top and row[c]:
+                row = [m[top][c] * x - row[c] * y for x, y in zip(row, m[top])]
+                g = gcd(*row) or 1  # a dependent row may vanish
+                m[i] = [x // g for x in row]
+        pivots.append(c)
+    if len(pivots) != dim - 1:
+        return None
+    # each row i is now d_i at pivots[i] and u_i at the free column
+    free = next(c for c in range(dim) if c not in pivots)
+    scale = lcm(*(row[c] for row, c in zip(m, pivots)))
+    kernel = [0] * dim
+    kernel[free] = scale
+    for row, c in zip(m, pivots):
+        kernel[c] = -row[free] * (scale // row[c])
+    g = gcd(*kernel)
+    return tuple(x // g for x in kernel)

@@ -5,13 +5,14 @@ differences from the first point has pivot columns piv, and x -> x[piv] is
 integral and one to one on the affine hull, so the points' pivot coordinates
 are a full-dimensional integer point set with the same faces, and each facet
 found there is already an inequality on x[piv].
-Facets are found by gift-wrapping across ridges (Chand and Kapur, 1970):
-starting from one facet, each ridge is crossed by rotating the facet's
-hyperplane about it until it meets another point.  The ridges of a facet are
-found by wrapping the facet one dimension down, without the last nonzero
-coordinate of its normal.  The coordinates left are the pivot coordinates of
-the facet's direction space, so a face's frame, and the normals of its
-ridges found there, are the same whichever way the face is reached.
+Facets are found there in one pass over the points by the double description
+method (Motzkin, Raiffa, Thompson and Thrall, 1953): a facet is an extreme
+ray of the cone of functionals that are nonnegative on every lifted point
+(1, p).  The rays start as those of a simplex of the first affinely
+independent points, and each further point cuts the cone, replacing the rays
+it makes negative by combinations of adjacent positive and negative rays.
+Adjacency is the combinatorial test of Fukuda and Prodon (1996), read off
+an index that keeps, for each point, the bitset of the rays vanishing there.
 Membership is a span test and one facet inequality per facet on x[piv].
 Lattice points are scanned in the box of the vertices' pivot coordinates:
 a point inside every facet is kept when its lift to the affine hull is
@@ -30,9 +31,11 @@ from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Sequence
 
+import numpy as np
+
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
-from .linalg import RowSpace, nullspace_vector, scaled_inverse
+from .linalg import RowSpace, scaled_inverse
 
 IntPoint = tuple[int, ...]
 
@@ -196,7 +199,7 @@ def polytope_from_columns(
     limits.require("max_polytope_dim", dim)
     points = tuple(tuple(p[c] for c, _ in space.pivots) for p in ambient)
 
-    wrapped = _gift_wrap(dict(enumerate(points)), dim, {}) if dim else []
+    wrapped = _double_description(points, dim) if dim else []
     facets = sorted(
         (Facet(normal, offset, frozenset(_bits(mask))) for normal, offset, mask in wrapped),
         key=lambda f: sorted(f.vertex_indices),
@@ -206,10 +209,10 @@ def polytope_from_columns(
 
 
 # ---------------------------------------------------------------------------
-# facets by gift-wrapping
+# facets by double description (Motzkin, Raiffa, Thompson and Thrall, 1953)
 #
-# A point set is a dict from point index to integer coordinates whose affine
-# hull is all of Q^k.  Faces are bitmasks over the point indices.
+# Points are integer tuples whose affine hull is all of Q^k, and sets of them
+# are bitmasks over their indices.
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -225,123 +228,96 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _gift_wrap(
-    pts: dict[int, IntPoint], k: int, memo: dict[int, list[tuple[IntPoint, int]]]
-) -> list[tuple[IntPoint, int, int]]:
-    """Facets of the hull of *pts* as (primitive inner normal, offset, mask).
+def _double_description(points: tuple[IntPoint, ...], k: int) -> list[tuple[IntPoint, int, int]]:
+    """Facets of the full-dimensional point set *points* in Z^k as (primitive
+    inner normal, offset, mask of the points on the facet).
 
-    *memo* maps a face's mask to its own facets as (inner normal, mask) in
-    the face's frame; faces and their frames are intrinsic to the point set,
-    so it is shared by every wrap of one hull.
+    A facet normal . x >= offset is an extreme ray h = (-offset, normal) of
+    the cone h . (1, p) >= 0 over the points p.  The cone of k + 1 affinely
+    independent points has the columns of s * t^-1 as its rays, t the lifted
+    points as rows; each further point v splits the rays by the sign of
+    h . (1, v), drops the negative ones and adds s_p * h_n - s_n * h_p for
+    each adjacent positive-negative pair.
     """
-    if k == 1:
-        lo = min(pts, key=lambda i: pts[i][0])
-        hi = max(pts, key=lambda i: pts[i][0])
-        return [((1,), pts[lo][0], 1 << lo), ((-1,), -pts[hi][0], 1 << hi)]
-    first = _first_facet(pts, k)
-    found = {first[2]: first}
-    crossed: set[int] = set()  # each ridge joins two facets; cross it once
-    queue = [first]
-    while queue:
-        normal, offset, mask = queue.pop()
-        height = {i: _dot(normal, p) - offset for i, p in pts.items()}
-        j = max(c for c, a in enumerate(normal) if a)
-        if mask not in memo:
-            # Dropping x_j maps the facet's hyperplane onto Z^(k-1) one to one.
-            sub = {i: pts[i][:j] + pts[i][j + 1 :] for i in _bits(mask)}
-            if len(sub) == k:
-                memo[mask] = _simplex_facets(sub, k - 1)
-            else:
-                memo[mask] = [(n, m) for n, _, m in _gift_wrap(sub, k - 1, memo)]
-        for sub_normal, ridge in memo[mask]:
-            if ridge in crossed:
-                continue
-            crossed.add(ridge)
-            # The ridge's inner normal in the facet, negated and lifted with
-            # b_j = 0: it vanishes on the ridge and points out of the facet.
-            b = tuple(-x for x in sub_normal[:j]) + (0,) + tuple(-x for x in sub_normal[j:])
-            r0 = pts[(ridge & -ridge).bit_length() - 1]
-            nxt = _rotate(pts, normal, b, height, r0)
-            if nxt[2] not in found:
-                found[nxt[2]] = nxt
-                queue.append(nxt)
-    return list(found.values())
+    lifted = [(1,) + p for p in points]
+    space = RowSpace(k + 1)
+    # the first k + 1 affinely independent points
+    start = [i for i, a in enumerate(lifted) if space.rank <= k and space.add(a)]
+    a, _ = scaled_inverse([lifted[i] for i in start])
+    rays = [_primitive(col) for col in zip(*a)]
+    full = sum(1 << i for i in start)
+    tight = [full ^ (1 << i) for i in start]  # the points each ray vanishes at
+    for v in range(len(points)):
+        if v in start:
+            continue
+        vanish = _tight_index(tight, len(points))
+        vals = [_dot(h, lifted[v]) for h in rays]
+        neg = [j for j, s in enumerate(vals) if s < 0]
+        pos = [j for j, s in enumerate(vals) if s > 0]
+        new = [
+            (_primitive([vals[p] * x - vals[n] * y for x, y in zip(rays[n], rays[p])]),
+             tight[p] & tight[n] | 1 << v)
+            for n, p in _adjacent_pairs(neg, pos, vals, tight, vanish, k)
+        ]
+        kept = [j for j, s in enumerate(vals) if s >= 0]
+        rays = [rays[j] for j in kept] + [h for h, _ in new]
+        tight = [tight[j] | (vals[j] == 0) << v for j in kept] + [z for _, z in new]
+    return [(h[1:], -h[0], z) for h, z in zip(rays, tight)]
 
 
-def _simplex_facets(pts: dict[int, IntPoint], k: int) -> list[tuple[IntPoint, int]]:
-    """Facets (inner normal, mask) of the k-simplex with the k + 1 vertices *pts*.
+def _adjacent_pairs(
+    neg: list[int], pos: list[int], vals: list[int], tight: list[int], vanish: list[int], k: int
+) -> list[tuple[int, int]]:
+    """The (negative, positive) pairs of adjacent rays.
 
-    With the edges p_l - p_0 as the rows of e, column l of e^-1 is the inner
-    normal of the facet opposite p_l, and minus their sum is the one opposite
-    p_0, so one inversion gives them all.
+    Two rays are adjacent when the points both vanish at have rank k - 1
+    and no third ray vanishes at all of them (Fukuda and Prodon, 1996); the
+    rays vanishing at a set of points are the AND of the points' *vanish*
+    bitsets.  A ray vanishing at exactly k points, which are independent,
+    meets each neighbour in one of its k ridges, whose AND holds only the
+    two of them.
     """
-    p0, *rest = pts.values()
-    a, _ = scaled_inverse([[x - y for x, y in zip(p, p0)] for p in rest])
-    cols = [[-sum(row) for row in a]] + [list(col) for col in zip(*a)]
-    full = sum(1 << i for i in pts)
+    every = (1 << len(tight)) - 1
     out = []
-    for i, col in zip(pts, cols):
-        g = gcd(*col)
-        out.append((tuple(x // g for x in col), full ^ (1 << i)))
+    for n in neg:
+        zn = tight[n]
+        if zn.bit_count() == k:
+            # ridge i is the AND of the bitsets before i and those after it
+            sets = [vanish[r] for r in _bits(zn)]
+            after = [every]
+            for b in reversed(sets):
+                after.append(after[-1] & b)
+            before = every
+            for b, rest in zip(sets, reversed(after[:-1])):
+                other = ((before & rest) ^ (1 << n)).bit_length() - 1
+                if other >= 0 and vals[other] > 0:
+                    out.append((n, other))
+                before &= b
+            continue
+        for p in pos:
+            z = zn & tight[p]
+            if z.bit_count() >= k - 1:
+                common = every
+                for r in _bits(z):
+                    common &= vanish[r]
+                if common.bit_count() == 2:
+                    out.append((n, p))
     return out
 
 
-def _rotate(
-    pts: dict[int, IntPoint],
-    normal: IntPoint,
-    b: IntPoint,
-    height: dict[int, int],
-    r0: IntPoint,
-) -> tuple[IntPoint, int, int]:
-    """Turn the supporting hyperplane about its flat where b . x = b . r0.
-
-    The hyperplanes through that flat are t*normal - h*b with h > 0.  A point
-    q off the current hyperplane, at height h_q = normal . q - offset > 0 and
-    with t_q = b . (q - r0), is on their inner side while t_q/h_q <= t/h, so
-    the point with the largest t_q/h_q (compared by cross-multiplying) gives
-    the first supporting hyperplane met.  Its tight set is the points of the
-    flat and those with equal ratio.  Adding a multiple of the normal to b
-    shifts every ratio by the same amount and leaves the result unchanged.
-    """
-    b0 = _dot(b, r0)
-    turn = {i: _dot(b, pts[i]) - b0 for i in pts}
-    best_t, best_h = None, 1
-    for i, h in height.items():
-        t = turn[i]
-        if h and (best_t is None or t * best_h > best_t * h):
-            best_t, best_h = t, h
-    new = [best_t * a - best_h * c for a, c in zip(normal, b)]
-    g = gcd(*new)
-    new = tuple(x // g for x in new)
-    mask = 0
-    for i, h in height.items():
-        if best_t * h == best_h * turn[i]:
-            mask |= 1 << i
-    return new, _dot(new, r0), mask
+def _tight_index(tight: list[int], n_points: int) -> list[int]:
+    """For each point, the bitset of the rays that vanish at it: the
+    transpose of the rays' point bitsets *tight*."""
+    width = (n_points + 7) // 8
+    by_ray = np.frombuffer(b"".join(z.to_bytes(width, "little") for z in tight), np.uint8)
+    bits = np.unpackbits(by_ray.reshape(len(tight), width), axis=1, bitorder="little")
+    by_point = np.packbits(bits[:, :n_points].T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in by_point]
 
 
-def _first_facet(pts: dict[int, IntPoint], k: int) -> tuple[IntPoint, int, int]:
-    """Rotate the supporting hyperplane x_0 >= min until it holds a facet."""
-    normal: IntPoint = (1,) + (0,) * (k - 1)
-    offset = min(p[0] for p in pts.values())
-    while True:
-        height = {i: _dot(normal, p) - offset for i, p in pts.items()}
-        tight = [i for i, h in height.items() if h == 0]
-        base = pts[tight[0]]
-        space = RowSpace(k)
-        for i in tight[1:]:
-            space.add(tuple(a - b for a, b in zip(pts[i], base)))
-        if space.rank == k - 1:
-            return normal, offset, sum(1 << i for i in tight)
-        # Any b constant on the tight points and independent of the normal
-        # spans, with the normal, a pencil of hyperplanes through them.
-        space.add(normal)
-        for c in range(k):
-            if space.rank == k - 1:
-                break
-            space.add(tuple(int(c == e) for e in range(k)))
-        b = nullspace_vector([row for _, row in space.pivots], k)
-        normal, offset, _ = _rotate(pts, normal, b, height, base)
+def _primitive(vec: Sequence[int]) -> IntPoint:
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 def _find_vertices(n_points: int, facet_masks: list[int]) -> list[int]:

@@ -294,6 +294,19 @@ def test_limit_flags_reach_lambda_matroids(capsys):
     assert "max_circuit_ground: requested 180" in err
 
 
+def test_flat_guard_exits_3(capsys, monkeypatch):
+    # (3,1,1) has 314 flats
+    for command in (("matroid", "flats"), ("matroid", "charpoly"), ("chow", "dims")):
+        code, out, err = run(capsys, *command, "--lambda", "3,1,1", "--max-flats", "100")
+        assert (code, out) == (3, "")
+        assert "max_flats: requested 101 exceeds limit 100" in err
+    monkeypatch.setenv("SPECHTKIT_MAX_FLATS", "100")
+    code, _, err = run(capsys, "matroid", "flats", "--lambda", "3,1,1")
+    assert code == 3 and "max_flats" in err
+    code, _, _ = run(capsys, "matroid", "flats", "--lambda", "3,1,1", "--max-flats", "314")
+    assert code == 0
+
+
 BAD_MATRICES = {
     "not-an-object": [[1, 0], [0, 1]],
     "ragged-rows": {"entries": [[1, 0, 1], [0, 1]]},

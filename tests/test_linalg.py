@@ -1,10 +1,9 @@
 import random
-from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spechtkit.linalg import RowSpace, _normalize, int_rank, nullspace_vector, scaled_inverse
+from spechtkit.linalg import RowSpace, _normalize, int_rank, scaled_inverse
 
 vectors = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(tuple)
 
@@ -62,25 +61,3 @@ def test_scaled_inverse_on_seeded_invertible_matrices():
         assert s > 0
         product = [[sum(a[i][l] * m[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
         assert product == [[s * (i == j) for j in range(k)] for i in range(k)]
-
-
-def test_nullspace_vector_on_seeded_rows():
-    rng = random.Random(11)
-    one_dimensional = 0
-    for _ in range(400):
-        dim = rng.randint(1, 5)
-        rows = [
-            tuple(rng.randint(-3, 3) for _ in range(dim))
-            for _ in range(rng.randint(0, dim + 1))
-        ]
-        if rows and rng.random() < 0.3:  # a repeated multiple leaves the rank alone
-            rows.append(tuple(2 * x for x in rows[0]))
-        vec = nullspace_vector(rows, dim)
-        if int_rank(rows, dim) != dim - 1:
-            assert vec is None
-            continue
-        one_dimensional += 1
-        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
-        assert gcd(*vec) == 1
-        assert next(x for x in vec if x) > 0
-    assert one_dimensional > 100

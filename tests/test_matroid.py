@@ -117,6 +117,18 @@ def test_flat_count_of_3_1_1_1():
     assert len(m.flats()) == 13667
 
 
+def test_flat_guard_refuses_as_the_lattice_grows():
+    p = Partition((3, 1, 1))
+    assert len(specht_matroid(p, Limits(max_flats=314)).flats()) == 314
+    m = specht_matroid(p, Limits(max_flats=100))
+    # the 101st flat found is refused, before the rest of the lattice
+    with pytest.raises(ResourceLimitError, match="max_flats: requested 101 exceeds limit 100"):
+        m.flats()
+    for lattice_reader in (m.characteristic_polynomial, lambda: chow_graded_dimensions(m)):
+        with pytest.raises(ResourceLimitError, match="max_flats"):
+            lattice_reader()
+
+
 def test_subset_tutte_keeps_no_per_subset_state():
     # 14 points on the moment curve: the uniform matroid U(4, 14)
     m = LinearMatroid(tuple(range(14)), [(1, t, t * t, t**3) for t in range(1, 15)])

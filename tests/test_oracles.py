@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from spechtkit.combinatorics import Partition, partitions_of
+from spechtkit.linalg import int_rank
 from spechtkit.oracles import (
+    _hyperplane_normal,
     character_value,
     class_size_factor,
     kronecker_oracle,
@@ -104,3 +107,21 @@ def test_tensor_square_decomposes_into_plethysms(l):
             sym = plethysm_oracle(lam, P("2"), nu)
             alt = plethysm_oracle(lam, P("1,1"), nu)
             assert lr_oracle(lam, lam, nu) == sym + alt
+
+
+def test_hyperplane_normal_on_seeded_rows():
+    rng = random.Random(11)
+    independent = 0
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim - 1)]
+        if dim > 2 and rng.random() < 0.3:  # a multiple of another row
+            rows[-1] = tuple(2 * x for x in rows[0])
+        normal = _hyperplane_normal(rows, dim)
+        if int_rank(rows, dim) != dim - 1:
+            assert normal is None
+            continue
+        independent += 1
+        assert all(sum(a * b for a, b in zip(row, normal)) == 0 for row in rows)
+        assert gcd(*normal) == 1
+    assert independent > 100

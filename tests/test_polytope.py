@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 from fractions import Fraction
 from math import comb, prod
 
@@ -150,7 +149,7 @@ def test_polytope_guards():
 
 
 # ---------------------------------------------------------------------------
-# gift-wrapping against the brute-force oracle
+# facets against the brute-force oracle
 
 
 def assert_matches_oracle(poly):
@@ -192,11 +191,19 @@ def test_non_simplicial_facets_match_oracle():
     octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     # a square pyramid with points inside its base edges and faces
     pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2), (1, 0, 0), (1, 1, 0)]
-    for pts in (cube, octahedron, pyramid):
+    cube4 = list(itertools.product((0, 1), repeat=4))
+    cross4 = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    # the 3-cube embedded in Z^5
+    amap = injective_map(3, 3)
+    embedded = [tuple(sum(a * x for a, x in zip(row, p)) for row in amap) + (7,) for p in cube]
+    for pts in (cube, octahedron, pyramid, cube4, cross4, embedded):
         poly = polytope_from_columns(pts)
         assert_matches_oracle(poly)
         assert_euler(poly)
     assert len(polytope_from_columns(cube).facets) == 6
+    assert polytope_from_columns(cube4).f_vector() == [1, 16, 32, 24, 8, 1]
+    assert polytope_from_columns(cross4).f_vector() == [1, 8, 24, 32, 16, 1]
+    assert polytope_from_columns(embedded).dim == 3
 
 
 @st.composite
@@ -485,23 +492,62 @@ def test_face_lattice_holds_vertex_sets_only():
     assert poly.f_vector() == [1, 3, 3, 1]
 
 
-def test_wrap_calls_nullspace_only_for_first_facet_rotations(monkeypatch):
-    callers, rotations = [], []
-    real_nullspace, real_rotate = polytope.nullspace_vector, polytope._rotate
+# ---------------------------------------------------------------------------
+# double description against the brute-force oracle
 
-    def nullspace(rows, dim):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real_nullspace(rows, dim)
 
-    def rotate(*args):
-        rotations.append(sys._getframe(1).f_code.co_name)
-        return real_rotate(*args)
+def facet_point_sets(poly):
+    """Each facet as the set of ambient points on it."""
+    return {frozenset(poly.ambient_points[i] for i in f.vertex_indices) for f in poly.facets}
 
-    monkeypatch.setattr(polytope, "nullspace_vector", nullspace)
-    monkeypatch.setattr(polytope, "_rotate", rotate)
-    poly = column_polytope((3, 1, 1))
-    assert len(poly.facets) == 24
-    # ridge crossings take their functional from the facet's own wrap
-    assert set(callers) == {"_first_facet"}
-    assert len(callers) == rotations.count("_first_facet")
-    assert rotations.count("_gift_wrap") > 10 * len(callers)
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        specht_matrix(Partition((3, 1, 1))).columns(),
+        list(itertools.product((0, 1), repeat=3)),
+        [tuple(random.Random(5).randint(-3, 3) for _ in range(4)) for _ in range(14)],
+    ],
+    ids=["(3,1,1)", "3-cube", "random"],
+)
+def test_facets_do_not_depend_on_point_order(points):
+    poly = polytope_from_columns(points)
+    want = {
+        frozenset(poly.ambient_points[i] for i in tight)
+        for _, _, tight in facets_oracle(poly.points, poly.dim)
+    }
+    for seed in range(4):
+        shuffled = list(points)
+        random.Random(seed).shuffle(shuffled)
+        assert facet_point_sets(polytope_from_columns(shuffled)) == want
+
+
+def test_facets_of_a_segment_in_space():
+    poly = polytope_from_columns([(2, 2, 2), (0, 0, 0), (3, 3, 3), (1, 1, 1), (0, 0, 0)])
+    assert poly.dim == 1
+    assert_matches_oracle(poly)
+    assert facet_point_sets(poly) == {frozenset({(0, 0, 0)}), frozenset({(3, 3, 3)})}
+
+
+def test_facets_with_repeated_and_interior_points_first():
+    # the starting simplex is taken from the first points, here inside P
+    inner = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 1, 1)]
+    cube = list(itertools.product((0, 3), repeat=3))
+    poly = polytope_from_columns(inner + cube + inner)
+    assert_matches_oracle(poly)
+    assert sorted(poly.vertices()) == cube
+    assert len(poly.facets) == 6
+
+
+def test_frontier_facets_of_4_1_1():
+    from spechtkit.config import Limits
+
+    limits = Limits(max_polytope_dim=10)
+    poly = polytope_from_columns(specht_matrix(Partition((4, 1, 1)), limits).columns(), limits)
+    assert poly.dim == 10
+    assert len(poly.facets) == 120
+    for f in poly.facets:
+        values = [sum(a * b for a, b in zip(f.normal, p)) for p in poly.points]
+        assert min(values) == f.offset
+        assert {i for i, v in enumerate(values) if v == f.offset} == f.vertex_indices
+        assert affine_rank([poly.points[i] for i in f.vertex_indices]) == poly.dim - 1
