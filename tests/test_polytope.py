@@ -501,17 +501,23 @@ def facet_point_sets(poly):
     return {frozenset(poly.ambient_points[i] for i in f.vertex_indices) for f in poly.facets}
 
 
+def seeded_points(seed, n, d):
+    rng = random.Random(seed)
+    return [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+
+
 @pytest.mark.parametrize(
     "points",
     [
         specht_matrix(Partition((3, 1, 1))).columns(),
         list(itertools.product((0, 1), repeat=3)),
-        [tuple(random.Random(5).randint(-3, 3) for _ in range(4)) for _ in range(14)],
+        seeded_points(5, 14, 4),
     ],
     ids=["(3,1,1)", "3-cube", "random"],
 )
 def test_facets_do_not_depend_on_point_order(points):
     poly = polytope_from_columns(points)
+    assert poly.dim >= 3
     want = {
         frozenset(poly.ambient_points[i] for i in tight)
         for _, _, tight in facets_oracle(poly.points, poly.dim)
