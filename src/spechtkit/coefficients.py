@@ -31,8 +31,9 @@ M_f = B_f R_f, with R_f its first rank-many independent rows
 and B_f injective, so A = (tensor of the B_f) C with C the walk's output on
 the R_f, and rank A = rank C.  That path's ``max_matrix_cells`` guard counts
 the columns and the compressed rows times the live representatives, the
-memory it holds.  The column-label tables the walk reads are built for each
-call and dropped with it.
+memory it holds.  The column-label tables the walk reads (``_column_table``,
+also the action table of ``conjectures.gram_column``) are checked against
+the same guard, built for each call and dropped with it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .combinatorics import (
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
 from .linalg import affine_rank, int_rank
-from .specht import SpechtMatrix, specht_matrix
+from .specht import SpechtMatrix, _lex_permutation_signs, specht_matrix
 
 Label = tuple[Word, ...]
 
@@ -99,22 +100,31 @@ class LabeledCoefficientMatrix:
 # the orbit engine
 
 
-def _column_table(labels: Sequence, positions: np.ndarray) -> np.ndarray:
+def _column_table(labels: Sequence, positions: np.ndarray, limits: Limits) -> np.ndarray:
     """(|G|, len(labels)) array whose entry [g, c] is the index of g . labels[c].
 
     Each label is read as one word (a tuple of words as their concatenation)
-    and encoded in mixed radix; the acted words are the gathered letters
-    ``L[:, P]``, located among the label codes by binary search.
+    of L letters, with digits letter - 1 in radix the largest letter.  Since
+    (g . w)[k] = w[p_g(k)], the letter at place j of w moves to place
+    p_g^-1(j), so the codes of every g . w are one product of the digits with
+    the place values of the inverse permutations, and a direct table over all
+    radix^L codes turns them into label indices.  The result and that table
+    are checked against ``max_matrix_cells`` before either is built.
     """
     letters = np.array(labels, dtype=np.int64).reshape(len(labels), -1)
-    radix = int(letters.max()) + 1
-    if radix ** letters.shape[1] >= 2**63:
+    radix, length = int(letters.max()), letters.shape[1]
+    if radix**length >= 2**63:
         raise DomainError("column labels are too long to encode in 64 bits")
-    powers = radix ** np.arange(letters.shape[1] - 1, -1, -1, dtype=np.int64)
-    codes = letters @ powers
-    order = np.argsort(codes)
-    acted = letters[:, positions] @ powers  # (labels, |G|)
-    return order[np.searchsorted(codes[order], acted.T)]
+    limits.require("max_matrix_cells", len(positions) * len(labels))
+    limits.require("max_matrix_cells", radix**length)
+    digits = letters - 1
+    powers = radix ** np.arange(length - 1, -1, -1)
+    lookup = np.zeros(radix**length, dtype=np.int64)
+    lookup[digits @ powers] = np.arange(len(labels))
+    # place[g, j] = powers[p_g^-1(j)], scattered along p_g
+    place = np.empty_like(positions)
+    place[np.arange(len(positions))[:, None], positions] = powers
+    return lookup[place @ digits.T]
 
 
 # entries per numpy temporary of the walk; bounds its working memory
@@ -159,7 +169,7 @@ def _orbit_walk(
     n_cols = prod(sizes)
     limits.require("max_matrix_cells", n_cols)
     limits.require("max_matrix_cells", n_rows)
-    tables = [_column_table(f.col_labels, p) for f, p in zip(factors, positions)]
+    tables = [_column_table(f.col_labels, p, limits) for f, p in zip(factors, positions)]
     strides = [prod(sizes[f + 1 :]) for f in range(len(sizes))]
 
     # walk the columns in blocks; a column not yet reached is a representative
@@ -252,8 +262,7 @@ def _coefficient_matrix(
 def _symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-based one-line images of S_n, one row per element, and the signs."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    inversions = sum((perms[:, [i]] > perms[:, i + 1 :]).sum(axis=1) for i in range(n))
-    return perms, 1 - 2 * (inversions % 2)
+    return perms, np.array(_lex_permutation_signs(n), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,7 @@ from .combinatorics import (
     Permutation,
     all_permutations,
     partitions_of,
-    properly_ordered_set_partitions,
     rearrangement_count,
-    rearrangements,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError, ResourceLimitError
@@ -32,45 +30,6 @@ from .specht import specht_matrix
 
 # ---------------------------------------------------------------------------
 # Conjecture 1: the funny sum
-
-
-def _partition_tables(n: int, limits: Limits):
-    """Per set partition: (word, column indices of the complementary word's
-    rearrangements, weight, the shape's pairing-matrix entries, row-index
-    lookup into them)."""
-    tables = []
-    for osp in properly_ordered_set_partitions(n, limits):
-        shape = osp.shape()
-        mat = specht_matrix(shape, limits)
-        lookup = {w: i for i, w in enumerate(mat.row_labels)}
-        cols = {w: j for j, w in enumerate(mat.col_labels)}
-        rear = rearrangements(osp.complementary_word())
-        weight = shape.dimension() ** 2
-        tables.append(
-            (osp.word(), [cols[r] for r in rear], weight, mat.entries, lookup)
-        )
-    return tables
-
-
-def funny_sum(
-    n: int,
-    sigma: Permutation,
-    tau: Permutation,
-    limits: Limits = DEFAULT_LIMITS,
-    _tables=None,
-) -> int:
-    """Sum of d(P)^2 * Y(sigma w_P, r) * Y(tau w_P, r) over partitions P and
-    rearrangements r of the complementary word of P."""
-    limits.require("max_funny_sum_n", n)
-    if sigma.n != n or tau.n != n:
-        raise DomainError("permutation degree must equal n")
-    tables = _tables if _tables is not None else _partition_tables(n, limits)
-    total = 0
-    for word, col_idx, weight, entries, lookup in tables:
-        row_s = entries[lookup[sigma.apply(word)]]
-        row_t = entries[lookup[tau.apply(word)]]
-        total += weight * sum(row_s[j] * row_t[j] for j in col_idx)
-    return total
 
 
 @dataclass(frozen=True)
@@ -116,11 +75,11 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     by (sigma, tau) -> (g * sigma, g * tau) whatever the matrices are, and
     ``funny_sum(n, sigma, tau) == v[tau.inverse() * sigma]``.
 
-    Each shape's action table (its rows times n! acted words, located by
-    mixed-radix code) is checked against ``max_matrix_cells`` before any is
-    built.  Entries of M are 0 or +-1, so |G[a, b]| <= cols and every |v[rho]|
-    is at most sum_lambda d^2 * rows * cols; that bound is checked below 2^63,
-    so the int64 sums are exact.
+    Each shape's action table (``coefficients._column_table`` on its row
+    labels, rows times n! entries) is checked against ``max_matrix_cells``
+    before any is built.  Entries of M are 0 or +-1, so |G[a, b]| <= cols and
+    every |v[rho]| is at most sum_lambda d^2 * rows * cols; that bound is
+    checked below 2^63, so the int64 sums are exact.
     """
     limits.require("max_funny_sum_n", n)
     if n < 1:
@@ -138,26 +97,42 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
 
     import numpy as np
 
-    # Summing over w' = rho.w instead, v[rho] = sum_w G[w, rho^-1.w], and
-    # (rho^-1.w)[i] = w[rho^-1(i)] puts letter w[j] at place rho(j): with
-    # digits w[j] - 1 in radix r = length, the code of rho_k^-1.w is
-    # sum_j (w[j] - 1) r^(n-1-images[k, j]), and a table over all r^n codes
-    # maps it to its row.
-    images = np.array(list(itertools.permutations(range(n))))
-    column = np.zeros(len(images), dtype=np.int64)
+    from .coefficients import _column_table, _symmetric_group
+
+    perms, _ = _symmetric_group(n)
+    column = np.zeros(len(perms), dtype=np.int64)
     for shape, weight in zip(shapes, weights):
         mat = specht_matrix(shape, limits)
         entries = np.array(mat.entries, dtype=np.int64)
         gram = entries @ entries.T
-        radix = shape.length
-        place = np.array([radix ** (n - 1 - i) for i in range(n)])
-        digits = np.array(mat.row_labels) - 1
-        rows = np.arange(len(digits))
-        lookup = np.zeros(radix**n, dtype=np.intp)
-        lookup[digits @ place] = rows
-        acted = lookup[digits @ place[images].T]
-        column += weight * gram[rows[:, None], acted].sum(axis=0)
+        acted = _column_table(mat.row_labels, perms, limits)  # [k, w]: rho_k . w
+        column += weight * gram[acted, np.arange(len(gram))].sum(axis=1)
     return column.tolist()
+
+
+def _pair_index(sigma: tuple[int, ...], tau: tuple[int, ...]) -> int:
+    """Index of tau^-1 * sigma in ``all_permutations``, from one-line images."""
+    rho = [tau.index(x) for x in sigma]  # zero-based images of tau^-1 * sigma
+    # lexicographic rank: each image's place among the images not yet used
+    unused = list(range(len(rho)))
+    index = 0
+    for x in rho:
+        k = unused.index(x)
+        index = index * len(unused) + k
+        del unused[k]
+    return index
+
+
+def funny_sum(
+    n: int, sigma: Permutation, tau: Permutation, limits: Limits = DEFAULT_LIMITS
+) -> int:
+    """Sum of d(P)^2 * Y(sigma w_P, r) * Y(tau w_P, r) over partitions P and
+    rearrangements r of the complementary word of P, read off
+    ``gram_column(n)`` at tau^-1 * sigma."""
+    limits.require("max_funny_sum_n", n)
+    if sigma.n != n or tau.n != n:
+        raise DomainError("permutation degree must equal n")
+    return gram_column(n, limits)[_pair_index(sigma.images, tau.images)]
 
 
 def check_conjecture1(
@@ -180,15 +155,11 @@ def check_conjecture1(
         raise DomainError("samples must be positive")
     column = gram_column(n, limits)
     perms = list(itertools.permutations(range(1, n + 1)))
-    index = {p: k for k, p in enumerate(perms)}
     expected_diag = factorial(n) ** 2
 
     def failure(count, s, t):
         """The failed report if pair number *count*, (s, t), is wrong."""
-        t_inv = [0] * n
-        for i, x in enumerate(t, start=1):
-            t_inv[x - 1] = i
-        value = column[index[tuple(t_inv[x - 1] for x in s)]]
+        value = column[_pair_index(s, t)]
         expected = expected_diag if s == t else 0
         if value == expected:
             return None

@@ -4,11 +4,12 @@ Nothing here shares code paths with the main constructions: characters come
 from the Murnaghan-Nakayama rule on beta-numbers, coefficient values from
 character sums over partition-indexed conjugacy classes, coefficient matrices
 from a sum of pairing-matrix tensor products over every group element,
-dimensions from a brute-force standard-filling counter, matroid flats from
-the closure of every independent subset, Tutte polynomials by
-deletion-contraction on the columns, Chow graded dimensions from a
-quotient-ring relation-matrix rank over those flats, and polytope facets from
-a search over every spanning point subset.
+dimensions from a brute-force standard-filling counter, funny sums pair by
+pair over properly ordered set partitions, matroid flats from the closure of
+every independent subset, Tutte polynomials by deletion-contraction on the
+columns, Chow graded dimensions from a quotient-ring relation-matrix rank over
+those flats, and polytope facets from a search over every spanning point
+subset.
 """
 
 from __future__ import annotations
@@ -253,6 +254,43 @@ def standard_filling_count(p: Partition) -> int:
 
     place(1, {})
     return count
+
+
+# ---------------------------------------------------------------------------
+# the funny sum of Conjecture 1, pair by pair
+
+
+def funny_sum_oracle(n: int, pairs: Sequence[tuple]) -> list[int]:
+    """The funny sum of each (sigma, tau) in *pairs*, from its definition.
+
+    Each value is the sum of d(P)^2 * Y(sigma w_P, r) * Y(tau w_P, r) over
+    the properly ordered set partitions P of {1..n} and the rearrangements r
+    of P's complementary word, Y read from the pairing matrix of P's shape.
+    """
+    from .combinatorics import properly_ordered_set_partitions, rearrangements
+    from .specht import specht_matrix
+
+    tables = []
+    for osp in properly_ordered_set_partitions(n):
+        mat = specht_matrix(osp.shape())
+        rows = {w: i for i, w in enumerate(mat.row_labels)}
+        cols = {w: j for j, w in enumerate(mat.col_labels)}
+        tables.append((
+            osp.word(),
+            [cols[r] for r in rearrangements(osp.complementary_word())],
+            osp.shape().dimension() ** 2,
+            mat.entries,
+            rows,
+        ))
+    values = []
+    for sigma, tau in pairs:
+        total = 0
+        for word, col_idx, weight, entries, rows in tables:
+            row_s = entries[rows[sigma.apply(word)]]
+            row_t = entries[rows[tau.apply(word)]]
+            total += weight * sum(row_s[j] * row_t[j] for j in col_idx)
+        values.append(total)
+    return values
 
 
 # ---------------------------------------------------------------------------

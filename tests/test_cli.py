@@ -8,6 +8,7 @@ from spechtkit.cli import main
 from spechtkit.coefficients import kronecker_matrix
 from spechtkit.combinatorics import Partition
 from spechtkit.matroid import LinearMatroid
+from spechtkit.oracles import plethysm_oracle
 
 
 def run(capsys, *argv):
@@ -263,6 +264,23 @@ def test_resource_errors_exit_3(capsys):
     )
     assert code == 3
     assert err.startswith("error: resource:")
+
+
+def test_action_table_guard_exits_3(capsys):
+    # S_m acts on the m! columns of (m): an m! x m! action table, checked
+    # before it is built
+    code, _, err = run(
+        capsys, "coeff", "plethysm", "--lambda", "1", "--mu", "1,1,1,1,1,1,1", "--nu", "7"
+    )
+    assert code == 3
+    assert "max_matrix_cells: requested 25401600" in err
+    small = ("coeff", "plethysm", "--lambda", "1", "--mu", "1,1,1,1,1", "--nu", "5")
+    code, _, err = run(capsys, *small, "--max-matrix-cells", "14399")
+    assert code == 3
+    assert "max_matrix_cells: requested 14400" in err
+    code, out, _ = run(capsys, *small, "--max-matrix-cells", "14400", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coefficient"] == plethysm_oracle(Partition((1,)), Partition((1,) * 5), Partition((5,)))
 
 
 def test_limit_flag_overrides(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
-from math import factorial
+import random
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def test_kronecker_matches_oracle_and_matrix_rank():
                     expected = kronecker_oracle(lam, mu, nu)
                     assert kronecker_coefficient(lam, mu, nu) == expected
                     assert kronecker_matrix(lam, mu, nu).rank() == expected
+
+
+def test_kronecker_at_n6_matches_oracle_on_a_seeded_sample():
+    # triples whose product has at most 100,000 columns: the default
+    # max_matrix_cells admits each, and each answers in well under a second
+    limits = Limits(max_coefficient_n=6)
+    cols = {p: len(specht_matrix(p).col_labels) for p in partitions_of(6)}
+    triples = [
+        t
+        for t in itertools.combinations_with_replacement(partitions_of(6), 3)
+        if prod(cols[p] for p in t) <= 100_000
+    ]
+    for triple in random.Random(6).sample(triples, 24):
+        assert kronecker_coefficient(*triple, limits) == kronecker_oracle(*triple), triple
 
 
 def test_kronecker_is_symmetric_in_its_arguments():
@@ -264,7 +279,7 @@ def test_column_table_follows_the_position_pullback():
     # row g holds the zero-based one-line images of a permutation p_g, and
     # g . w is Permutation.apply: result[k] = w[p_g(k)]
     positions = np.array([[0, 1, 2], [2, 0, 1], [1, 0, 2]])
-    table = _column_table(labels, positions)
+    table = _column_table(labels, positions, Limits())
     assert table.tolist() == [[0, 1, 2], [2, 0, 1], [0, 2, 1]]
     for p, row in zip(positions, table.tolist()):
         g = Permutation(tuple(int(x) + 1 for x in p))
@@ -274,7 +289,27 @@ def test_column_table_follows_the_position_pullback():
 def test_column_table_refuses_codes_beyond_64_bits():
     word = tuple(range(1, 17))
     with pytest.raises(DomainError):
-        _column_table([word], np.arange(16)[None, :])
+        _column_table([word], np.arange(16)[None, :], Limits(max_matrix_cells=1))
+
+
+def test_column_table_equals_permutation_apply_on_every_factor():
+    # every factor of seeded setups: the three-slot tensor power (l, m) = (2, 3)
+    # and LR's embedded sigma x tau action on its third factor among them
+    rng = random.Random(13)
+    pick = lambda *sizes: [rng.choice(partitions_of(k)) for k in sizes]
+    cases = [(_kronecker_setup, pick(n, n, n)) for n in (3, 4, 4)]
+    cases += [(_lr_setup, pick(l, m, l + m)) for l, m in ((2, 2), (3, 1), (1, 3))]
+    cases += [(_plethysm_setup, pick(l, m, l * m)) for l, m in ((2, 2), (3, 2), (2, 3))]
+    for setup, triple in cases:
+        factors, positions, _ = setup(*triple, Limits())
+        for f, p in zip(factors, positions):
+            words = [sum(lab, ()) if isinstance(lab[0], tuple) else lab for lab in f.col_labels]
+            index = {w: c for c, w in enumerate(words)}
+            table = _column_table(f.col_labels, p, Limits())
+            assert table.shape == (len(p), len(words)), triple
+            for g, row in zip(p, table.tolist()):
+                perm = Permutation(tuple(int(x) + 1 for x in g))
+                assert row == [index[perm.apply(w)] for w in words], (triple, g)
 
 
 def test_plethysm_matrix_with_three_slots_equals_dense_group_sum():
@@ -299,7 +334,7 @@ def test_factor_actions_form_one_group_action(kind, triple):
     # action of the product: the composite of two elements is a third
     setup = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
     factors, positions, weights = setup[kind](*map(P, triple), Limits())
-    tables = [_column_table(f.col_labels, p) for f, p in zip(factors, positions)]
+    tables = [_column_table(f.col_labels, p, Limits()) for f, p in zip(factors, positions)]
     elements = {}
     for g in range(len(weights)):
         elements[tuple(np.concatenate([t[g] for t in tables]).tolist())] = int(weights[g])

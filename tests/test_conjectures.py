@@ -4,12 +4,11 @@ from math import factorial
 
 import pytest
 
-from spechtkit import cli, conjectures
+from spechtkit import cli, conjectures, specht
 from spechtkit.combinatorics import Partition, Permutation, all_permutations
 from spechtkit.config import DEFAULT_LIMITS, Limits
 from spechtkit.conjectures import (
     FunnySumReport,
-    _partition_tables,
     check_conjecture1,
     check_conjecture2,
     cyclic_orbit_structures,
@@ -19,6 +18,7 @@ from spechtkit.conjectures import (
     hook_matroid,
 )
 from spechtkit.errors import DomainError, ResourceLimitError
+from spechtkit.oracles import funny_sum_oracle
 from spechtkit.specht import specht_matrix
 
 DERANGEMENT_TABLES = {
@@ -42,12 +42,21 @@ def test_funny_sum_small_values():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_funny_sum_is_translation_invariant(n):
+    # the premise of reading every pair off one column, held on the definition
     perms = list(all_permutations(n))
-    for s in perms:
-        for t in perms:
-            base = funny_sum(n, s, t)
-            for g in perms:
-                assert funny_sum(n, g * s, g * t) == base
+    pairs = [(s, t) for s in perms for t in perms]
+    value = dict(zip(pairs, funny_sum_oracle(n, pairs)))
+    for s, t in pairs:
+        for g in perms:
+            assert value[g * s, g * t] == value[s, t]
+
+
+def test_funny_sum_matches_the_oracle_at_n6():
+    perms = list(all_permutations(6))
+    rng = random.Random(6)
+    pairs = [(rng.choice(perms), rng.choice(perms)) for _ in range(4)]
+    pairs.append((pairs[0][0], pairs[0][0]))
+    assert [funny_sum(6, s, t) for s, t in pairs] == funny_sum_oracle(6, pairs)
 
 
 def test_funny_sum_degree_mismatch():
@@ -102,15 +111,8 @@ def _quotient_index(n):
 
 
 def _pair_loop_report(n, mode="full", samples=200, seed=0):
-    """check_conjecture1 evaluated one funny_sum per pair, as a reference."""
-    tables = _partition_tables(n, DEFAULT_LIMITS)
+    """check_conjecture1 evaluated one oracle funny sum per pair, as a reference."""
     perms = list(all_permutations(n))
-
-    def wrong(s, t):
-        value = funny_sum(n, s, t, _tables=tables)
-        expected = factorial(n) ** 2 if s == t else 0
-        return (s, t, value, expected) if value != expected else None
-
     if mode == "full":
         pairs = [(s, t) for s in perms for t in perms]
     else:
@@ -119,33 +121,34 @@ def _pair_loop_report(n, mode="full", samples=200, seed=0):
         for i in range(samples):
             s = rng.choice(perms)
             pairs.append((s, s if i % 4 == 0 else rng.choice(perms)))
-    for count, (s, t) in enumerate(pairs, start=1):
-        bad = wrong(s, t)
-        if bad:
-            return FunnySumReport(n, mode, count, False, None if mode == "full" else seed, bad)
+    for count, ((s, t), value) in enumerate(zip(pairs, funny_sum_oracle(n, pairs)), start=1):
+        expected = factorial(n) ** 2 if s == t else 0
+        if value != expected:
+            return FunnySumReport(
+                n, mode, count, False, None if mode == "full" else seed, (s, t, value, expected)
+            )
     return FunnySumReport(n, mode, len(pairs), True, None if mode == "full" else seed)
+
+
+def _assert_column_matches_oracle(n, pairs):
+    column = gram_column(n)
+    at = _quotient_index(n)
+    for (s, t), value in zip(pairs, funny_sum_oracle(n, pairs)):
+        assert value == column[at(s, t)], (s, t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gram_column_matches_funny_sum_on_every_pair(n):
-    column = gram_column(n)
-    at = _quotient_index(n)
-    tables = _partition_tables(n, DEFAULT_LIMITS)
     perms = list(all_permutations(n))
-    for s in perms:
-        for t in perms:
-            assert funny_sum(n, s, t, _tables=tables) == column[at(s, t)], (s, t)
+    _assert_column_matches_oracle(n, [(s, t) for s in perms for t in perms])
 
 
 def test_gram_column_matches_funny_sum_on_sampled_pairs():
-    column = gram_column(5)
-    at = _quotient_index(5)
-    tables = _partition_tables(5, DEFAULT_LIMITS)
     perms = list(all_permutations(5))
     rng = random.Random(11)
-    for _ in range(300):
-        s, t = rng.choice(perms), rng.choice(perms)
-        assert funny_sum(5, s, t, _tables=tables) == column[at(s, t)], (s, t)
+    _assert_column_matches_oracle(
+        5, [(rng.choice(perms), rng.choice(perms)) for _ in range(300)]
+    )
 
 
 # A sign flip keeps every diagonal Gram entry, so those checks fail off the
@@ -175,14 +178,11 @@ def test_corrupted_matrix_reports_the_pair_loop_counterexample(
         entries[row][col] = -x if change == "flip" else x + 1
         return dataclasses.replace(mat, entries=tuple(map(tuple, entries)))
 
+    # the oracle reads its matrices from the specht module
     monkeypatch.setattr(conjectures, "specht_matrix", corrupted)
-    column = gram_column(4)
-    at = _quotient_index(4)
-    tables = _partition_tables(4, DEFAULT_LIMITS)
+    monkeypatch.setattr(specht, "specht_matrix", corrupted)
     perms = list(all_permutations(4))
-    for s in perms:
-        for t in perms:
-            assert funny_sum(4, s, t, _tables=tables) == column[at(s, t)], (s, t)
+    _assert_column_matches_oracle(4, [(s, t) for s in perms for t in perms])
 
     report = check_conjecture1(4)
     assert not report.passed
