@@ -114,27 +114,41 @@ def chow_graded_dimensions(m: LinearMatroid) -> list[int]:
     F1 < F2 < ... < Fk of flats strictly above the bottom (the top flat is
     allowed) with exponents d_i satisfying 0 < d_i < rank(F_i) - rank(F_{i-1})
     and total degree d.
+
+    Each row of counts by degree d < r is packed into one integer, degree d in
+    the field of W = r * bit_length(N*r + 1) + 1 bits at bit W*d, N the number
+    of flats, so summing a down-set is one integer add per flat below.  Every
+    count, of one row or of a sum of rows, is a number of distinct monomials:
+    a chain of k flats with an exponent in [1, r) on each.  There are at most
+    sum_k (N*r)^k <= (N*r + 1)^r < 2^(W - 1) of them, so no field overflows
+    into the next.  Shifting a row up by e degrees pushes degrees past r - 1
+    into the fields above; those are masked off, and since carries only run
+    upward they cannot disturb the fields kept.
     """
     r = m.rank()
     _, ranks, below = m.flat_lattice()
-    # ways[i][d] = number of monomials of total degree d whose largest chain
-    # element is flat i; the bottom holds the empty monomial.  A monomial
-    # ending at F extends one ending at G < F by x_F^e, 0 < e < r(F) - r(G),
-    # so the step depends on r(G) alone: sum the down-set by rank first.
-    ways = [[1] + [0] * (r - 1)]
+    width = r * (len(ranks) * r + 1).bit_length() + 1
+    keep = (1 << width * r) - 1  # the fields of degrees 0 .. r - 1
+    # ways[i] = the monomials whose largest chain element is flat i, by
+    # degree; the bottom holds the empty monomial.  A monomial ending at F
+    # extends one ending at G < F by x_F^e, 0 < e < r(F) - r(G), so the step
+    # depends on r(G) alone: sum the down-set by rank first.  Flats come in
+    # (rank, mask) order, and no step comes from rank r(F) - 1, so only the
+    # down-set below index start[r(F) - 1], the first flat of that rank, is read.
+    start = [ranks.index(k) for k in range(r)]
+    ways = [1]
     for rf, down in zip(ranks[1:], below[1:]):
-        by_rank = [[0] * r for _ in range(rf)]
-        for g in _members(down):
-            row = by_rank[ranks[g]]
-            for d, cnt in enumerate(ways[g]):
-                row[d] += cnt
-        acc = [0] * r
+        by_rank = [0] * rf
+        for g in _members(down & ((1 << start[rf - 1]) - 1)):
+            by_rank[ranks[g]] += ways[g]
+        acc = 0
         for rg, row in enumerate(by_rank):
             for e in range(1, rf - rg):
-                for d, cnt in enumerate(row[: r - e]):
-                    acc[d + e] += cnt
-        ways.append(acc)
-    return [sum(col) for col in zip(*ways)]
+                acc += row << width * e
+        ways.append(acc & keep)
+    total = sum(ways)
+    field = (1 << width) - 1
+    return [total >> width * d & field for d in range(max(r, 1))]
 
 
 def fy_basis_monomials(m: LinearMatroid, degree: int) -> list[tuple[tuple[frozenset, int], ...]]:

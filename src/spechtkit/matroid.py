@@ -76,9 +76,7 @@ class LinearMatroid:
         return m
 
     def _labels_of(self, mask: int) -> frozenset:
-        return frozenset(
-            self.labels[i] for i in range(self.size) if mask >> i & 1
-        )
+        return frozenset(self.labels[i] for i in _members(mask))
 
     def _span(self, mask: int) -> RowSpace:
         space = RowSpace(self._rank)
@@ -112,18 +110,23 @@ class LinearMatroid:
         """All flats, from the closure of the empty set to the top, sorted by
         (rank, mask).
 
-        The lattice grows one rank at a time by covers.  Each flat F carries
-        the residues of the columns outside it against span(F) (see
-        :meth:`RowSpace.reduce`): normalised, two columns have the same
-        residue exactly when they are parallel modulo span(F), so each
-        residue class R gives the cover F | R, of rank r(F) + 1.  The cover's
-        residues are F's, eliminated once more against R's residue, which
-        keeps them zero at every pivot column so far.  The ranks are kept in
-        ``_flat_ranks``, one per flat, and the down-sets, read through
-        :meth:`flat_lattice`, in ``_flat_below``: a cover's down-set is the
-        union of the flats it covers and their down-sets.  The flats are
-        counted as they are found and refused past ``max_flats``, since the
-        down-sets take memory quadratic in their number.
+        The lattice grows one rank at a time by covers.  A flat holds all of a
+        parallel class of columns or none of it, and the members of a class
+        have equal residues against any span, so the work runs on one
+        representative per class (its first column) and a cover takes whole
+        classes.  Each flat F carries the residues of the representatives
+        outside it against span(F) (see :meth:`RowSpace.reduce`): normalised,
+        two columns have the same residue exactly when they are parallel
+        modulo span(F), so each residue class R gives the cover F | R, of
+        rank r(F) + 1.  The cover's residues are F's, eliminated once more
+        against R's residue, which keeps them zero at every pivot column so
+        far.  A flat of rank r - 1 has one cover, the ground set, so covers of
+        that rank take one shared key in place of their residues.  The ranks
+        are kept in ``_flat_ranks``, one per flat, and the down-sets, read
+        through :meth:`flat_lattice`, in ``_flat_below``: a cover's down-set
+        is the union of the flats it covers and their down-sets.  The flats
+        are counted as they are found and refused past ``max_flats``, since
+        the down-sets take memory quadratic in their number.
         """
         if self._flat_ranks is None:
             bound = self.limits.max_flats
@@ -131,18 +134,19 @@ class LinearMatroid:
             ranks: dict[int, int] = {}
             below: list[int] = []
             bottom = self._loop_mask()
-            level = {
-                bottom: {
-                    i: _normalize(vec)
-                    for i, vec in enumerate(self._vectors)
-                    if not bottom >> i & 1
-                }
-            }
+            parallel: dict[tuple[int, ...], int] = {}  # normalised column -> its first index
+            cls: dict[int, int] = {}  # first index -> the mask of its parallel class
+            for i, vec in enumerate(self._vectors):
+                if not bottom >> i & 1:
+                    first = parallel.setdefault(_normalize(vec), i)
+                    cls[first] = cls.get(first, 0) | 1 << i
+            level = {bottom: {i: key for key, i in parallel.items()}}
             under = {bottom: 0}  # the down-set of each flat in level
             rank = 0
             while level:
                 covers: dict[int, dict[int, tuple[int, ...]]] = {}
                 over: dict[int, int] = {}
+                last = rank + 2 >= self._rank  # the covers have rank r - 1 or r
                 for flat in sorted(level):
                     ranks[flat] = rank
                     down = under[flat] | 1 << len(below)
@@ -150,7 +154,7 @@ class LinearMatroid:
                     residues = level[flat]
                     classes: dict[tuple[int, ...], int] = {}
                     for i, res in residues.items():
-                        classes[res] = classes.get(res, 0) | 1 << i
+                        classes[res] = classes.get(res, 0) | cls[i]
                     for piv, members in classes.items():
                         cover = flat | members
                         if cover in covers:
@@ -160,6 +164,11 @@ class LinearMatroid:
                         found += 1
                         if found > bound:
                             self.limits.require("max_flats", found)
+                        if last:
+                            covers[cover] = dict.fromkeys(
+                                (i for i in residues if not members >> i & 1), ()
+                            )
+                            continue
                         col = next(j for j, x in enumerate(piv) if x)
                         p = piv[col]
                         covers[cover] = {
@@ -285,21 +294,33 @@ class LinearMatroid:
         Every subset of F closes to a flat below F, so
         h_F(v) = (1 + v)^|F| - sum_{G < F} h_G(v), taken over F's down-set;
         h_F is divisible by v^r(F) exactly.
+
+        Each h_F is packed into one integer, coefficient t in the field of W =
+        |E| + 1 bits at bit W*t, so (1 + 2^W)^|F| is the packed binomial row
+        and a down-set sum is one integer add per flat below.  The fields stay
+        apart: coefficient t of h_G counts t-subsets of F closing to G, so
+        h_G, its sums over F's down-set and h_F itself have every coefficient
+        in [0, C(|F|, t)], below 2^W, and no add carries and no subtraction
+        borrows across a field.  The same count bounds the sum over the flats
+        of one rank by C(|E|, t), so those sums are packed too.
         """
-        counts: dict[tuple[int, int], int] = {}
-        hs: list[list[int]] = []
+        width = self.size + 1
+        field = (1 << width) - 1
+        by_rank = [0] * (self._rank + 1)  # sum of h_F / v^r(F) over the flats of each rank
+        hs: list[int] = []
         for m, rf, down in zip(*self.flat_lattice()):
-            size = _popcount(m)
-            h = [comb(size, t) for t in range(size + 1)]
-            for g in _members(down):
-                for t, c in enumerate(hs[g]):
-                    h[t] -= c
-            assert not any(h[:rf]), "division fails"
-            for t in range(rf, size + 1):
-                if h[t]:
-                    key = (self._rank - rf, t - rf)
-                    counts[key] = counts.get(key, 0) + h[t]
+            h = (1 + (1 << width)) ** _popcount(m) - sum(map(hs.__getitem__, _members(down)))
+            assert not h & ((1 << width * rf) - 1), "division fails"
+            by_rank[rf] += h >> width * rf
             hs.append(h)
+        counts: dict[tuple[int, int], int] = {}
+        for rf, h in enumerate(by_rank):
+            t = 0
+            while h:
+                if h & field:
+                    counts[(self._rank - rf, t)] = h & field
+                h >>= width
+                t += 1
         return _expand_corank_nullity(counts)
 
     def characteristic_polynomial(self) -> Poly1:

@@ -83,6 +83,23 @@ def test_pairing_matroid_graded_dimensions(parts, dims):
     assert chow_graded_dimensions(specht_matroid(Partition(parts))) == dims
 
 
+# shapes past the quotient-ring oracle (which stops near 30 flats): values
+# pinned from the unpacked chain DP, each palindromic, with
+# dims[1] = #flats - 2 - (#rank-1 flats - 1)
+FRONTIER_DIMS = {
+    (2, 2, 1, 1): [1, 10084, 674892, 5950860, 11813632, 5950860, 674892, 10084, 1],
+    (3, 1, 1, 1): [1, 13651, 1421808, 19810870, 67393126, 67393126, 19810870, 1421808, 13651, 1],
+}
+
+
+@pytest.mark.parametrize("parts", sorted(FRONTIER_DIMS), ids=str)
+def test_frontier_graded_dimensions(parts):
+    m = specht_matroid(Partition(parts))
+    dims = chow_graded_dimensions(m)
+    assert dims == FRONTIER_DIMS[parts]
+    assert dims[1] == len(m.flats()) - 2 - (len(m.flats(rank=1)) - 1)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_graded_dimensions_are_palindromic(n):
     for p in partitions_of(n):

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 
@@ -127,6 +128,49 @@ def test_flat_guard_refuses_as_the_lattice_grows():
     for lattice_reader in (m.characteristic_polynomial, lambda: chow_graded_dimensions(m)):
         with pytest.raises(ResourceLimitError, match="max_flats"):
             lattice_reader()
+
+
+def boolean_matroid(n, limits=Limits(), scales=(1,), loops=0):
+    """B_n: the identity columns, each repeated at every scale in *scales*
+    (a parallel class), then *loops* zero columns."""
+    cols = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in scales]
+    cols += [(0,) * n] * loops
+    return LinearMatroid(tuple(range(len(cols))), cols, limits)
+
+
+def eulerian(n):
+    """The Eulerian numbers A(n, k), k = 0 .. n - 1."""
+    return [sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)) for k in range(n)]
+
+
+def test_flat_guard_counts_the_hyperplanes():
+    # B_8 has 247 flats below rank 7, so the 251st flat found is a hyperplane,
+    # a level whose covers carry no residues
+    m = boolean_matroid(8, Limits(max_flats=250))
+    with pytest.raises(ResourceLimitError, match="max_flats: requested 251 exceeds limit 250"):
+        m.flats()
+    assert len(boolean_matroid(8, Limits(max_flats=256)).flats()) == 256
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_boolean_matroid_lattice_in_closed_form(n):
+    assert eulerian(4) == [1, 11, 11, 1] and eulerian(7) == [1, 120, 1191, 2416, 1191, 120, 1]
+    m = boolean_matroid(n)
+    assert len(m.flats()) == 2**n
+    assert chow_graded_dimensions(m) == eulerian(n)
+    assert m.tutte_polynomial("flats") == {(n, 0): 1}
+    assert m.characteristic_polynomial() == {k: comb(n, k) * (-1) ** (n - k) for k in range(n + 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_parallel_classes_and_a_loop_keep_the_boolean_lattice(n):
+    m = boolean_matroid(n, scales=(1, -1, 2, -2), loops=1)
+    assert len(m.flats()) == 2**n
+    assert chow_graded_dimensions(m) == eulerian(n)
+    assert m.characteristic_polynomial() == {}
+    tutte = m.tutte_polynomial("flats")
+    assert sum(tutte.values()) == 4**n  # T(1, 1): a basis picks one column per class
+    assert tutte == tutte_deletion_contraction_oracle(m.columns)
 
 
 def test_subset_tutte_keeps_no_per_subset_state():
