@@ -16,25 +16,14 @@ at the full ground set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Hashable
 
+from .combinatorics import format_label
 from .matroid import LinearMatroid, _members
 
 
 def _flat_key(f: frozenset) -> tuple:
     return (len(f), tuple(sorted(map(str, f))))
-
-
-def _element_text(e) -> str:
-    if isinstance(e, tuple):
-        return "".join(str(x) for x in e)
-    return str(e)
-
-
-def _flat_name(f: frozenset) -> str:
-    return "x_" + "_".join(sorted(_element_text(e) for e in f))
 
 
 @dataclass(frozen=True)
@@ -43,19 +32,20 @@ class ChowPresentation:
     quadratic_relations: tuple[tuple[frozenset, frozenset], ...]
     linear_relations: tuple[dict, ...]  # each: {"plus": [...], "minus": [...]}
 
-    def to_json_dict(self) -> dict:
-        def flat(f):
-            return sorted(_element_text(e) for e in f)
+    def _names(self) -> dict[frozenset, list[str]]:
+        """Each generator's element labels as sorted text, each label rendered once."""
+        text = {e: str(format_label(e)) for e in frozenset().union(*self.generators)}
+        return {f: sorted(map(text.__getitem__, f)) for f in self.generators}
 
+    def to_json_dict(self) -> dict:
+        names = self._names()
         return {
-            "generators": [flat(f) for f in self.generators],
-            "quadratic": [
-                [flat(a), flat(b)] for a, b in self.quadratic_relations
-            ],
+            "generators": [names[f] for f in self.generators],
+            "quadratic": [[names[a], names[b]] for a, b in self.quadratic_relations],
             "linear": [
                 {
-                    "plus": [flat(f) for f in rel["plus"]],
-                    "minus": [flat(f) for f in rel["minus"]],
+                    "plus": [names[f] for f in rel["plus"]],
+                    "minus": [names[f] for f in rel["minus"]],
                 }
                 for rel in self.linear_relations
             ],
@@ -63,7 +53,7 @@ class ChowPresentation:
 
     def to_macaulay2(self) -> str:
         """Render as a ring presentation in Macaulay2-style syntax."""
-        name = {f: _flat_name(f) for f in self.generators}
+        name = {f: "x_" + "_".join(parts) for f, parts in self._names().items()}
         vars_ = ", ".join(name[f] for f in self.generators)
         quads = [f"{name[a]}*{name[b]}" for a, b in self.quadratic_relations]
         lins = []
@@ -84,12 +74,11 @@ def chow_presentation(m: LinearMatroid) -> ChowPresentation:
     )
     masks = [all_masks[i] for i in order]
     flats = [m._labels_of(x) for x in masks]
-    down = {i: set(_members(below[i])) for i in order}
     quads = [
         (flats[a], flats[b])
         for a, i in enumerate(order)
         for b, j in enumerate(order[a + 1 :], a + 1)
-        if j not in down[i] and i not in down[j]
+        if not (below[i] >> j & 1 or below[j] >> i & 1)
     ]
     loops = m._loop_mask()
     elements = [i for i in range(m.size) if not loops >> i & 1]

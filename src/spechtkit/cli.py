@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from . import __version__
 from .chow import chow_graded_dimensions, chow_presentation, hilbert_series_text
@@ -22,8 +22,8 @@ from .coefficients import (
     plethysm_coefficient,
     plethysm_matrix,
 )
-from .combinatorics import Partition, classify_pair, format_word, word_from_text
-from .config import Limits, limits_from_env
+from .combinatorics import Partition, classify_pair, format_label, format_word, word_from_text
+from .config import Limits, resolve_limits
 from .conjectures import (
     check_conjecture1,
     check_conjecture2,
@@ -46,22 +46,6 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(Limits):
         flag = "--" + f.name.replace("_", "-")
         parser.add_argument(flag, type=int, default=None, help=argparse.SUPPRESS)
-
-
-def _resolve_limits(args) -> Limits:
-    limits = limits_from_env()
-    overrides = {}
-    for f in fields(Limits):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            if value <= 0:
-                raise DomainError(f"guard {f.name} must be positive")
-            overrides[f.name] = value
-    return replace(limits, **overrides) if overrides else limits
-
-
-def _parse_partition(text: str) -> Partition:
-    return Partition.parse(text)
 
 
 def _load_matrix_columns(path: str):
@@ -96,14 +80,17 @@ def _load_matrix_columns(path: str):
     if isinstance(labels, list):
         # a coefficient matrix labels a column by its factor words, read as "w1|w2|w3"
         labels = ["|".join(x) if _is_word_list(x) else x for x in labels]
+    # one label type per file: flats and circuits sort their labels
     if (
         not isinstance(labels, list)
         or len(labels) != n_cols
-        or not all(isinstance(x, str) or type(x) is int for x in labels)
+        or not (
+            all(isinstance(x, str) for x in labels) or all(type(x) is int for x in labels)
+        )
     ):
         raise DomainError(
-            f"{path}: col_labels must be {n_cols} strings, integers or non-empty "
-            "lists of strings, one per column"
+            f"{path}: col_labels must be {n_cols} labels, one per column, either all "
+            "integers or all strings and non-empty lists of strings"
         )
     columns = [tuple(row[j] for row in entries) for j in range(n_cols)]
     return tuple(labels), tuple(columns)
@@ -121,21 +108,27 @@ def _columns_from_args(args, limits: Limits):
     if getattr(args, "matrix", None):
         return _load_matrix_columns(args.matrix)
     if getattr(args, "lam", None):
-        mat = specht_matrix(_parse_partition(args.lam), limits)
+        mat = specht_matrix(Partition.parse(args.lam), limits)
         return mat.col_labels, tuple(mat.columns())
     raise DomainError("provide --lambda or --matrix")
 
 
-def _emit(args, text_value, json_value, csv_value=None) -> None:
-    fmt = getattr(args, "format", "text") or "text"
-    if fmt == "json":
-        print(json.dumps(json_value, indent=2))
-    elif fmt == "csv":
-        if csv_value is None:
-            raise DomainError("csv format not available for this command")
-        sys.stdout.write(csv_value)
+def _emit(args, text, data, csv=None, macaulay2=None) -> None:
+    """Print the output in ``args.format``.
+
+    Each argument after *args* is a thunk that builds one format: *data* the
+    JSON value, the others the text.  Only the one asked for is called; a
+    format the command cannot produce is a usage error.
+    """
+    build = {"text": text, "json": data, "csv": csv, "macaulay2-text": macaulay2}[args.format]
+    if build is None:
+        raise DomainError(f"{args.format} format not available for this command")
+    if args.format == "json":
+        print(json.dumps(build(), indent=2))
+    elif args.format == "csv":
+        sys.stdout.write(build())
     else:
-        print(text_value)
+        print(build())
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +136,18 @@ def _emit(args, text_value, json_value, csv_value=None) -> None:
 
 
 def _cmd_specht_matrix(args, limits):
-    p = _parse_partition(args.lam)
-    mat = specht_matrix(p, limits)
-    header = " ".join(format_word(w) for w in mat.col_labels)
-    lines = ["# columns: " + header]
-    for label, row in zip(mat.row_labels, mat.entries):
-        lines.append(
-            format_word(label) + ": " + " ".join(f"{x:2d}" for x in row)
-        )
-    _emit(args, "\n".join(lines), mat.to_json_dict(), mat.to_csv())
+    mat = specht_matrix(Partition.parse(args.lam), limits)
+
+    def text():
+        header = " ".join(format_word(w) for w in mat.col_labels)
+        lines = ["# columns: " + header]
+        for label, row in zip(mat.row_labels, mat.entries):
+            lines.append(
+                format_word(label) + ": " + " ".join(f"{x:2d}" for x in row)
+            )
+        return "\n".join(lines)
+
+    _emit(args, text, mat.to_json_dict, mat.to_csv)
 
 
 def _cmd_classify(args, limits):
@@ -159,16 +155,12 @@ def _cmd_classify(args, limits):
     w2 = word_from_text(args.w2)
     cls = classify_pair(w1, w2)
     if not cls.rearrangeable:
-        _emit(
-            args,
-            "not complementary-rearrangeable",
-            {"rearrangeable": False},
-        )
+        _emit(args, lambda: "not complementary-rearrangeable", lambda: {"rearrangeable": False})
         return
     _emit(
         args,
-        f"partition {cls.partition}; complementary: {cls.is_complementary}",
-        {
+        lambda: f"partition {cls.partition}; complementary: {cls.is_complementary}",
+        lambda: {
             "rearrangeable": True,
             "partition": list(cls.partition.parts),
             "is_complementary": cls.is_complementary,
@@ -176,27 +168,27 @@ def _cmd_classify(args, limits):
     )
 
 
+def _label_sets(m: LinearMatroid, sets) -> list[list]:
+    """Each set of elements as its sorted output labels, each label rendered once."""
+    name = {lab: format_label(lab) for lab in m.labels}
+    return [sorted(map(name.__getitem__, s)) for s in sets]
+
+
 def _cmd_matroid(args, limits):
     m = _matroid_from_args(args, limits)
-    if args.action == "flats":
-        flats = [sorted(format_word(x) if isinstance(x, tuple) else x for x in f) for f in m.flats()]
-        text = "\n".join(str(f) for f in flats)
-        _emit(args, text, flats)
-    elif args.action == "circuits":
-        circ = [
-            sorted(format_word(x) if isinstance(x, tuple) else x for x in c)
-            for c in m.circuits(args.max_size)
-        ]
-        _emit(args, "\n".join(str(c) for c in circ), circ)
+    if args.action in ("flats", "circuits"):
+        sets = m.flats() if args.action == "flats" else m.circuits(args.max_size)
+        out = _label_sets(m, sets)
+        _emit(args, lambda: "\n".join(map(str, out)), lambda: out)
     elif args.action == "bases":
         count = m.bases_count()
-        _emit(args, str(count), {"bases": count})
+        _emit(args, lambda: str(count), lambda: {"bases": count})
     elif args.action == "tutte":
         t = m.tutte_polynomial(args.strategy)
-        _emit(args, format_poly2(t), poly2_to_json(t))
+        _emit(args, lambda: format_poly2(t), lambda: poly2_to_json(t))
     elif args.action == "charpoly":
         c = m.characteristic_polynomial()
-        _emit(args, format_poly1(c), poly1_to_json(c))
+        _emit(args, lambda: format_poly1(c), lambda: poly1_to_json(c))
 
 
 def _cmd_chow(args, limits):
@@ -205,19 +197,12 @@ def _cmd_chow(args, limits):
         dims = chow_graded_dimensions(m)
         _emit(
             args,
-            hilbert_series_text(dims),
-            {"dims": dims, "hilbert": hilbert_series_text(dims)},
+            lambda: hilbert_series_text(dims),
+            lambda: {"dims": dims, "hilbert": hilbert_series_text(dims)},
         )
     else:
         pres = chow_presentation(m)
-        if args.format == "macaulay2-text":
-            print(pres.to_macaulay2())
-        else:
-            _emit(args, pres.to_macaulay2(), pres.to_json_dict())
-
-
-def _label_text(lab):
-    return format_word(lab) if isinstance(lab, tuple) else str(lab)
+        _emit(args, pres.to_macaulay2, pres.to_json_dict, macaulay2=pres.to_macaulay2)
 
 
 def _cmd_polytope(args, limits):
@@ -225,24 +210,28 @@ def _cmd_polytope(args, limits):
         if args.k is None:
             raise DomainError("root-check requires --k")
         rep = root_polytope_structure_check(args.k, limits)
-        claims = [
-            ("vertices", rep.n_vertices, args.k * (args.k - 1)),
-            ("edges", rep.n_edges, (args.k - 2) * (args.k - 1) * args.k),
-            ("facets", rep.n_facets, 2**args.k - 2),
-            ("lattice_points", rep.n_lattice_points, args.k * (args.k - 1) + 1),
-        ]
-        lines = []
-        for name, got, want in claims:
-            ok = "pass" if got == want else "FAIL"
-            lines.append(f"{name}: {got} (expected {want}) {ok}")
-        lines.append(f"facet_grids: {'pass' if rep.facet_grids_ok else 'FAIL'}")
-        lines.append(
-            f"matches_pair_matrix_columns: {rep.matches_pair_matrix_columns}"
-        )
+
+        def text():
+            claims = [
+                ("vertices", rep.n_vertices, args.k * (args.k - 1)),
+                ("edges", rep.n_edges, (args.k - 2) * (args.k - 1) * args.k),
+                ("facets", rep.n_facets, 2**args.k - 2),
+                ("lattice_points", rep.n_lattice_points, args.k * (args.k - 1) + 1),
+            ]
+            lines = []
+            for name, got, want in claims:
+                ok = "pass" if got == want else "FAIL"
+                lines.append(f"{name}: {got} (expected {want}) {ok}")
+            lines.append(f"facet_grids: {'pass' if rep.facet_grids_ok else 'FAIL'}")
+            lines.append(
+                f"matches_pair_matrix_columns: {rep.matches_pair_matrix_columns}"
+            )
+            return "\n".join(lines)
+
         _emit(
             args,
-            "\n".join(lines),
-            {
+            text,
+            lambda: {
                 "k": rep.k,
                 "dim": rep.dim,
                 "vertices": rep.n_vertices,
@@ -258,27 +247,27 @@ def _cmd_polytope(args, limits):
     poly = polytope_from_columns(columns, limits)
     if args.action == "fvector":
         fv = poly.f_vector()
-        _emit(args, "(" + ", ".join(map(str, fv)) + ")", {"f_vector": fv})
+        _emit(args, lambda: "(" + ", ".join(map(str, fv)) + ")", lambda: {"f_vector": fv})
     elif args.action == "dim":
-        _emit(args, str(poly.dim), {"dim": poly.dim})
+        _emit(args, lambda: str(poly.dim), lambda: {"dim": poly.dim})
     elif args.action == "faces":
         point_label = {}
         for lab, col in zip(labels, columns):
-            point_label.setdefault(tuple(col), _label_text(lab))
+            point_label.setdefault(tuple(col), str(format_label(lab)))
         faces = [
             sorted(point_label[poly.ambient_points[i]] for i in face)
             for face in poly.face_lattice()
         ]
-        _emit(args, "\n".join(str(f) for f in faces), faces)
+        _emit(args, lambda: "\n".join(map(str, faces)), lambda: faces)
     elif args.action == "lattice-points":
-        pts = poly.lattice_points(limits)
-        _emit(args, "\n".join(str(list(p)) for p in pts), [list(p) for p in pts])
+        pts = [list(p) for p in poly.lattice_points(limits)]
+        _emit(args, lambda: "\n".join(map(str, pts)), lambda: pts)
 
 
 def _cmd_coeff(args, limits):
-    lam = _parse_partition(args.lam)
-    mu = _parse_partition(args.mu)
-    nu = _parse_partition(args.nu)
+    lam = Partition.parse(args.lam)
+    mu = Partition.parse(args.mu)
+    nu = Partition.parse(args.nu)
     builders = {
         "kronecker": (kronecker_matrix, kronecker_coefficient),
         "lr": (lr_matrix, lr_coefficient),
@@ -301,7 +290,7 @@ def _cmd_coeff(args, limits):
     }
     if shape is not None:
         payload["shape"] = shape
-    _emit(args, str(value), payload)
+    _emit(args, lambda: str(value), lambda: payload)
 
 
 def _cmd_check(args, limits):
@@ -312,8 +301,8 @@ def _cmd_check(args, limits):
         status = "pass" if rep.passed else "FAIL"
         _emit(
             args,
-            f"conjecture1 n={rep.n} mode={rep.mode} pairs={rep.pairs_checked}: {status}",
-            rep.to_json_dict(),
+            lambda: f"conjecture1 n={rep.n} mode={rep.mode} pairs={rep.pairs_checked}: {status}",
+            rep.to_json_dict,
         )
         if not rep.passed:
             raise SystemExit(1)
@@ -322,9 +311,9 @@ def _cmd_check(args, limits):
         status = "pass" if rep.passed else "FAIL"
         _emit(
             args,
-            f"conjecture2 n={rep.n}: chow={list(rep.chow_dims)} "
+            lambda: f"conjecture2 n={rep.n}: chow={list(rep.chow_dims)} "
             f"excedance={list(rep.excedance_counts)}: {status}",
-            rep.to_json_dict(),
+            rep.to_json_dict,
         )
         if not rep.passed:
             raise SystemExit(1)
@@ -335,9 +324,9 @@ def _cmd_check(args, limits):
         match = conj.sizes == fy.sizes
         _emit(
             args,
-            f"orbits n={args.n} k={args.k}: derangements {conj.multiset()} "
+            lambda: f"orbits n={args.n} k={args.k}: derangements {conj.multiset()} "
             f"chain-basis {fy.multiset()}: {'match' if match else 'MISMATCH'}",
-            {
+            lambda: {
                 "n": args.n,
                 "k": args.k,
                 "derangement_orbits": list(conj.sizes),
@@ -427,7 +416,7 @@ def main(argv=None) -> int:
         # argparse uses code 2 for usage errors and 0 for --help/--version
         return int(exc.code or 0)
     try:
-        limits = _resolve_limits(args)
+        limits = resolve_limits(vars(args))
         args.func(args, limits)
         return 0
     except ResourceLimitError as exc:

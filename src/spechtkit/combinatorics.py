@@ -155,6 +155,12 @@ def format_word(w: Word) -> str:
     return ",".join(str(x) for x in w)
 
 
+def format_label(label):
+    """A ground-set label for output: a word as its `format_word` text, a
+    string or an integer (a ``--matrix`` column label) as it is."""
+    return format_word(label) if isinstance(label, tuple) else label
+
+
 def letter_multiplicities(w: Word) -> dict[int, int]:
     mult: dict[int, int] = {}
     for x in w:

@@ -8,6 +8,7 @@ hard-coded at call sites.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
@@ -45,26 +46,36 @@ class Limits:
             )
 
 
-def limits_from_env(base: Limits | None = None) -> Limits:
-    """Apply SPECHTKIT_<FIELD> environment overrides to *base*.
+def resolve_limits(flags: Mapping[str, int | None]) -> Limits:
+    """The default guards overridden by SPECHTKIT_<FIELD> environment
+    variables and then by *flags*, a mapping from guard name to value (None
+    where unset) such as the parsed CLI arguments.
 
     A value that is not a positive integer raises ``DomainError`` naming the
-    variable, as a bad guard flag does.
+    variable or the guard.
     """
-    lim = base or Limits()
+
+    def given():
+        for f in fields(Limits):
+            var = "SPECHTKIT_" + f.name.upper()
+            raw = os.environ.get(var)
+            if raw is not None:
+                try:
+                    value = int(raw)
+                except ValueError:
+                    raise DomainError(f"{var}={raw!r} is not an integer") from None
+                yield f.name, value, var
+        for f in fields(Limits):
+            value = flags.get(f.name)
+            if value is not None:
+                yield f.name, value, f"guard {f.name}"
+
     overrides = {}
-    for f in fields(Limits):
-        var = "SPECHTKIT_" + f.name.upper()
-        raw = os.environ.get(var)
-        if raw is not None:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise DomainError(f"{var}={raw!r} is not an integer") from None
-            if value <= 0:
-                raise DomainError(f"{var} must be positive")
-            overrides[f.name] = value
-    return replace(lim, **overrides) if overrides else lim
+    for name, value, source in given():
+        if value <= 0:
+            raise DomainError(f"{source} must be positive")
+        overrides[name] = value
+    return replace(Limits(), **overrides)
 
 
 DEFAULT_LIMITS = Limits()

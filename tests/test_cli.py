@@ -1,10 +1,12 @@
+import argparse
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from spechtkit.cli import main
+from spechtkit import cli, combinatorics
+from spechtkit.cli import build_parser, main
 from spechtkit.coefficients import kronecker_matrix
 from spechtkit.combinatorics import Partition
 from spechtkit.matroid import LinearMatroid
@@ -338,10 +340,13 @@ BAD_MATRICES = {
     "zero-labels": {"entries": [[1, 0], [0, 1]], "col_labels": 0},
     "empty-string-labels": {"entries": [[1, 0], [0, 1]], "col_labels": ""},
     "false-labels": {"entries": [[1, 0], [0, 1]], "col_labels": False},
+    "mixed-labels": {"entries": [[1, 0, 1], [0, 1, 1]], "col_labels": ["a", 1, 2]},
 }
 
 
-@pytest.mark.parametrize("command", [("matroid", "charpoly"), ("polytope", "fvector")], ids=str)
+@pytest.mark.parametrize(
+    "command", [("matroid", "charpoly"), ("matroid", "flats"), ("polytope", "fvector")], ids=str
+)
 @pytest.mark.parametrize("case", sorted(BAD_MATRICES))
 def test_bad_matrix_file_is_usage_error(capsys, tmp_path, command, case):
     path = tmp_path / f"{case}.json"
@@ -405,3 +410,95 @@ def test_emitted_coefficient_matrix_loads_as_matroid_and_polytope(capsys, tmp_pa
     assert "112|121|211" in expected[-1]
     code, out, _ = run(capsys, "polytope", "fvector", "--matrix", target)
     assert (code, out.strip()) == (0, "(1, 2, 1)")
+
+
+def test_guard_errors_name_the_variable_or_the_flag(capsys, monkeypatch):
+    code, _, err = run(capsys, "matroid", "bases", "--lambda", "2,1", "--max-ground", "0")
+    assert (code, err) == (2, "error: usage: guard max_ground must be positive\n")
+    monkeypatch.setenv("SPECHTKIT_MAX_GROUND", "0")
+    code, _, err = run(capsys, "matroid", "bases", "--lambda", "2,1")
+    assert (code, err) == (2, "error: usage: SPECHTKIT_MAX_GROUND must be positive\n")
+    # a flag overrides the environment: (2,1) has three columns
+    monkeypatch.setenv("SPECHTKIT_MAX_GROUND", "2")
+    assert run(capsys, "matroid", "bases", "--lambda", "2,1")[0] == 3
+    code, out, _ = run(capsys, "matroid", "bases", "--lambda", "2,1", "--max-ground", "3")
+    assert (code, out) == (0, "3\n")
+
+
+FORMATS = ("text", "json", "csv", "macaulay2-text")
+PRINTS = {"text", "json"}
+
+# one small command line per subcommand and action, with the formats it prints
+FORMAT_TABLE = [
+    (["specht-matrix", "--lambda", "2,1"], PRINTS | {"csv"}),
+    (["classify", "--w1", "112", "--w2", "121"], PRINTS),
+    *[
+        (["matroid", action, "--lambda", "2,1"], PRINTS)
+        for action in ("flats", "circuits", "bases", "tutte", "charpoly")
+    ],
+    (["chow", "dims", "--lambda", "2,1"], PRINTS),
+    (["chow", "presentation", "--lambda", "2,1"], PRINTS | {"macaulay2-text"}),
+    *[
+        (["polytope", action, "--lambda", "2,1"], PRINTS)
+        for action in ("fvector", "dim", "faces", "lattice-points")
+    ],
+    (["polytope", "root-check", "--k", "3"], PRINTS),
+    (["coeff", "kronecker", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1"], PRINTS),
+    (["coeff", "lr", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1"], PRINTS),
+    (["coeff", "plethysm", "--lambda", "1", "--mu", "2", "--nu", "2"], PRINTS),
+    (["check", "conjecture1", "--n", "3"], PRINTS),
+    (["check", "conjecture2", "--n", "3"], PRINTS),
+    (["check", "orbits", "--n", "4", "--k", "1"], PRINTS),
+]
+
+
+def _command(argv):
+    return tuple(x for x in argv[:2] if not x.startswith("-"))
+
+
+def test_format_table_covers_every_command_and_format():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands, formats = set(), set()
+    for name, p in sub.choices.items():
+        positional = [a for a in p._actions if not a.option_strings and a.choices]
+        commands |= {(name, c) for a in positional for c in a.choices} or {(name,)}
+        formats |= {c for a in p._actions if "--format" in a.option_strings for c in a.choices}
+    assert {_command(argv) for argv, _ in FORMAT_TABLE} == commands
+    assert formats == set(FORMATS)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "argv, prints", FORMAT_TABLE, ids=[" ".join(_command(a)) for a, _ in FORMAT_TABLE]
+)
+def test_each_format_prints_or_is_a_usage_error(capsys, argv, prints, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    if fmt in prints:
+        assert code == 0 and out.strip() and err == ""
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: usage: {fmt} format not available for this command\n"
+
+
+def test_chow_presentation_text_is_its_macaulay2_text(capsys):
+    command = ("chow", "presentation", "--lambda", "2,2")
+    code, text, _ = run(capsys, *command)
+    assert code == 0
+    assert run(capsys, *command, "--format", "macaulay2-text") == (0, text, "")
+
+
+def test_flats_render_each_label_once(capsys, monkeypatch):
+    calls = []
+    real = combinatorics.format_word
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(combinatorics, "format_word", counting)
+    monkeypatch.setattr(cli, "format_word", counting)
+    code, out, _ = run(capsys, "matroid", "flats", "--lambda", "3,1,1", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 314
+    assert 0 < len(calls) <= 20  # |E| = 20 columns
