@@ -23,10 +23,14 @@ so its rank is the dimension of the relevant invariant space:
 The engine, ``_orbit_walk``, never forms the group sum.  Because w is a
 character, the columns at the labels of one orbit agree up to sign,
 A_{g.c} = w(g) A_c, so the walk sums one column per orbit representative.
-``*_matrix`` runs it on the full factors, records for every column its
-representative and that sign, and expands the representatives into the
-full labelled matrix.  ``*_coefficient`` runs it on row bases: each factor
-M_f = B_f R_f, with R_f its first rank-many independent rows
+It is one walk for both callers: it reads the factor matrices it is handed,
+sums the representatives block by block, and hands each block to its caller
+with the orbit map (every column of the block's orbits, its representative
+and an element taking the one to the other), keeping nothing itself.
+``*_matrix`` hands it the full factors and writes each column, w(g) times
+its representative's, into the labelled matrix.  ``*_coefficient`` hands it
+row bases, keeps the nonzero summed columns and ranks them after the walk:
+each factor M_f = B_f R_f, with R_f its first rank-many independent rows
 (``SpechtMatrix.row_basis``, or its Kronecker power for the plethysm factor)
 and B_f injective, so A = (tensor of the B_f) C with C the walk's output on
 the R_f, and rank A = rank C.  That path's ``max_matrix_cells`` guard counts
@@ -42,7 +46,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,7 +80,7 @@ class LabeledCoefficientMatrix:
         return int_rank(self.entries.tolist(), self.entries.shape[1])
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [tuple(int(x) for x in self.entries[:, j]) for j in range(self.entries.shape[1])]
+        return list(map(tuple, self.entries.T.tolist()))
 
     def polytope_affine_dimension(self) -> int:
         """Affine dimension of the convex hull of the distinct columns."""
@@ -131,24 +135,15 @@ def _column_table(labels: Sequence, positions: np.ndarray, limits: Limits) -> np
 _CHUNK = 1 << 18
 
 
-@dataclass(frozen=True)
-class _Orbits:
-    """The orbits of G on the column labels of the factor product."""
-
-    columns: np.ndarray  # (k, rows): row i is the i-th representative's summed column, nonzero
-    # the orbit map, filled for the matrix path only
-    rep: np.ndarray | None = None  # per column: its representative's index in columns, or -1
-    sign: np.ndarray | None = None  # per column j: w(g) for g taking the representative to j, or 0
-
-
 def _orbit_walk(
     factors: Sequence,
+    matrices: Sequence,
     positions: Sequence[np.ndarray],
     weights: np.ndarray,
     limits: Limits,
-    dense: bool = False,
-) -> _Orbits:
-    """Summed columns of the orbit representatives, and for *dense* the orbit map.
+    take: Callable,
+) -> None:
+    """Sum the columns of the orbit representatives and hand them to *take*.
 
     A representative is the least column of its orbit.  The elements taking
     it to j form a coset of its stabiliser, so the weights summed over them
@@ -156,14 +151,16 @@ def _orbit_walk(
     column is s times the sum over j of w(g_j) E_j, with E_j the tensor
     product of the factor columns at j.  Orbits with s = 0 are not summed.
 
-    The factor columns are read on each factor's ``row_basis``, or on its
-    full ``entries`` when *dense*, which also records the orbit map.
+    E_j is read on *matrices*, one per factor, each with the factor's
+    columns; the factors give the column labels.  The walk goes in blocks
+    and keeps none: each block's live orbits are handed over as
+    ``take(summed, js, rep, g)``, where row i of *summed* is the i-th
+    representative's summed column (zero when its elementary columns
+    cancel), *js* are the orbits' columns, *rep* each column's row in
+    *summed* and *g* an element taking that representative to the column.
     """
     # factor columns as rows, to gather them whole
-    mats = [
-        np.asarray(f.entries if dense else f.row_basis, dtype=np.int64).T.copy()
-        for f in factors
-    ]
+    mats = [np.asarray(m, dtype=np.int64).T.copy() for m in matrices]
     sizes = [mat.shape[0] for mat in mats]
     n_rows = prod(mat.shape[1] for mat in mats)
     n_cols = prod(sizes)
@@ -178,11 +175,7 @@ def _orbit_walk(
     # columns once, each with an element taking the representative there;
     # w is trivial on a live orbit's stabiliser, so any such element has the
     # same weight.
-    if dense:
-        index = np.full(n_cols, -1, dtype=np.int64)
-        sign = np.zeros(n_cols, dtype=np.int8)
     reached = np.zeros(n_cols, dtype=bool)
-    blocks = [np.zeros((0, n_rows), dtype=np.int64)]
     n_live = 0
     n_group = len(weights)
     step = max(1, _CHUNK // n_group)
@@ -203,14 +196,11 @@ def _orbit_walk(
         once[:, 1:] = js[:, 1:] != js[:, :-1]
         # rep: among this block's live representatives, in runs
         rep, g, js = np.nonzero(once)[0], g[once], js[once]
-        if dense:
-            index[js] = n_live + rep
-            sign[js] = weights[g]
         coef = stabiliser[rep] * weights[g]
-        n_new = len(stabiliser)
-        limits.require("max_matrix_cells", n_rows * (n_live + n_new))
+        n_live += len(stabiliser)
+        limits.require("max_matrix_cells", n_rows * n_live)
         # sum the live orbits' elementary columns, representative by representative
-        summed = np.zeros((n_new, n_rows), dtype=np.int64)
+        summed = np.zeros((len(stabiliser), n_rows), dtype=np.int64)
         chunk = max(1, _CHUNK // n_rows)
         for lo in range(0, len(js), chunk):
             part = js[lo : lo + chunk]
@@ -220,42 +210,36 @@ def _orbit_walk(
             segment = rep[lo : lo + chunk]
             bounds = np.flatnonzero(np.r_[True, segment[1:] != segment[:-1]])
             summed[segment[bounds]] += np.add.reduceat(acc, bounds)
-        blocks.append(summed)
-        n_live += n_new
-
-    # elementary columns can cancel: drop representatives that summed to zero
-    summed = np.concatenate(blocks)
-    nonzero = summed.any(axis=1)
-    if not dense:
-        return _Orbits(summed[nonzero])
-    if not nonzero.all():
-        renumber = np.full(n_live + 1, -1, dtype=np.int64)
-        renumber[:-1][nonzero] = np.arange(np.count_nonzero(nonzero))
-        index = renumber[index]
-        sign[index < 0] = 0
-        summed = summed[nonzero]
-    return _Orbits(summed, index, sign)
+        take(summed, js, rep, g)
 
 
 def _coefficient(factors, positions, weights, limits: Limits) -> int:
-    walk = _orbit_walk(factors, positions, weights, limits)
-    return int_rank(walk.columns.tolist())
+    # elementary columns can cancel: keep each block's nonzero rows
+    blocks = []
+    take = lambda summed, js, rep, g: blocks.append(summed[summed.any(axis=1)])
+    _orbit_walk(factors, [f.row_basis for f in factors], positions, weights, limits, take)
+    return int_rank(row for block in blocks for row in block.tolist())
 
 
 def _coefficient_matrix(
     kind: str, partitions: tuple[Partition, ...], factors, positions, weights, limits: Limits
 ) -> LabeledCoefficientMatrix:
     n_rows = prod(f.shape[0] for f in factors)
-    limits.require("max_matrix_cells", n_rows * prod(f.shape[1] for f in factors))
-    walk = _orbit_walk(factors, positions, weights, limits, dense=True)
-    # representative -1 reads the appended zero column
-    reps = np.vstack([walk.columns, np.zeros((1, n_rows), dtype=np.int64)])
+    n_cols = prod(f.shape[1] for f in factors)
+    limits.require("max_matrix_cells", n_rows * n_cols)
+    entries = np.zeros((n_rows, n_cols), dtype=np.int64)
+
+    # column j of an orbit is w(g) times its representative's column
+    def take(summed, js, rep, g):
+        entries[:, js] = (summed[rep] * weights[g, None]).T
+
+    _orbit_walk(factors, [f.entries for f in factors], positions, weights, limits, take)
     return LabeledCoefficientMatrix(
         kind,
         partitions,
         tuple(itertools.product(*(f.row_labels for f in factors))),
         tuple(itertools.product(*(f.col_labels for f in factors))),
-        np.ascontiguousarray((reps[walk.rep] * walk.sign[:, None]).T),
+        entries,
     )
 
 

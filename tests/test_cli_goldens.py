@@ -1,13 +1,16 @@
-"""Byte-identical CLI output of the polytope, matroid and chow commands
-against goldens.
+"""Byte-identical CLI output of the polytope, matroid, chow and coeff
+commands against goldens.
 
 Each golden file maps a command line to its exit code, standard output and
 standard error.  ``goldens/cli_polytope.json`` holds the polytope commands,
-``goldens/cli_matroid.json`` the matroid and chow commands; an output longer
-than ``DIGEST_OVER`` characters (the larger Chow presentations run to
-megabytes) is held as the SHA-256 of its UTF-8 bytes.  Commands run from the
-repository root, so ``--matrix`` paths are relative to it.  A change that
-alters the outputs on purpose regenerates both files with
+``goldens/cli_matroid.json`` the matroid and chow commands and
+``goldens/cli_coeff.json`` the coefficient commands; an output longer than
+``DIGEST_OVER`` characters (the larger Chow presentations run to megabytes)
+is held as the SHA-256 of its UTF-8 bytes.  Commands run from the repository
+root, so ``--matrix`` paths are relative to it.  An ``--emit-matrix`` file is
+written into a temporary directory instead of the path on the command line,
+and its record gains ``emitted``, the SHA-256 of the file's bytes.  A change
+that alters the outputs on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_cli_goldens.py
 
@@ -19,12 +22,14 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from spechtkit.cli import main
 from spechtkit.combinatorics import partitions_of
+from test_coefficients import triples_up_to_4
 
 ROOT = Path(__file__).parent.parent
 GOLDENS = ROOT / "tests" / "goldens"
@@ -58,18 +63,55 @@ MATROID = [
     for strategy in ("subsets", "flats")
 ]
 
-FILES = {"cli_polytope.json": POLYTOPE, "cli_matroid.json": MATROID}
+EMIT = "--emit-matrix"
+
+# the seven triples whose matrices the coeff benchmark workload emits
+MATRIX_TRIPLES = [
+    ("kronecker", ("2,1", "2,1", "2,1")),
+    ("kronecker", ("2,2", "2,1,1", "3,1")),
+    ("kronecker", ("3,1", "2,1,1", "2,1,1")),
+    ("lr", ("2,1", "1", "3,1")),
+    ("lr", ("2", "1,1", "3,1")),
+    ("plethysm", ("2", "2", "2,2")),
+    ("plethysm", ("2", "1,1", "3,1")),
+]
+
+
+def coeff_argv(kind, triple, *extra):
+    lam, mu, nu = map(str, triple)
+    return ["coeff", kind, "--lambda", lam, "--mu", mu, "--nu", nu, *extra, "--format", "json"]
+
+
+COEFF = [
+    coeff_argv(kind, triple)
+    for kind in ("kronecker", "lr", "plethysm")
+    for triple in triples_up_to_4(kind)
+] + [coeff_argv(kind, triple, EMIT, "matrix.json") for kind, triple in MATRIX_TRIPLES]
+
+FILES = {"cli_polytope.json": POLYTOPE, "cli_matroid.json": MATROID, "cli_coeff.json": COEFF}
 CASES = [(name, argv) for name, commands in FILES.items() for argv in commands]
 
 
+def digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 def run(argv):
+    argv = list(argv)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    stdout = out.getvalue()
-    if len(stdout) > DIGEST_OVER:
-        stdout = "sha256:" + hashlib.sha256(stdout.encode()).hexdigest()
-    return {"exit": code, "stdout": stdout, "stderr": err.getvalue()}
+    with tempfile.TemporaryDirectory() as tmp:
+        emitted = Path(tmp, "emitted.json")
+        if EMIT in argv:
+            argv[argv.index(EMIT) + 1] = str(emitted)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        stdout = out.getvalue()
+        if len(stdout) > DIGEST_OVER:
+            stdout = digest(stdout.encode())
+        record = {"exit": code, "stdout": stdout, "stderr": err.getvalue()}
+        if emitted.exists():
+            record["emitted"] = digest(emitted.read_bytes())
+    return record
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,8 @@ def test_kronecker_2_2_2_golden():
     assert sorted(int(x) for x in mat.entries[0]) == [-2, -2, -2, -2, 2, 2, 2, 2]
     assert mat.entries[0][0] == 2  # column ((1,2),(1,2),(1,2))
     assert mat.rank() == 1
+    assert mat.columns() == [tuple(int(x) for x in mat.entries[:, j]) for j in range(8)]
+    assert all(type(x) is int for col in mat.columns() for x in col)
     assert kronecker_coefficient(P("2"), P("2"), P("2")) == 1
 
 
@@ -373,6 +375,15 @@ def triples_up_to_4(kind):
 SETUPS = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
 
 
+def walk_blocks(kind, triple, read):
+    """Every block the orbit walk hands over, reading each factor by *read*."""
+    factors, positions, weights = SETUPS[kind](*triple, Limits())
+    blocks = []
+    take = lambda *block: blocks.append(block)
+    _orbit_walk(factors, [read(f) for f in factors], positions, weights, Limits(), take)
+    return blocks
+
+
 @pytest.mark.parametrize("kind", sorted(SETUPS))
 def test_row_basis_value_equals_full_walk_and_oracle(kind):
     # M_f = B_f R_f with B_f injective, so the walk on the row bases R_f has
@@ -380,10 +391,29 @@ def test_row_basis_value_equals_full_walk_and_oracle(kind):
     triples = list(triples_up_to_4(kind))
     assert len(triples) == {"kronecker": 161, "lr": 64, "plethysm": 97}[kind]
     for triple in triples:
-        full = _orbit_walk(*SETUPS[kind](*triple, Limits()), Limits(), dense=True)
+        blocks = walk_blocks(kind, triple, lambda f: f.entries)
         expected = ORACLES[kind](*triple)
-        assert int_rank(full.columns.tolist()) == expected, triple
+        assert int_rank(np.concatenate([b[0] for b in blocks]).tolist()) == expected, triple
         assert VALUES[kind](*triple) == expected, triple
+
+
+@pytest.mark.parametrize("kind", sorted(SETUPS))
+def test_orbit_map_is_the_same_on_row_bases_and_full_factors(kind):
+    # summed on the full factors = (tensor of the B_f) summed on the row
+    # bases, with the tensor injective: both walks hand over the same orbit
+    # map block by block and cancel the same representatives
+    cancelled = 0
+    for triple in triples_up_to_4(kind):
+        basis = walk_blocks(kind, triple, lambda f: f.row_basis)
+        full = walk_blocks(kind, triple, lambda f: f.entries)
+        assert len(basis) == len(full), triple
+        for (low, *orbit_map), (high, *full_map) in zip(basis, full):
+            for a, b in zip(orbit_map, full_map):
+                assert np.array_equal(a, b), triple
+            zero = ~low.any(axis=1)
+            assert np.array_equal(zero, ~high.any(axis=1)), triple
+            cancelled += int(zero.sum())
+    assert cancelled == {"kronecker": 2981, "lr": 151, "plethysm": 221}[kind]
 
 
 def test_tensor_power_row_basis_is_the_power_of_the_base_row_basis():
