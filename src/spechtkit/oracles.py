@@ -8,8 +8,8 @@ dimensions from a brute-force standard-filling counter, funny sums pair by
 pair over properly ordered set partitions, matroid flats from the closure of
 every independent subset, Tutte polynomials by deletion-contraction on the
 columns, Chow graded dimensions from a quotient-ring relation-matrix rank over
-those flats, and polytope facets from a search over every spanning point
-subset.
+those flats, polytope facets from a search over every spanning point subset,
+and polytope faces level by level from the facets.
 """
 
 from __future__ import annotations
@@ -539,3 +539,34 @@ def _hyperplane_normal(rows: list[tuple[int, ...]], dim: int) -> tuple[int, ...]
         kernel[c] = -row[free] * (scale // row[c])
     g = gcd(*kernel)
     return tuple(x // g for x in kernel)
+
+
+# ---------------------------------------------------------------------------
+# polytope faces level by level
+
+
+def face_levels_oracle(top: int, facets: Sequence[int]) -> list[list[int]]:
+    """Faces of a polytope as vertex bitmasks, one list per dimension from the
+    empty face up to P, given P's vertices *top* and each facet's vertices.
+
+    The lattice is walked down by covers (Kaibel and Pfetsch, 2002): the
+    facets of a face F are the inclusion-maximal sets F & H over the facets
+    H that do not hold F, and a vertex's only facet is the empty face.  Each
+    level is kept whole and every face of it meets every facet: small
+    polytopes only.
+    """
+    levels = [[top]]
+    while levels[-1] != [0]:
+        covers: set[int] = set()
+        for face in levels[-1]:
+            meets = {face & h for h in facets} - {face}
+            kept: list[int] = []  # the maximal meets, found largest first
+            for m in sorted(meets, key=int.bit_count, reverse=True):
+                for k in kept:
+                    if m & k == m:
+                        break
+                else:
+                    kept.append(m)
+            covers.update(kept)
+        levels.append(list(covers) or [0])
+    return levels[::-1]

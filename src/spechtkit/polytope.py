@@ -16,10 +16,17 @@ an index that keeps, for each point, the bitset of the rays vanishing there.
 Membership is a span test and one facet inequality per facet on x[piv].
 Lattice points are scanned in the box of the vertices' pivot coordinates:
 a point inside every facet is kept when its lift to the affine hull is
-integral.  The face lattice is walked down by covers from the vertex-facet
-incidences, one dimension per level, so the f-vector is the list of level
-sizes.  All arithmetic is on integers, so f-vectors and lattice-point lists
-carry no numerical tolerance.
+integral.  Faces are walked depth first by the face iterator of Kliem and
+Stump (2022), on bitmasks read off the vertex-facet incidences: a face's
+facets are its maximal meets with the facets of its parent taken before it,
+less those inside a face already visited, so every face comes out once and
+memory is the depth times the coatoms, not a whole level.  The walk takes
+the face lattice, whose coatoms are the facets as vertex sets, or the
+reversed lattice, whose coatoms are the vertices as the sets of facets
+holding them and whose k-faces are the (dim - 1 - k)-faces of P, whichever
+has fewer coatoms.  The f-vector counts the faces as they come.  All
+arithmetic is on integers, so f-vectors and lattice-point lists carry no
+numerical tolerance.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
-from operator import index, mul
-from typing import Sequence
+from operator import and_, index, mul, or_
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,38 +93,35 @@ class Polytope:
 
     # -- faces --------------------------------------------------------------
 
-    def _face_levels(self) -> list[list[int]]:
-        """Faces as vertex bitmasks, one list per dimension from P down to the
-        empty face, walked by covers (Kaibel and Pfetsch, 2002): the facets of
-        a face F are the inclusion-maximal sets F & H over the facets H of P
-        that do not hold F, and a vertex's only facet is the empty face.
-        """
+    def _incidences(self) -> tuple[list[int], list[int]]:
+        """The coatoms of the face lattice and of the reversed lattice: each
+        facet as the bitmask of its vertices, and each vertex as the bitmask
+        of the facets that hold it."""
         top = sum(1 << i for i in self.vertex_indices)
         facets = [top & sum(1 << i for i in f.vertex_indices) for f in self.facets]
-        levels = [[top]]
-        while levels[-1] != [0]:
-            covers: set[int] = set()
-            for face in levels[-1]:
-                meets = {face & h for h in facets} - {face}
-                kept: list[int] = []  # the maximal meets, found largest first
-                for m in sorted(meets, key=int.bit_count, reverse=True):
-                    for k in kept:
-                        if m & k == m:
-                            break
-                    else:
-                        kept.append(m)
-                covers.update(kept)
-            levels.append(list(covers) or [0])
-        return levels
+        vertices = [
+            sum(1 << j for j, h in enumerate(facets) if h >> i & 1) for i in self.vertex_indices
+        ]
+        return facets, vertices
 
     def face_lattice(self) -> list[frozenset[int]]:
         """All faces as vertex-index sets, including the empty face and P."""
-        faces = [frozenset(_bits(m)) for level in self._face_levels() for m in level]
+        facets, vertices = self._incidences()
+        top = sum(1 << i for i in self.vertex_indices)
+        if len(facets) <= len(vertices):
+            masks = _lattice(facets, top, self.dim)
+        else:  # a reversed face is the set of facets holding a face of P
+            reversed_masks = _lattice(vertices, (1 << len(facets)) - 1, self.dim)
+            masks = [reduce(and_, (facets[j] for j in _bits(m)), top) for m in reversed_masks]
+        faces = [frozenset(_bits(m)) for m in masks]
         return sorted(faces, key=lambda s: (len(s), sorted(s)))
 
     def f_vector(self) -> list[int]:
         """Face counts by dimension from -1 (empty face) to dim (P itself)."""
-        return [len(level) for level in reversed(self._face_levels())]
+        facets, vertices = self._incidences()
+        if len(facets) <= len(vertices):
+            return _face_counts(facets, self.dim)
+        return _face_counts(vertices, self.dim)[::-1]
 
     # -- lattice points -----------------------------------------------------
 
@@ -331,6 +336,79 @@ def _find_vertices(n_points: int, facet_masks: list[int]) -> list[int]:
         if face == 1 << i:
             out.append(i)
     return out
+
+
+# ---------------------------------------------------------------------------
+# faces depth first (Kliem and Stump, 2022)
+#
+# A lattice is given by its coatoms as bitmasks over its atoms: the facets as
+# vertex sets for the face lattice of P, or the vertices as facet sets for
+# the reversed lattice, which is the face lattice of the polar of P and has
+# the same dimension.  A k-face of the reversed lattice is a
+# (dim - 1 - k)-face of P.
+
+
+def _face_walk(coatoms: list[int], dim: int) -> Iterator[tuple[int, int]]:
+    """(k, face) for every face of dimension 1 <= k < dim, each once.
+
+    The face iterator of Kliem and Stump: the faces below a face F are
+    walked by taking F's candidate facets from last to first.  The
+    candidates of such a facet G are its maximal meets with the candidates
+    before it, less those inside a visited face, whose faces have all been
+    walked; G is visited once its own faces are.  So every candidate is a
+    new face, and the candidates of one face are its facets, none inside
+    another.  The visited faces are one stack, so memory is the depth times
+    the coatoms.  Edges are not expanded: their facets are the atoms.
+    """
+    if dim < 2:
+        return
+    visited: list[int] = []  # a stack shared by the frames
+    # a frame: candidates, their dimension, the face they are the facets
+    # of, and the length of *visited* when that face was reached
+    stack = [(list(coatoms), dim - 1, 0, 0)]
+    while stack:
+        todo, k, owner, start = stack[-1]
+        if not todo:
+            stack.pop()
+            del visited[start:]
+            visited.append(owner)
+            continue
+        face = todo.pop()
+        yield k, face
+        if k == 1:
+            continue
+        kept: list[int] = []  # the maximal meets, found largest first
+        for m in sorted({face & c for c in todo}, key=int.bit_count, reverse=True):
+            for v in kept:
+                if m & v == m:
+                    break
+            else:
+                for v in visited:
+                    if m & v == m:
+                        break
+                else:
+                    kept.append(m)
+        if k == 2:
+            for m in kept:
+                yield 1, m
+            visited.append(face)
+        else:
+            stack.append((kept, k - 1, face, len(visited)))
+
+
+def _face_counts(coatoms: list[int], dim: int) -> list[int]:
+    """Face counts of the lattice by dimension, from the bottom to the top."""
+    counts = [1] + [0] * dim + [1]
+    counts[1] += reduce(or_, coatoms, 0).bit_count()  # the atoms; none when P is a point
+    for k, _ in _face_walk(coatoms, dim):
+        counts[k + 1] += 1
+    return counts
+
+
+def _lattice(coatoms: list[int], top: int, dim: int) -> list[int]:
+    """Every face of the lattice: the top, the walk, the atoms and 0."""
+    atoms = [1 << i for i in _bits(reduce(or_, coatoms, 0))]
+    return [top, *(m for _, m in _face_walk(coatoms, dim)), *atoms, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from spechtkit.oracles import (
     _hyperplane_normal,
     character_value,
     class_size_factor,
+    face_levels_oracle,
     kronecker_oracle,
     lr_oracle,
     plethysm_oracle,
@@ -125,3 +126,14 @@ def test_hyperplane_normal_on_seeded_rows():
         assert all(sum(a * b for a, b in zip(row, normal)) == 0 for row in rows)
         assert gcd(*normal) == 1
     assert independent > 100
+
+
+def test_face_levels_oracle_on_a_square_pyramid():
+    # base square 0-1-2-3 around the rim, apex 4
+    base = 0b01111
+    sides = [1 << i | 1 << (i + 1) % 4 | 1 << 4 for i in range(4)]
+    levels = face_levels_oracle(0b11111, [base] + sides)
+    assert [len(level) for level in levels] == [1, 5, 8, 5, 1]
+    assert levels[0] == [0] and levels[-1] == [0b11111]
+    assert sorted(levels[1]) == [1 << i for i in range(5)]
+    assert sorted(levels[3]) == sorted([base] + sides)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from spechtkit import polytope
 from spechtkit.combinatorics import Partition, partitions_of
+from spechtkit.config import Limits
 from spechtkit.errors import DomainError
 from spechtkit.linalg import affine_rank, int_rank
-from spechtkit.oracles import facets_oracle
+from spechtkit.oracles import face_levels_oracle, facets_oracle
 from spechtkit.polytope import (
     polytope_from_columns,
     root_polytope,
@@ -34,6 +36,9 @@ LIGHT_F_VECTORS = {
     (2, 2, 1): [1, 10, 45, 90, 75, 22, 1],
     (2, 1, 1, 1): [1, 5, 10, 10, 5, 1],
 }
+
+CUBE4 = list(itertools.product((0, 1), repeat=4))  # 8 facets, 16 vertices
+CROSS4 = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]  # 16, 8
 
 
 def test_square_from_unit_points():
@@ -191,18 +196,17 @@ def test_non_simplicial_facets_match_oracle():
     octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     # a square pyramid with points inside its base edges and faces
     pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2), (1, 0, 0), (1, 1, 0)]
-    cube4 = list(itertools.product((0, 1), repeat=4))
-    cross4 = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
     # the 3-cube embedded in Z^5
     amap = injective_map(3, 3)
     embedded = [tuple(sum(a * x for a, x in zip(row, p)) for row in amap) + (7,) for p in cube]
-    for pts in (cube, octahedron, pyramid, cube4, cross4, embedded):
+    for pts in (cube, octahedron, pyramid, CUBE4, CROSS4, embedded):
         poly = polytope_from_columns(pts)
         assert_matches_oracle(poly)
         assert_euler(poly)
+        assert_faces_match_levels(poly)
     assert len(polytope_from_columns(cube).facets) == 6
-    assert polytope_from_columns(cube4).f_vector() == [1, 16, 32, 24, 8, 1]
-    assert polytope_from_columns(cross4).f_vector() == [1, 8, 24, 32, 16, 1]
+    assert polytope_from_columns(CUBE4).f_vector() == [1, 16, 32, 24, 8, 1]
+    assert polytope_from_columns(CROSS4).f_vector() == [1, 8, 24, 32, 16, 1]
     assert polytope_from_columns(embedded).dim == 3
 
 
@@ -434,7 +438,7 @@ def test_membership_is_exact_and_refuses_other_types():
 
 
 # ---------------------------------------------------------------------------
-# the face walk by covers against intersection closure
+# the face walk against intersection closure
 
 
 def reference_faces(poly):
@@ -490,6 +494,95 @@ def test_face_lattice_holds_vertex_sets_only():
         frozenset(s) for s in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
     ]
     assert poly.f_vector() == [1, 3, 3, 1]
+
+
+# ---------------------------------------------------------------------------
+# the depth-first face walk against the level walk
+
+
+def assert_faces_match_levels(poly):
+    verts = set(poly.vertex_indices)
+    facets = [sum(1 << i for i in f.vertex_indices if i in verts) for f in poly.facets]
+    levels = face_levels_oracle(sum(1 << i for i in verts), facets)
+    assert poly.f_vector() == [len(level) for level in levels]
+    faces = [frozenset(i for i in verts if m >> i & 1) for level in levels for m in level]
+    assert poly.face_lattice() == sorted(faces, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [p.parts for n in range(1, 6) for p in partitions_of(n)],
+    ids=str,
+)
+def test_face_walk_matches_levels_on_specht_shapes(parts):
+    assert_faces_match_levels(column_polytope(parts))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_face_walk_matches_levels_on_root_polytopes(k):
+    assert_faces_match_levels(root_polytope(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets())
+def test_face_walk_matches_levels_on_random_point_sets(pts):
+    assert_faces_match_levels(polytope_from_columns(pts))
+
+
+@pytest.mark.parametrize(
+    "points,reverses",
+    [
+        (CUBE4, False),
+        (CROSS4, True),
+        (specht_matrix(Partition((3, 2))).columns(), False),
+        (specht_matrix(Partition((4, 1))).columns(), True),
+        (root_polytope(5).ambient_points, True),
+    ],
+    ids=["4-cube", "4-cross", "(3,2)", "(4,1)", "root-5"],
+)
+def test_face_walk_counts_agree_on_both_sides(points, reverses):
+    poly = polytope_from_columns(points)
+    facets, vertices = poly._incidences()
+    assert (len(vertices) < len(facets)) == reverses  # the side f_vector() walks
+    counts = polytope._face_counts(facets, poly.dim)
+    assert polytope._face_counts(vertices, poly.dim)[::-1] == counts == poly.f_vector()
+
+
+def test_f_vector_memory_is_bounded_by_the_walk_depth():
+    limits = Limits(max_polytope_dim=10)
+    poly = polytope_from_columns(specht_matrix(Partition((4, 1, 1)), limits).columns(), limits)
+    tracemalloc.start()
+    try:
+        fvec = poly.f_vector()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fvec == [1, 40, 580, 4050, 15330, 33384, 42744, 31650, 12630, 2280, 120, 1]
+    assert peak < 1_000_000  # a walk keeping a whole level of 42,744 faces peaks near 7 MB
+
+
+N6_F_VECTORS = {
+    (5, 1): ([1, 30, 120, 210, 180, 62, 1], {}),
+    (3, 3): ([1, 15, 60, 80, 45, 12, 1], {}),
+    (2, 2, 2): ([1, 20, 90, 120, 60, 12, 1], {}),
+    (2, 2, 1, 1): (
+        [1, 15, 105, 435, 1095, 1657, 1470, 735, 195, 25, 1],
+        {"max_polytope_dim": 10},
+    ),
+    (4, 1, 1): (
+        [1, 40, 580, 4050, 15330, 33384, 42744, 31650, 12630, 2280, 120, 1],
+        {"max_polytope_dim": 10},
+    ),
+}
+
+
+@pytest.mark.parametrize("parts", list(N6_F_VECTORS), ids=str)
+def test_n6_f_vectors(parts):
+    fvec, guards = N6_F_VECTORS[parts]
+    limits = Limits(**guards)
+    poly = polytope_from_columns(specht_matrix(Partition(parts), limits).columns(), limits)
+    assert poly.f_vector() == fvec
+    assert_euler(poly)
 
 
 # ---------------------------------------------------------------------------
