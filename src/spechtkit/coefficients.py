@@ -38,6 +38,25 @@ the columns and the compressed rows times the live representatives, the
 memory it holds.  The column-label tables the walk reads (``_column_table``,
 also the action table of ``conjectures.gram_column``) are checked against
 the same guard, built for each call and dropped with it.
+
+Since S^lam' = S^lam (x) sgn, each coefficient equals the same coefficient
+on some conjugated triples:
+
+* Kronecker: g(lam, mu, nu) = g(lam', mu', nu) = g(lam', mu, nu') = g(lam, mu', nu');
+* Littlewood-Richardson: c^nu_{lam mu} = c^nu'_{lam' mu'}, as omega is a ring
+  automorphism;
+* plethysm: <s_mu[s_lam], s_nu> = <s_mu~[s_lam'], s_nu'>, with mu~ = mu for
+  |lam| even and mu' for |lam| odd (Macdonald, Symmetric Functions and Hall
+  Polynomials, I.8 Ex. 1).
+
+The walk costs one pass over the product of the factors' column counts,
+n! / prod of the column lengths! for each factor: n! for a one-row shape, 1
+for a one-column shape, while the row-basis sizes d_lam do not change under
+conjugation.  So ``*_coefficient`` walks the variant with the fewest columns
+(``_fewest_columns``; the tensor power counts its base's columns to the m-th
+power, and a tie keeps the triple given), and the numbers in a refusal of
+its guards refer to the variant walked.  ``*_matrix`` walks the triple as
+given, whose labels it returns.
 """
 
 from __future__ import annotations
@@ -243,6 +262,31 @@ def _coefficient_matrix(
     )
 
 
+def _fewest_columns(triple: tuple[Partition, ...], flips, limits: Limits, powers=(1, 1, 1)):
+    """The variant of *triple* that conjugates the factors named by one of
+    *flips* and whose factors have the fewest columns in product, factor f
+    counting to the power powers[f]; the first flip wins a tie."""
+    # a pairing matrix has at least n! cells and every setup refuses one past
+    # max_matrix_cells: keep such a triple as given, and take no factorial
+    # past that guard
+    cells = 1
+    for k in range(2, max(p.n for p in triple) + 1):
+        cells *= k
+        if cells > limits.max_matrix_cells:
+            return triple
+
+    # p has n! / prod of its column lengths! columns, and that product is
+    # prod over rows i of i^p_i; p' has n! / prod of the p_i!
+    def columns(p, e):
+        whole = factorial(p.n)
+        given = whole // prod(i**x for i, x in enumerate(p.parts, 1))
+        return given**e, (whole // prod(map(factorial, p.parts))) ** e
+
+    counts = [columns(p, e) for p, e in zip(triple, powers)]
+    flip = min(flips, key=lambda flip: prod(c[f in flip] for f, c in enumerate(counts)))
+    return tuple(p.conjugate() if f in flip else p for f, p in enumerate(triple))
+
+
 def _symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-based one-line images of S_n, one row per element, and the signs."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
@@ -274,7 +318,8 @@ def kronecker_matrix(
 def kronecker_coefficient(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> int:
-    return _coefficient(*_kronecker_setup(lam, mu, nu, limits), limits)
+    triple = _fewest_columns((lam, mu, nu), [(), (0, 1), (0, 2), (1, 2)], limits)
+    return _coefficient(*_kronecker_setup(*triple, limits), limits)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +353,8 @@ def lr_matrix(
 def lr_coefficient(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> int:
-    return _coefficient(*_lr_setup(lam, mu, nu, limits), limits)
+    triple = _fewest_columns((lam, mu, nu), [(), (0, 1, 2)], limits)
+    return _coefficient(*_lr_setup(*triple, limits), limits)
 
 
 # ---------------------------------------------------------------------------
@@ -449,4 +495,7 @@ def plethysm_matrix(
 def plethysm_coefficient(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> int:
-    return _coefficient(*_plethysm_setup(lam, mu, nu, limits), limits)
+    # mu is conjugated with lam' only for |lam| odd
+    flip = (0, 2) if lam.n % 2 == 0 else (0, 1, 2)
+    triple = _fewest_columns((lam, mu, nu), [(), flip], limits, (mu.n, 1, 1))
+    return _coefficient(*_plethysm_setup(*triple, limits), limits)

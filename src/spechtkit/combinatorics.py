@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator, Sequence
@@ -26,12 +27,23 @@ Box = tuple[int, int]
 # partitions and diagrams
 
 
+def _part(x) -> int:
+    """A part as a Python int; integral numpy scalars convert, bools and
+    non-integers (2.5, 2.0) are refused."""
+    if isinstance(x, bool):
+        raise DomainError(f"partition parts must be integers, not {x!r}")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"partition parts must be integers, not {x!r}") from None
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        p = tuple(self.parts)
+        p = tuple(map(_part, self.parts))
         object.__setattr__(self, "parts", p)
         if any(x <= 0 for x in p):
             raise DomainError(f"partition parts must be positive: {p}")

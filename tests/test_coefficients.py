@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spechtkit import coefficients
 from spechtkit.coefficients import (
+    _coefficient,
     _column_table,
     _kronecker_setup,
     _lr_setup,
@@ -438,3 +440,104 @@ def test_kronecker_at_n_6_under_raised_limits():
     limits = Limits(max_coefficient_n=6, max_group_order=1000, max_matrix_cells=10**9)
     triple = (P("2,2,1,1"), P("3,2,1"), P("3,2,1"))
     assert kronecker_coefficient(*triple, limits) == kronecker_oracle(*triple) == 3
+
+
+def conjugate_variants(kind, lam, mu, nu):
+    """The triples whose coefficient equals that of (lam, mu, nu), because
+    S^lam' = S^lam (x) sgn: the walk of each must give the same rank."""
+    c = Partition.conjugate
+    if kind == "kronecker":
+        return [(lam, mu, nu), (c(lam), c(mu), nu), (c(lam), mu, c(nu)), (lam, c(mu), c(nu))]
+    if kind == "lr":
+        return [(lam, mu, nu), (c(lam), c(mu), c(nu))]
+    # omega(s_mu[s_lam]) = s_mu[s_lam'] for |lam| even, s_mu'[s_lam'] for odd
+    return [(lam, mu, nu), (c(lam), mu if lam.n % 2 == 0 else c(mu), c(nu))]
+
+
+@pytest.mark.parametrize("kind", sorted(SETUPS))
+def test_value_equals_the_walk_of_every_conjugate_variant_and_the_oracle(kind):
+    triples = list(small_triples(kind))
+    if kind == "kronecker":
+        triples += itertools.combinations_with_replacement(partitions_of(5), 3)
+    assert len(triples) == {"kronecker": 133, "lr": 64, "plethysm": 46}[kind]
+    for triple in triples:
+        expected = ORACLES[kind](*triple)
+        assert VALUES[kind](*triple) == expected, triple
+        for variant in conjugate_variants(kind, *triple):
+            setup = SETUPS[kind](*variant, Limits())
+            assert _coefficient(*setup, Limits()) == expected, (triple, variant)
+
+
+def test_value_path_walks_the_variant_with_fewest_columns(monkeypatch):
+    # record the factors' partitions and column product of every value walk
+    walked = []
+    walk = coefficients._coefficient
+
+    def record(factors, positions, weights, limits):
+        shapes = tuple(str(getattr(f, "base", f).partition) for f in factors)
+        walked.append((shapes, prod(f.shape[1] for f in factors)))
+        return walk(factors, positions, weights, limits)
+
+    monkeypatch.setattr(coefficients, "_coefficient", record)
+    # (5)^3 has 120^3 columns, (1^5),(1^5),(5) has 120
+    assert kronecker_coefficient(P("5"), P("5"), P("5")) == 1
+    # h2[h3] has 6^2 * 2 * 720 columns, e2[e3] one; |lam| = 3 is odd, so mu
+    # is conjugated too
+    assert plethysm_coefficient(P("3"), P("2"), P("6")) == 1
+    # c^(3,2,1)_(2,1),(2,1) is self-conjugate: a tie keeps the triple given
+    assert lr_coefficient(P("2,1"), P("2,1"), P("3,2,1")) == 2
+    # (3,1),(2,1,1),(1^4) ties (2,1,1),(3,1),(1^4) at 12 * 4 * 1 columns
+    assert kronecker_coefficient(P("3,1"), P("2,1,1"), P("1,1,1,1")) == 1
+    assert walked == [
+        (("1,1,1,1,1", "1,1,1,1,1", "5"), 120),
+        (("1,1,1", "1,1", "1,1,1,1,1,1"), 1),
+        (("2,1", "2,1", "3,2,1"), 3 * 3 * 60),
+        (("3,1", "2,1,1", "1,1,1,1"), 48),
+    ]
+
+
+def test_kronecker_4_2_4_2_4_1_1_answers_under_the_default_cells_guard():
+    # as given, the walk holds more than max_matrix_cells and was refused
+    # after seconds; (2,2,1,1),(2,2,1,1),(4,1,1) walks 15 * 15 * 120 columns
+    triple = (P("4,2"), P("4,2"), P("4,1,1"))
+    limits = Limits(max_coefficient_n=6)
+    assert limits.max_matrix_cells == Limits().max_matrix_cells
+    assert kronecker_coefficient(*triple, limits) == kronecker_oracle(*triple) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_value_path_admits_whatever_the_matrix_path_admits(kind, monkeypatch):
+    # the value path may walk a conjugate variant with a factor larger than
+    # any of the triple given; it must still fit the cells of the dense matrix
+    requested = []
+    require = Limits.require
+
+    def record(self, name, value):
+        if name == "max_matrix_cells":
+            requested.append(value)
+        require(self, name, value)
+
+    for triple in small_triples(kind):
+        requested.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Limits, "require", record)
+            BUILDERS[kind](*triple)
+        limits = Limits(max_matrix_cells=max(requested))
+        assert VALUES[kind](*triple, limits) == ORACLES[kind](*triple), triple
+
+
+def test_value_path_takes_no_factorial_past_the_cells_guard(monkeypatch):
+    # a size whose n! passes max_matrix_cells is refused by every setup, so
+    # choosing a variant for it must not cost more than the refusal
+    def bounded(n):
+        assert n <= 100, n
+        return factorial(n)
+
+    monkeypatch.setattr(coefficients, "factorial", bounded)
+    big = P("1000000")
+    with pytest.raises(ResourceLimitError, match="max_coefficient_n"):
+        kronecker_coefficient(big, big, big)
+    with pytest.raises(ResourceLimitError, match="max_coefficient_n"):
+        lr_coefficient(big, P("1"), P("1000001"))
+    with pytest.raises(ResourceLimitError, match="max_matrix_cells"):
+        plethysm_coefficient(P("2"), P("10000"), P("20000"))

@@ -1,5 +1,6 @@
 from math import factorial
 
+import numpy as np
 import pytest
 
 from spechtkit.combinatorics import (
@@ -34,6 +35,18 @@ def test_partition_parse_and_str():
 def test_partition_parse_rejects_bad_input(text):
     with pytest.raises(DomainError):
         Partition.parse(text)
+
+
+@pytest.mark.parametrize("parts", [(2.5,), (True, 1), (2.0, 1.0), (np.True_,), ("2",)])
+def test_partition_refuses_bools_and_non_integers(parts):
+    with pytest.raises(DomainError, match="integers"):
+        Partition(parts)
+
+
+def test_partition_converts_integral_numpy_scalars():
+    p = Partition((np.int64(3), np.int32(1)))
+    assert p == Partition((3, 1)) and hash(p) == hash(Partition((3, 1)))
+    assert all(type(x) is int for x in p.parts) and type(p.n) is int
 
 
 @pytest.mark.parametrize("n,count", sorted(PARTITION_COUNTS.items()))
