@@ -41,8 +41,12 @@ class Limits:
         if value > bound:
             from .errors import ResourceLimitError
 
+            # str() of an int past 4,300 digits raises ValueError, and a
+            # shorter huge one says nothing a bit length does not
+            bits = value.bit_length()
+            shown = value if bits <= 1024 else f"a {bits}-bit number"
             raise ResourceLimitError(
-                f"{name}: requested {value} exceeds limit {bound}"
+                f"{name}: requested {shown} exceeds limit {bound}"
             )
 
 

@@ -2,8 +2,13 @@
 
 The first is a bilinear "funny sum" over properly ordered set partitions that
 should detect equality of two permutations; the second matches the Chow
-graded dimensions of the hook matroids M(2,1^(n-1)) against derangements
+graded dimensions of the hook matroids M(2,1^(n-2)) against derangements
 counted by excedances, with a cyclic-orbit refinement.
+
+The excedance table comes from a DP over the sets of values already placed
+(2^n states, each one packed polynomial in t), not from the n! permutations;
+``oracles.derangement_excedance_oracle`` enumerates them for the tests.  The
+orbit refinement still walks the derangements, since it acts on them.
 """
 
 from __future__ import annotations
@@ -196,7 +201,8 @@ class ExcedanceTable:
 
 
 def _derangements(n: int) -> Iterator[tuple[Permutation, int]]:
-    """Each derangement g of 1..n with its number of excedances g(i) > i."""
+    """Each derangement g of 1..n with its number of excedances g(i) > i, for
+    the orbit refinement, which acts on the permutations themselves."""
     for g in all_permutations(n):
         if all(g(i) != i for i in range(1, n + 1)):
             yield g, sum(1 for i in range(1, n + 1) if g(i) > i)
@@ -205,16 +211,41 @@ def _derangements(n: int) -> Iterator[tuple[Permutation, int]]:
 def derangement_excedance_counts(
     n: int, limits: Limits = DEFAULT_LIMITS
 ) -> ExcedanceTable:
+    """Derangements of 1..n counted by excedances, by a DP over value sets.
+
+    Positions are filled in order, so a set S of used values fixes the next
+    position, |S| + 1.  Each state holds the polynomial in t counting the
+    fixed-point-free fillings of positions 1..|S| by S, t marking an
+    excedance; it is packed into one integer, a field of
+    ``factorial(n).bit_length() + 1`` bits per power of t, wide enough for
+    any count of n! or fewer.  That is 2^n states of at most n moves each
+    instead of n! permutations; ``oracles.derangement_excedance_oracle`` is
+    the enumeration the tests hold it to.
+    """
     limits.require("max_derangement_n", n)
-    counts: dict[int, int] = {}
-    for _, exc in _derangements(n):
-        counts[exc - 1] = counts.get(exc - 1, 0) + 1
-    top = max(counts) if counts else -1
-    return ExcedanceTable(n, tuple(counts.get(k, 0) for k in range(top + 1)))
+    width = factorial(n).bit_length() + 1
+    polys = [0] * (1 << n)
+    polys[0] = 1
+    for used in range(len(polys)):
+        poly = polys[used]
+        if not poly:
+            continue
+        pos = used.bit_count()  # zero-based position of the next value
+        raised = poly << width
+        for value in range(n):
+            if value != pos and not used >> value & 1:
+                polys[used | 1 << value] += raised if value > pos else poly
+    field = (1 << width) - 1
+    table = polys[-1] >> width  # t^0 counts only the empty derangement of n = 0
+    counts = []
+    while table:
+        counts.append(table & field)
+        table >>= width
+    return ExcedanceTable(n, tuple(counts))
 
 
 def hook_matroid(n: int, limits: Limits = DEFAULT_LIMITS):
-    """M(2, 1^(n-1)), the matroid of the near-staircase hook shape."""
+    """M(2, 1^(n-2)), the matroid of the hook shape of size n."""
     if n < 2:
         raise DomainError("n must be at least 2")
     return specht_matroid(Partition((2,) + (1,) * (n - 2)), limits)

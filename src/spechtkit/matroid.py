@@ -434,8 +434,13 @@ def poly1_to_json(p: Poly1, var: str = "t") -> dict[str, int]:
 
 
 def specht_matroid(p, limits: Limits = DEFAULT_LIMITS) -> LinearMatroid:
-    """Matroid of the columns of the pairing matrix of p, under *limits*."""
+    """Matroid of the columns of the pairing matrix of p, under *limits*.
+
+    It is built on the columns of the row basis, d_lambda entries long: the
+    basis rows span the row space, so a set of columns is independent there
+    exactly when it is in the full matrix.
+    """
     from .specht import specht_matrix
 
     mat = specht_matrix(p, limits)
-    return LinearMatroid(mat.col_labels, tuple(mat.columns()), limits)
+    return LinearMatroid(mat.col_labels, tuple(zip(*mat.row_basis)), limits)

@@ -5,7 +5,8 @@ from the Murnaghan-Nakayama rule on beta-numbers, coefficient values from
 character sums over partition-indexed conjugacy classes, coefficient matrices
 from a sum of pairing-matrix tensor products over every group element,
 dimensions from a brute-force standard-filling counter, funny sums pair by
-pair over properly ordered set partitions, matroid flats from the closure of
+pair over properly ordered set partitions, excedance tables over every
+permutation, matroid flats from the closure of
 every independent subset, Tutte polynomials by deletion-contraction on the
 columns, Chow graded dimensions from a quotient-ring relation-matrix rank over
 those flats, polytope facets from a search over every spanning point subset,
@@ -291,6 +292,21 @@ def funny_sum_oracle(n: int, pairs: Sequence[tuple]) -> list[int]:
             total += weight * sum(row_s[j] * row_t[j] for j in col_idx)
         values.append(total)
     return values
+
+
+# ---------------------------------------------------------------------------
+# derangements by excedances, one permutation at a time
+
+
+def derangement_excedance_oracle(n: int) -> tuple[int, ...]:
+    """Entry k counts the derangements of 1..n with k + 1 excedances
+    g(i) > i, from every permutation in turn."""
+    counts: Counter = Counter()
+    for g in itertools.permutations(range(n)):
+        if all(g[i] != i for i in range(n)):
+            counts[sum(g[i] > i for i in range(n))] += 1
+    top = max(counts, default=0)
+    return tuple(counts[k] for k in range(1, top + 1))
 
 
 # ---------------------------------------------------------------------------

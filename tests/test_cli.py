@@ -268,6 +268,15 @@ def test_resource_errors_exit_3(capsys):
     assert err.startswith("error: resource:")
 
 
+def test_guard_refusal_of_a_huge_request_exits_3(capsys):
+    # 2^20000 cells: its decimal string would pass Python's 4,300-digit limit
+    code, out, err = run(
+        capsys, "coeff", "plethysm", "--lambda", "2", "--mu", "20000", "--nu", "40000"
+    )
+    assert (code, out) == (3, "")
+    assert "max_matrix_cells: requested a 20001-bit number" in err
+
+
 def test_action_table_guard_exits_3(capsys):
     # S_m acts on the m! columns of (m): an m! x m! action table, checked
     # before it is built

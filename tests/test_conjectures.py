@@ -18,7 +18,7 @@ from spechtkit.conjectures import (
     hook_matroid,
 )
 from spechtkit.errors import DomainError, ResourceLimitError
-from spechtkit.oracles import funny_sum_oracle
+from spechtkit.oracles import derangement_excedance_oracle, funny_sum_oracle
 from spechtkit.specht import specht_matrix
 
 DERANGEMENT_TABLES = {
@@ -198,16 +198,32 @@ def test_derangement_excedance_tables(n, counts):
     assert table.counts == counts
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_excedance_counts_are_palindromic_and_count_derangements(n):
-    counts = derangement_excedance_counts(n).counts
+    counts = derangement_excedance_counts(n, Limits(max_derangement_n=14)).counts
     assert counts == counts[::-1]
-    derangements = sum(
-        1
-        for g in all_permutations(n)
-        if not any(g(i) == i for i in range(1, n + 1))
+    derangements = [1, 0]  # D_0, D_1
+    for m in range(2, n + 1):
+        derangements.append((m - 1) * (derangements[-1] + derangements[-2]))
+    assert sum(counts) == derangements[n]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_excedance_dp_matches_the_permutation_oracle(n):
+    assert derangement_excedance_counts(n).counts == derangement_excedance_oracle(n)
+
+
+def test_excedance_table_at_n_12():
+    assert derangement_excedance_counts(12, Limits(max_derangement_n=12)).counts == (
+        1, 4071, 453905, 8422679, 42924113, 72605303, 42924113, 8422679, 453905, 4071, 1,
     )
-    assert sum(counts) == derangements
+
+
+def test_excedance_dp_honours_its_guard():
+    with pytest.raises(ResourceLimitError, match="max_derangement_n: requested 10"):
+        derangement_excedance_counts(10)
+    with pytest.raises(ResourceLimitError):
+        check_conjecture2(10)
 
 
 def test_hook_matroid_rejects_tiny_n():

@@ -22,6 +22,7 @@ from spechtkit.matroid import (
     poly2_to_json,
     specht_matroid,
 )
+from spechtkit.specht import specht_matrix
 from spechtkit.oracles import (
     characteristic_from_tutte,
     chow_dims_quotient_oracle,
@@ -110,6 +111,26 @@ def test_flats_match_oracle_on_specht_shapes(p):
     assert flats == flats_oracle(m.columns)
     assert masks == sorted(masks, key=lambda x: (m._rank_mask(x), x))
     assert all(m._flat_ranks[x] == m._rank_mask(x) for x in masks)
+
+
+# every shape with n <= 5, two at n = 6, and the hooks of Conjecture 2
+ROW_BASIS_SHAPES = SHAPES + [
+    Partition(parts) for parts in [(2, 2, 1, 1), (3, 1, 1, 1)]
+] + [Partition((2,) + (1,) * (n - 2)) for n in range(6, 9)]
+
+
+@pytest.mark.parametrize(
+    "p", ROW_BASIS_SHAPES, ids=[str(p.parts) for p in ROW_BASIS_SHAPES]
+)
+def test_specht_matroid_on_the_row_basis_equals_the_full_columns(p):
+    m = specht_matroid(p)
+    mat = specht_matrix(p)
+    full = LinearMatroid(mat.col_labels, mat.columns())
+    assert m.labels == full.labels
+    assert len(m.columns[0]) == len(mat.row_basis) == p.dimension()
+    assert m.flat_lattice() == full.flat_lattice()
+    assert m.tutte_polynomial() == full.tutte_polynomial()
+    assert chow_graded_dimensions(m) == chow_graded_dimensions(full)
 
 
 def test_flat_count_of_3_1_1_1():

@@ -10,6 +10,7 @@ from spechtkit.oracles import (
     _hyperplane_normal,
     character_value,
     class_size_factor,
+    derangement_excedance_oracle,
     face_levels_oracle,
     kronecker_oracle,
     lr_oracle,
@@ -137,3 +138,17 @@ def test_face_levels_oracle_on_a_square_pyramid():
     assert levels[0] == [0] and levels[-1] == [0b11111]
     assert sorted(levels[1]) == [1 << i for i in range(5)]
     assert sorted(levels[3]) == sorted([base] + sides)
+
+
+def test_derangement_excedance_oracle_counts_derangements():
+    derangements = [1, 0]  # D_0, D_1
+    for n in range(2, 8):
+        derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
+    assert [derangement_excedance_oracle(n) for n in range(6)] == [
+        (), (), (1,), (1, 1), (1, 7, 1), (1, 21, 21, 1),
+    ]
+    for n in range(2, 8):
+        counts = derangement_excedance_oracle(n)
+        assert sum(counts) == derangements[n]
+        assert counts == counts[::-1]
+        assert len(counts) == n - 1  # one to n - 1 excedances

@@ -12,7 +12,7 @@ from spechtkit.combinatorics import (
 from spechtkit import specht
 from spechtkit.config import Limits
 from spechtkit.errors import DomainError, ResourceLimitError
-from spechtkit.linalg import int_rank
+from spechtkit.linalg import RowSpace, int_rank
 from spechtkit.specht import (
     SpechtMatrix,
     column_action_witness,
@@ -128,6 +128,18 @@ def test_row_basis_is_the_first_independent_rows(n):
         for k, i in enumerate(indices):
             assert int_rank(mat.entries[:i], len(mat.col_labels)) == k
         assert specht_matrix(p).row_basis is basis
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_basis_equals_the_walk_over_every_row(n):
+    # skipping a repeated row must not change the rows chosen
+    for p in partitions_of(n):
+        mat = specht_matrix(p)
+        space = RowSpace(len(mat.col_labels))
+        walk = tuple(
+            row for row in mat.entries if space.rank < space.dim and space.add(row)
+        )
+        assert mat.row_basis == walk, p
 
 
 @pytest.mark.parametrize("n", range(1, 5))
