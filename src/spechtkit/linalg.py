@@ -11,19 +11,21 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
-def _normalize(row: list[int]) -> tuple[int, ...] | None:
-    """Divide by the gcd and make the leading nonzero entry positive."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g == 0:
+def _normalize(row: Sequence[int]) -> tuple[int, ...] | None:
+    """Divide by the gcd and make the leading nonzero entry positive; None for
+    a zero row.  A row that is already primitive with a positive lead comes
+    back as a tuple undivided."""
+    g = gcd(*row)
+    if not g:
         return None
-    lead = next(x for x in row if x != 0)
+    for lead in row:
+        if lead:
+            break
     if lead < 0:
         g = -g
-    return tuple(x // g for x in row)
+    elif g == 1:
+        return tuple(row)
+    return tuple([x // g for x in row])
 
 
 class RowSpace:
@@ -49,13 +51,12 @@ class RowSpace:
         residues exactly when each lies in the span of the other and the
         basis.
         """
-        row = list(vec)
+        row = vec
         for col, piv in self.pivots:
             c = row[col]
             if c:
                 p = piv[col]
-                for i in range(self.dim):
-                    row[i] = p * row[i] - c * piv[i]
+                row = [p * a - c * b for a, b in zip(row, piv)]
         return _normalize(row)
 
     def add(self, vec: Sequence[int]) -> bool:
@@ -63,7 +64,9 @@ class RowSpace:
         residue = self.reduce(vec)
         if residue is None:
             return False
-        col = next(i for i, x in enumerate(residue) if x != 0)
+        for col, x in enumerate(residue):
+            if x:
+                break
         self.pivots.append((col, residue))
         return True
 

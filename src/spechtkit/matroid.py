@@ -114,19 +114,21 @@ class LinearMatroid:
         parallel class of columns or none of it, and the members of a class
         have equal residues against any span, so the work runs on one
         representative per class (its first column) and a cover takes whole
-        classes.  Each flat F carries the residues of the representatives
-        outside it against span(F) (see :meth:`RowSpace.reduce`): normalised,
-        two columns have the same residue exactly when they are parallel
-        modulo span(F), so each residue class R gives the cover F | R, of
-        rank r(F) + 1.  The cover's residues are F's, eliminated once more
-        against R's residue, which keeps them zero at every pivot column so
-        far.  A flat of rank r - 1 has one cover, the ground set, so covers of
-        that rank take one shared key in place of their residues.  The ranks
-        are kept in ``_flat_ranks``, one per flat, and the down-sets, read
-        through :meth:`flat_lattice`, in ``_flat_below``: a cover's down-set
-        is the union of the flats it covers and their down-sets.  The flats
-        are counted as they are found and refused past ``max_flats``, since
-        the down-sets take memory quadratic in their number.
+        classes.  Each flat F of rank below r - 1 carries the residues of the
+        representatives outside it against span(F) (see
+        :meth:`RowSpace.reduce`): normalised, two columns have the same
+        residue exactly when they are parallel modulo span(F), so each residue
+        class R gives the cover F | R, of rank r(F) + 1.  The cover's residues
+        are F's, eliminated once more against R's residue, which keeps them
+        zero at every pivot column so far.  A flat of rank r - 1 has exactly
+        one cover, the ground set, so the covers of that rank carry the marker
+        None in place of residues, and the top is added once, above them all.
+        The ranks are kept in ``_flat_ranks``, one per flat, and the
+        down-sets, read through :meth:`flat_lattice`, in ``_flat_below``: a
+        cover's down-set is the union of the flats it covers and their
+        down-sets, and the top's is every other flat.  The flats are counted
+        as they are found and refused past ``max_flats``, since the down-sets
+        take memory quadratic in their number.
         """
         if self._flat_ranks is None:
             bound = self.limits.max_flats
@@ -140,17 +142,21 @@ class LinearMatroid:
                 if not bottom >> i & 1:
                     first = parallel.setdefault(_normalize(vec), i)
                     cls[first] = cls.get(first, 0) | 1 << i
-            level = {bottom: {i: key for key, i in parallel.items()}}
+            level: dict[int, dict[int, tuple[int, ...]] | None] = {
+                bottom: {i: key for key, i in parallel.items()}
+            }
             under = {bottom: 0}  # the down-set of each flat in level
-            rank = 0
-            while level:
-                covers: dict[int, dict[int, tuple[int, ...]]] = {}
+            for rank in range(self._rank):
+                covers: dict[int, dict[int, tuple[int, ...]] | None] = {}
                 over: dict[int, int] = {}
-                last = rank + 2 >= self._rank  # the covers have rank r - 1 or r
+                hyper = rank + 1 == self._rank  # level holds the flats of rank r - 1
+                last = rank + 2 == self._rank  # the covers have rank r - 1
                 for flat in sorted(level):
                     ranks[flat] = rank
                     down = under[flat] | 1 << len(below)
                     below.append(under[flat])
+                    if hyper:
+                        continue
                     residues = level[flat]
                     classes: dict[tuple[int, ...], int] = {}
                     for i, res in residues.items():
@@ -165,9 +171,7 @@ class LinearMatroid:
                         if found > bound:
                             self.limits.require("max_flats", found)
                         if last:
-                            covers[cover] = dict.fromkeys(
-                                (i for i in residues if not members >> i & 1), ()
-                            )
+                            covers[cover] = None
                             continue
                         col = next(j for j, x in enumerate(piv) if x)
                         p = piv[col]
@@ -179,7 +183,13 @@ class LinearMatroid:
                             if not members >> i & 1
                         }
                 level, under = covers, over
-                rank += 1
+            top = (1 << self.size) - 1
+            if self._rank:
+                found += 1
+                if found > bound:
+                    self.limits.require("max_flats", found)
+            ranks[top] = self._rank
+            below.append((1 << len(below)) - 1)
             self._flat_ranks, self._flat_below = ranks, below
         return list(self._flat_ranks)
 
@@ -260,25 +270,39 @@ class LinearMatroid:
         """Corank-nullity sum over all subsets of the ground set.
 
         Subsets are walked depth first, so each one extends its parent's span
-        by one column.  Once a span has full rank, so has every subset the
-        walk would reach from it, and those are counted by size alone.
+        by one column, and a subset's descendants add k of the rest columns
+        after its last.  The walk stops at the hyperplanes: once a span has
+        rank r - 1, a k-subset of the rest keeps that rank exactly when all of
+        its columns lie in the span, and reaches rank r otherwise.  So with
+        inside of the rest in the span, counted once, C(inside, k)
+        descendants sit at (1, size + k - r + 1) and C(rest, k) - C(inside, k)
+        at (0, size + k - r), k = 0 being the subset itself.  The same count
+        holds at rank r, where every column is inside; only the empty subset
+        of a rank-0 matroid starts there.
         """
         r, n = self._rank, self.size
         counts: dict[tuple[int, int], int] = {}
         space = RowSpace(r)
+        vectors = self._vectors
 
         def walk(start: int, size: int) -> None:
             rk = space.rank
-            if rk == r:
+            if rk + 1 >= r:  # the span of a hyperplane, or of the top in rank 0
                 rest = n - start
-                for k in range(rest + 1):
-                    key = (0, size + k - r)
-                    counts[key] = counts.get(key, 0) + comb(rest, k)
+                inside = sum(space.contains(v) for v in vectors[start:])
+                for k in range(inside + 1):
+                    key = (r - rk, size + k - rk)
+                    counts[key] = counts.get(key, 0) + comb(inside, k)
+                for k in range(1, rest + 1):
+                    out = comb(rest, k) - comb(inside, k)
+                    if out:
+                        key = (0, size + k - r)
+                        counts[key] = counts.get(key, 0) + out
                 return
             key = (r - rk, size - rk)
             counts[key] = counts.get(key, 0) + 1
             for i in range(start, n):
-                grew = space.add(self._vectors[i])
+                grew = space.add(vectors[i])
                 walk(i + 1, size + 1)
                 if grew:
                     space.pivots.pop()

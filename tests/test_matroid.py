@@ -173,6 +173,61 @@ def test_flat_guard_counts_the_hyperplanes():
     assert len(boolean_matroid(8, Limits(max_flats=256)).flats()) == 256
 
 
+def test_flat_guard_counts_the_top():
+    # B_3 has 8 flats, and the top is found last, above the hyperplanes
+    with pytest.raises(ResourceLimitError, match="max_flats: requested 8 exceeds limit 7"):
+        boolean_matroid(3, Limits(max_flats=7)).flats()
+    assert len(boolean_matroid(3, Limits(max_flats=8)).flats()) == 8
+    assert len(LinearMatroid("ab", [(0,), (0,)], Limits(max_flats=1)).flats()) == 1
+
+
+def check_lattice(m):
+    """The lattice equals the oracle's flats, in (rank, mask) order, with the
+    ranks of ``_rank_mask`` and the strict order ideals as down-sets, and ends
+    at the ground set, loops included."""
+    masks, ranks, below = m.flat_lattice()
+    assert {frozenset(i for i in range(m.size) if x >> i & 1) for x in masks} == flats_oracle(
+        m.columns
+    )
+    assert ranks == [m._rank_mask(x) for x in masks]
+    assert masks == sorted(masks, key=lambda x: (m._rank_mask(x), x))
+    for i, f in enumerate(masks):
+        assert below[i] == sum(1 << j for j, g in enumerate(masks) if g != f and g & f == g)
+    assert (masks[-1], ranks[-1]) == ((1 << m.size) - 1, m.rank())
+    assert masks[0] == m._loop_mask()
+
+
+def moment_curve(r, n):
+    """n points (1, t, ..., t^(r-1)) with distinct t: any r are independent."""
+    return [tuple(t**k for k in range(r)) for t in range(1, n + 1)]
+
+
+# columns around the hyperplane marker: a flat of rank r - 1 has the ground
+# set as its one cover
+MARKER_CASES = {
+    "empty": [],
+    "rank 0, every column a loop": [(0, 0)] * 3,
+    "rank 0, no coordinates": [()] * 2,
+    "rank 1": [(2, 4), (-1, -2), (3, 6)],
+    "rank 1 with loops": [(0, 0), (2, 4), (0, 0), (-1, -2)],
+    "rank 2 with parallel classes": [(1, 0), (2, 0), (0, 1), (0, -3), (1, 1), (-2, -2), (1, 2)],
+    "rank 3 with loops": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (1, 1, 1)],
+    "rank 3, hyperplanes of whole classes": [
+        tuple(s * x for x in col) for col in moment_curve(3, 5) for s in (1, -2)
+    ] + [(0, 0, 0)],
+    "rank 4 with classes and loops": [(0,) * 4]
+    + [tuple(s * x for x in col) for col in moment_curve(4, 6) for s in (1, 3)]
+    + [(1, 0, 0, 0), (0, 0, 0, 0), (2, 0, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("cols", MARKER_CASES.values(), ids=list(MARKER_CASES))
+def test_lattice_at_the_hyperplane_marker(cols):
+    m = LinearMatroid(tuple(range(len(cols))), cols)
+    check_lattice(m)
+    assert m.tutte_polynomial("flats") == tutte_deletion_contraction_oracle(cols)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_boolean_matroid_lattice_in_closed_form(n):
     assert eulerian(4) == [1, 11, 11, 1] and eulerian(7) == [1, 120, 1191, 2416, 1191, 120, 1]
@@ -207,6 +262,53 @@ def test_subset_tutte_keeps_no_per_subset_state():
     assert all(v is None or not hasattr(v, "__len__") or len(v) <= 14 for v in vars(m).values())
     assert sum(c * 2**i * 2**j for (i, j), c in t.items()) == 2**14
     assert t == m.tutte_polynomial("flats")
+
+
+def uniform_tutte(r, n):
+    """T(U(r, n)) = sum_{k<r} C(n,k) (x-1)^(r-k) + sum_{k>=r} C(n,k) (y-1)^(k-r),
+    expanded into {(i, j): coefficient of x^i y^j}."""
+    out: dict[tuple[int, int], int] = {}
+    for k in range(n + 1):
+        e = abs(r - k)
+        for i in range(e + 1):
+            key = (i, 0) if k < r else (0, i)
+            out[key] = out.get(key, 0) + comb(n, k) * comb(e, i) * (-1) ** (e - i)
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("r, n", [(1, 1), (1, 5), (2, 2), (2, 6), (3, 3), (3, 8), (4, 9), (5, 11), (6, 12)])
+def test_subset_tutte_of_uniform_matroids_in_closed_form(r, n):
+    assert uniform_tutte(2, 4) == {(2, 0): 1, (1, 0): 2, (0, 1): 2, (0, 2): 1}
+    m = LinearMatroid(tuple(range(n)), moment_curve(r, n))
+    assert m.rank() == r
+    assert m.tutte_polynomial("subsets") == uniform_tutte(r, n)
+
+
+# columns whose spans of rank r - 1 hold further columns: parallel classes,
+# loops and columns in a common hyperplane
+CROWDED_CASES = {
+    "rank 0": [(0, 0, 0)] * 4,
+    "empty": [],
+    "rank 1": [(1,), (0,), (-3,), (2,), (0,)],
+    "rank 1, the root at rank r - 1": [(0, 0), (1, 2), (2, 4), (0, 0), (-1, -2)],
+    "rank 2": [(1, 0), (0, 0), (2, 0), (0, 1), (0, 5), (1, 1), (-1, -1), (0, 0)],
+    "rank 3": [
+        (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (3, 3, 0), (0, 0, 0),
+        (0, 0, 1), (0, 0, 0), (1, 1, 1), (-1, -1, -1), (1, 0, 1),
+    ],
+    "rank 4": [(0, 0, 0, 0)]
+    + [tuple(s * x for x in col) for col in moment_curve(4, 4) for s in (1, -1, 2)]
+    + [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("cols", CROWDED_CASES.values(), ids=list(CROWDED_CASES))
+def test_subset_tutte_with_columns_inside_the_hyperplanes(cols):
+    m = LinearMatroid(tuple(range(len(cols))), cols)
+    t = m.tutte_polynomial("subsets")
+    assert t == tutte_deletion_contraction_oracle(cols)
+    assert t == m.tutte_polynomial("flats")
+    assert sum(c * 2**i * 2**j for (i, j), c in t.items()) == 2 ** len(cols)  # T(2, 2)
 
 
 def test_x_matroid_polynomials(x_matroid):
