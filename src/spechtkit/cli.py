@@ -37,6 +37,7 @@ from .matroid import (
     format_poly2,
     poly1_to_json,
     poly2_to_json,
+    specht_matroid,
 )
 from .polytope import polytope_from_columns, root_polytope_structure_check
 from .specht import specht_matrix
@@ -101,10 +102,13 @@ def _is_word_list(label) -> bool:
 
 
 def _matroid_from_args(args, limits: Limits) -> LinearMatroid:
+    if not args.matrix and args.lam:
+        return specht_matroid(Partition.parse(args.lam), limits)
     return LinearMatroid(*_columns_from_args(args, limits), limits)
 
 
 def _columns_from_args(args, limits: Limits):
+    """Labels and columns from --matrix or, in full, from --lambda."""
     if getattr(args, "matrix", None):
         return _load_matrix_columns(args.matrix)
     if getattr(args, "lam", None):

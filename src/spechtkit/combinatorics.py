@@ -104,8 +104,14 @@ class Partition:
         return 1 + arm + leg
 
     def dimension(self) -> int:
-        """Hook-length dimension (number of standard fillings)."""
-        hooks = prod(self.hook_length(b) for b in self.boxes_row_major())
+        """Hook-length dimension (number of standard fillings).
+
+        The hook of box (i, j), counted from 0, is arm + leg + 1 =
+        (lambda_i - j - 1) + (lambda'_j - i - 1) + 1."""
+        cols = [sum(1 for row in self.parts if row > j) for j in range(self.parts[0])]
+        hooks = prod(
+            row + cols[j] - i - j - 1 for i, row in enumerate(self.parts) for j in range(row)
+        )
         num = factorial(self.n)
         assert num % hooks == 0
         return num // hooks

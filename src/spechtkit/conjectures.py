@@ -8,7 +8,9 @@ counted by excedances, with a cyclic-orbit refinement.
 The excedance table comes from a DP over the sets of values already placed
 (2^n states, each one packed polynomial in t), not from the n! permutations;
 ``oracles.derangement_excedance_oracle`` enumerates them for the tests.  The
-orbit refinement still walks the derangements, since it acts on them.
+orbit refinement acts on the derangements themselves, so it lists them, but
+only those with the excedance count asked for, by backtracking on one-line
+tuples.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterator
 
 from .chow import chow_graded_dimensions, fy_basis_monomials
 from .combinatorics import (
     Partition,
     Permutation,
-    all_permutations,
     partitions_of,
     rearrangement_count,
 )
@@ -200,12 +200,39 @@ class ExcedanceTable:
     counts: tuple[int, ...]  # counts[k] = derangements with k+1 excedances
 
 
-def _derangements(n: int) -> Iterator[tuple[Permutation, int]]:
-    """Each derangement g of 1..n with its number of excedances g(i) > i, for
-    the orbit refinement, which acts on the permutations themselves."""
-    for g in all_permutations(n):
-        if all(g(i) != i for i in range(1, n + 1)):
-            yield g, sum(1 for i in range(1, n + 1) if g(i) > i)
+def _derangements_with_excedances(n: int, excedances: int) -> list[tuple[int, ...]]:
+    """The derangements of 1..n with *excedances* excedances g(i) > i, in
+    one-line notation, by backtracking over the positions in order.
+
+    A branch is cut once it has more excedances than asked for, or fewer
+    than the later positions could still make up: every position but the
+    last can exceed.  ``oracles.derangement_excedance_oracle`` counts the
+    same permutations by walking all n! of them.
+    """
+    out: list[tuple[int, ...]] = []
+    images: list[int] = []
+    used = [False] * (n + 1)
+
+    def place(pos: int, count: int) -> None:
+        if pos > n:
+            if count == excedances:
+                out.append(tuple(images))
+            return
+        later = max(n - 1 - pos, 0)  # positions after pos that can exceed
+        for value in range(1, n + 1):
+            if used[value] or value == pos:
+                continue
+            reached = count + (value > pos)
+            if reached > excedances or reached + later < excedances:
+                continue
+            used[value] = True
+            images.append(value)
+            place(pos + 1, reached)
+            images.pop()
+            used[value] = False
+
+    place(1, 0)
+    return out
 
 
 def derangement_excedance_counts(
@@ -320,12 +347,14 @@ def cyclic_orbit_structures(
     m = hook_matroid(n, limits)
     if not 0 <= k <= n - 2:  # excedances run from 1 to n - 1
         raise DomainError(f"k must lie in 0..{n - 2} for n = {n}")
-    cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
-    cycle_inv = cycle.inverse()
+    cycle_inv = Permutation.from_cycles(n, list(range(1, n + 1))).inverse()
 
+    # c g c^-1 for the long cycle c = (1 2 ... n), on one-line images: it
+    # sends c(i) to c(g(i)), so the images move one place right and each
+    # value v becomes v + 1, n becoming 1
     conj = _orbits(
-        [g.images for g, exc in _derangements(n) if exc == k + 1],
-        lambda img: (cycle * Permutation(img) * cycle_inv).images,
+        _derangements_with_excedances(n, k + 1),
+        lambda img: tuple(v % n + 1 for v in img[-1:] + img[:-1]),
     )
 
     monomials = fy_basis_monomials(m, k)

@@ -8,15 +8,27 @@ columns in lexicographic order.
 Because the base pair (r1, r2) is complementary, its stacked columns are the
 boxes of the diagram, each once.  A cell (w1, w2) is therefore nonzero only
 when ``w1 = r1 o pi`` and ``w2 = r2 o pi`` for exactly one permutation pi of
-the positions, and then it is ``sign(pi)``.  ``specht_matrix`` builds the
-matrix in one signed sweep over S_n, writing n! entries into a zero grid;
-n! never exceeds the number of cells.  The validating ``young_character`` is
-the per-cell reference the tests hold the sweep to.
+the positions, and then it is ``sign(pi)``.
 
-Many rows repeat (a hook's rows, for one), so ``SpechtMatrix.row_basis``
-reduces only the first copy of each row.  The row basis spans the row space,
-so its columns, d_lambda long, have the same column matroid as the full
-columns, and ``matroid.specht_matroid`` is built on them.
+``specht_matrix`` returns a ``SpechtMatrix`` whose labels and entries are
+built lazily, on first read.  The entries come from one signed sweep over
+S_n, writing n! entries into a zero grid (n! never exceeds the number of
+cells); the validating ``young_character`` is the per-cell reference the
+tests hold the sweep to.  Only callers that print or walk every cell read
+them, such as the ``specht-matrix`` output, ``conjectures.gram_column``, the
+polytope of the columns and the dense ``*_matrix`` coefficient path.
+
+The row basis and the rank read no rows.  ``SpechtMatrix.row_basis`` is the
+d_lambda rows whose labels are Yamanouchi (lattice) words: every prefix
+holds at least as many i's as (i+1)'s.  A Yamanouchi word names the row
+of each of 1..n in a standard tableau, so these rows are indexed like the
+standard polytabloids, the classical basis of S^lambda (Sagan, *The
+Symmetric Group*, Thm 2.6.5).  Each is built from its label alone, with
+prod lambda_i! nonzero cells, and added to a ``RowSpace``; a dependent row,
+or a count other than the hook-length d_lambda, raises, so rank M_lambda =
+d_lambda is checked, never assumed.  The basis spans the row space, so its
+columns, d_lambda long, have the same column matroid as the full columns,
+and ``matroid.specht_matroid`` is built on them.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import json
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .combinatorics import (
     Partition,
@@ -71,43 +84,172 @@ def young_character(w1: Word, w2: Word, r1: Word, r2: Word) -> int:
     return Permutation(tuple(i + 1 for i in images)).sign()
 
 
+class _BuiltOnRead:
+    """A dataclass field that is built on first read, by the instance's
+    ``_build_<name>`` method, unless a value was given at construction.
+
+    As a field default the descriptor stands for None, "not given", so
+    ``dataclasses.replace`` and ``==`` work on the field as on any other
+    (both read it, and so build it).  Two threads reading an unbuilt field
+    at once may both build it; they store equal values.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        values = obj.__dict__
+        if self.name not in values:
+            values[self.name] = getattr(obj, "_build_" + self.name)()
+        return values[self.name]
+
+    def __set__(self, obj, value):
+        if value is not None:
+            obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SpechtMatrix:
+    """The pairing matrix of a partition, with lex-ordered row and column
+    labels.  Labels and entries are built when first read; the row basis
+    and the rank read none of the rows."""
+
     partition: Partition
-    row_labels: tuple[Word, ...]
-    col_labels: tuple[Word, ...]
-    entries: tuple[tuple[int, ...], ...]
+    row_labels: tuple[Word, ...] = _BuiltOnRead()
+    col_labels: tuple[Word, ...] = _BuiltOnRead()
+    entries: tuple[tuple[int, ...], ...] = _BuiltOnRead()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_given_entries", "entries" in self.__dict__)
+        object.__setattr__(self, "_words", self.partition.canonical_words())
+
+    def _build_row_labels(self) -> tuple[Word, ...]:
+        return tuple(rearrangements(self._words[0]))
+
+    def _build_col_labels(self) -> tuple[Word, ...]:
+        return tuple(rearrangements(self._words[1]))
+
+    def _build_entries(self) -> tuple[tuple[int, ...], ...]:
+        """Every cell, in one signed sweep over the n! position permutations."""
+        r1, r2 = self._words
+        row_index = {w: i for i, w in enumerate(self.row_labels)}
+        col_index = {w: j for j, w in enumerate(self.col_labels)}
+        grid = [[0] * len(col_index) for _ in row_index]
+        # itertools.permutations permutes by position in lexicographic index
+        # order, so the k-th words are r1 o pi and r2 o pi for the k-th pi.
+        for w1, w2, sign in zip(
+            itertools.permutations(r1),
+            itertools.permutations(r2),
+            _lex_permutation_signs(self.partition.n),
+        ):
+            grid[row_index[w1]][col_index[w2]] = sign
+        return tuple(map(tuple, grid))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.row_labels), len(self.col_labels))
+        """(rows, columns), counted without building the labels."""
+        if self._given_entries:
+            return (len(self.row_labels), len(self.col_labels))
+        return tuple(map(rearrangement_count, self._words))
 
     def entry(self, w1: Word, w2: Word) -> int:
         return self.entries[self.row_labels.index(w1)][self.col_labels.index(w2)]
 
     @cached_property
     def row_basis(self) -> tuple[tuple[int, ...], ...]:
-        """The first rank-many independent rows of ``entries``, in row order.
+        """The rows at the Yamanouchi labels, in row order.
 
-        Every row is a combination of these, so ``entries = B R`` with R these
-        rows and B holding the identity on them; B is injective, and any
-        construction that only combines whole columns has the same rank on R
-        as on ``entries``.  A row equal to an earlier one lies in the span of
-        the rows above it, so it is skipped without a reduction; the rows
-        chosen are the same.  (2,1^5) has 2,520 rows but 42 distinct ones.
-        Kept on the instance, so it is computed once per memoised matrix.
+        Each is built from its label alone (``_yamanouchi_rows``) and added
+        to a ``RowSpace``; a dependent row, or a count other than the
+        hook-length d_lambda, raises, so the basis is checked exactly.  They
+        are the first d_lambda independent rows of ``entries``: the tests
+        hold them to the scan over every row.  Every row is a combination of
+        these, so ``entries = B R`` with R these rows and B holding the
+        identity on them; B is injective, and any construction that only
+        combines whole columns has the same rank on R as on ``entries``.
+
+        A matrix constructed with its entries given (a loaded or altered
+        one) has no Yamanouchi rows to trust; its basis is the first
+        independent rows of the entries as given, each distinct row reduced
+        once.  Kept on the instance, so it is computed once per memoised
+        matrix.
         """
         space = RowSpace(len(self.col_labels))
-        seen = set()
-        basis = []
-        for row in self.entries:
-            if space.rank == space.dim:
-                break
-            if row not in seen:
-                seen.add(row)
-                if space.add(row):
-                    basis.append(row)
-        return tuple(basis)
+        if self._given_entries:
+            seen = set()
+            basis = []
+            for row in self.entries:
+                if space.rank == space.dim:
+                    break
+                if row not in seen:
+                    seen.add(row)
+                    if space.add(row):
+                        basis.append(row)
+            return tuple(basis)
+        basis = tuple(self._yamanouchi_rows())
+        for row in basis:
+            if not space.add(row):
+                raise AssertionError(f"Yamanouchi rows of {self.partition} are dependent")
+        if len(basis) != self.partition.dimension():
+            raise AssertionError(
+                f"{len(basis)} Yamanouchi rows of {self.partition}, "
+                f"not d = {self.partition.dimension()}"
+            )
+        return basis
+
+    def _yamanouchi_rows(self) -> list[tuple[int, ...]]:
+        """The rows at the Yamanouchi labels, in lex order, each built alone.
+
+        A row label w1 = r1 o sigma has its nonzero cells at pi = tau o sigma
+        for the tau in the row stabiliser of r1 (the permutations of the
+        positions within each row of the diagram): the cell in column
+        (r2 o tau) o sigma holds sign(tau) * sign(sigma).  So one list of
+        (r2 o tau, sign(tau)) per shape, with prod lambda_i! members, gives
+        every row, each member permuted by sigma with one ``itemgetter``.
+
+        The labels come by backtracking: letter i + 1 may follow a prefix
+        holding fewer i + 1's than i's.  The letter i at position k takes
+        the next unused box of row i, ``sigma[k] = starts[i] + (i's so
+        far)``.  Every box of a later row comes after that box in r1, and
+        every box of its own or an earlier row before it, so the inversions
+        of sigma it adds are the letters above i placed so far.
+        """
+        parts = self.partition.parts
+        n = self.partition.n
+        # r2 o tau on the i-th row block is a permutation of 1..lambda_i
+        stabiliser = [((), 1)]
+        for part in parts:
+            block = list(
+                zip(itertools.permutations(range(1, part + 1)), _lex_permutation_signs(part))
+            )
+            stabiliser = [(c + b, s * t) for c, s in stabiliser for b, t in block]
+        col_index = {w: j for j, w in enumerate(self.col_labels)}
+        starts = list(itertools.accumulate(parts, initial=0))
+        counts = [0] * len(parts)
+        sigma: list[int] = []
+        rows = []
+
+        def extend(inversions: int) -> None:
+            if len(sigma) == n:
+                sign = -1 if inversions & 1 else 1
+                pick = itemgetter(*sigma) if n > 1 else (lambda c: c)
+                row = [0] * len(col_index)
+                for c, s in stabiliser:
+                    row[col_index[pick(c)]] = s * sign
+                rows.append(tuple(row))
+                return
+            for i, part in enumerate(parts):
+                if counts[i] < part and (i == 0 or counts[i - 1] > counts[i]):
+                    sigma.append(starts[i] + counts[i])
+                    counts[i] += 1
+                    extend(inversions + sum(counts[i + 1 :]))
+                    counts[i] -= 1
+                    sigma.pop()
+
+        extend(0)
+        return rows
 
     def rank(self) -> int:
         return len(self.row_basis)
@@ -167,7 +309,12 @@ def _lex_permutation_signs(n: int) -> list[int]:
 
 
 def specht_matrix(p: Partition, limits: Limits = DEFAULT_LIMITS) -> SpechtMatrix:
-    """The full pairing matrix of p with lex-ordered row and column labels."""
+    """The pairing matrix of p with lex-ordered row and column labels.
+
+    The guard counts every cell, rows times columns, whether or not the
+    caller reads them.  The matrix is memoised whole, with whatever of it has
+    been built.
+    """
     r1, r2 = p.canonical_words()
     cells = rearrangement_count(r1) * rearrangement_count(r2)
     limits.require("max_matrix_cells", cells)
@@ -175,26 +322,11 @@ def specht_matrix(p: Partition, limits: Limits = DEFAULT_LIMITS) -> SpechtMatrix
         hit = _cache.get(p.parts)
     if hit is not None:
         return hit
-
     if not classify_pair(r1, r2).is_complementary:
         raise DomainError("base pair is not complementary")
-    rows = rearrangements(r1)
-    cols = rearrangements(r2)
-    row_index = {w: i for i, w in enumerate(rows)}
-    col_index = {w: j for j, w in enumerate(cols)}
-    grid = [[0] * len(cols) for _ in rows]
-    # itertools.permutations permutes by position in lexicographic index
-    # order, so the k-th words are r1 o pi and r2 o pi for the k-th pi.
-    for w1, w2, sign in zip(
-        itertools.permutations(r1),
-        itertools.permutations(r2),
-        _lex_permutation_signs(p.n),
-    ):
-        grid[row_index[w1]][col_index[w2]] = sign
-    mat = SpechtMatrix(p, tuple(rows), tuple(cols), tuple(map(tuple, grid)))
+    mat = SpechtMatrix(p)
     with _cache_lock:
-        _cache.setdefault(p.parts, mat)
-    return mat
+        return _cache.setdefault(p.parts, mat)
 
 
 def specht_module_dimension(p: Partition, limits: Limits = DEFAULT_LIMITS) -> int:

@@ -246,6 +246,28 @@ def test_hook_dimensions_match_excedances(n):
     assert data["chow_dims"] == list(DERANGEMENT_TABLES[n])
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_walk_equals_the_permutation_enumeration(n):
+    cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
+    derangements = [
+        g for g in all_permutations(n) if all(g(i) != i for i in range(1, n + 1))
+    ]
+    for k in range(n - 1):
+        chosen = [g for g in derangements if sum(g(i) > i for i in range(1, n + 1)) == k + 1]
+        # orbit sizes of conjugation by the long cycle, by Permutation products
+        remaining, sizes = set(chosen), []
+        while remaining:
+            g = start = remaining.pop()
+            size = 1
+            while (g := cycle * g * cycle.inverse()) != start:
+                remaining.remove(g)
+                size += 1
+            sizes.append(size)
+        conj, fy = cyclic_orbit_structures(n, k)
+        assert conj.sizes == tuple(sorted(sizes)), (n, k)
+        assert conj.total == derangement_excedance_oracle(n)[k], (n, k)
+
+
 def test_cyclic_orbits_agree_small():
     conj, fy = cyclic_orbit_structures(5, 1)
     assert conj.multiset() == fy.multiset() == {1: 1, 5: 4}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -142,6 +143,31 @@ def test_row_basis_equals_the_walk_over_every_row(n):
         assert mat.row_basis == walk, p
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_yamanouchi_basis_has_rank_d(n):
+    for p in partitions_of(n):
+        mat = specht_matrix(p)
+        basis = mat.row_basis
+        assert len(basis) == p.dimension(), p
+        assert int_rank(basis, len(mat.col_labels)) == len(basis), p
+
+
+def test_rank_leaves_rows_and_entries_unbuilt(monkeypatch):
+    monkeypatch.setattr(specht, "_cache", {})
+
+    def unread(self):
+        raise AssertionError("the rank read the full matrix")
+
+    monkeypatch.setattr(SpechtMatrix, "_build_entries", unread)
+    monkeypatch.setattr(SpechtMatrix, "_build_row_labels", unread)
+    for p, d in [(Partition((1,) * 7), 1), (Partition((2,) + (1,) * 7), 8)]:
+        mat = specht_matrix(p)
+        assert mat.rank() == specht_module_dimension(p) == d
+        assert mat.shape == (len(rearrangements(p.canonical_words()[0])), len(mat.col_labels))
+        with pytest.raises(AssertionError, match="full matrix"):
+            mat.entries
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_simultaneous_position_permutation_multiplies_by_sign(n):
     for p in partitions_of(n):
@@ -200,6 +226,24 @@ def test_json_round_trip():
     mat = specht_matrix(Partition((2, 2)))
     again = SpechtMatrix.from_json_dict(json.loads(mat.to_json()))
     assert again == mat
+
+
+def test_loaded_and_altered_matrices_keep_their_content():
+    mat = specht_matrix(Partition((2, 2)))
+    data = json.loads(mat.to_json())
+    data["entries"][0][1] = 0
+    loaded = SpechtMatrix.from_json_dict(data)
+    assert [list(row) for row in loaded.entries] == data["entries"]
+    assert loaded.partition == mat.partition and loaded != mat
+    two = SpechtMatrix.from_json_dict(
+        {**data, "row_labels": data["row_labels"][:2], "entries": data["entries"][:2]}
+    )
+    assert loaded.shape == mat.shape == (6, 6) and two.shape == (2, 6)
+    # a matrix given its entries takes its basis from them
+    assert loaded.rank() == int_rank(loaded.entries)
+    zero = dataclasses.replace(mat, entries=((0,) * 6,) * 6)
+    assert zero != mat and zero.rank() == 0 and mat.rank() == 2
+    assert dataclasses.replace(mat, entries=mat.entries) == mat
 
 
 def test_csv_has_header_and_labels():
