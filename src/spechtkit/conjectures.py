@@ -347,7 +347,6 @@ def cyclic_orbit_structures(
     m = hook_matroid(n, limits)
     if not 0 <= k <= n - 2:  # excedances run from 1 to n - 1
         raise DomainError(f"k must lie in 0..{n - 2} for n = {n}")
-    cycle_inv = Permutation.from_cycles(n, list(range(1, n + 1))).inverse()
 
     # c g c^-1 for the long cycle c = (1 2 ... n), on one-line images: it
     # sends c(i) to c(g(i)), so the images move one place right and each
@@ -358,11 +357,12 @@ def cyclic_orbit_structures(
     )
 
     monomials = fy_basis_monomials(m, k)
+    # the long cycle relabels the columns by c^-1, looked up once per label
+    cycle_inv = Permutation.from_cycles(n, list(range(1, n + 1))).inverse()
+    image = {w: cycle_inv.apply(w) for w in m.labels}
 
     def relabel(mono):
-        return tuple(
-            (frozenset(cycle_inv.apply(w) for w in flat), d) for flat, d in mono
-        )
+        return tuple((frozenset(map(image.__getitem__, flat)), d) for flat, d in mono)
 
     fy = _orbits([tuple(mono) for mono in monomials], relabel)
     return conj, fy

@@ -462,9 +462,11 @@ def specht_matroid(p, limits: Limits = DEFAULT_LIMITS) -> LinearMatroid:
 
     It is built on the columns of the row basis, d_lambda entries long: the
     basis rows span the row space, so a set of columns is independent there
-    exactly when it is in the full matrix.
+    exactly when it is in the full matrix.  The ground set is checked
+    against ``max_ground`` before the row basis is built.
     """
     from .specht import specht_matrix
 
     mat = specht_matrix(p, limits)
+    limits.require("max_ground", mat.shape[1])
     return LinearMatroid(mat.col_labels, tuple(zip(*mat.row_basis)), limits)

@@ -10,13 +10,19 @@ boxes of the diagram, each once.  A cell (w1, w2) is therefore nonzero only
 when ``w1 = r1 o pi`` and ``w2 = r2 o pi`` for exactly one permutation pi of
 the positions, and then it is ``sign(pi)``.
 
-``specht_matrix`` returns a ``SpechtMatrix`` whose labels and entries are
-built lazily, on first read.  The entries come from one signed sweep over
-S_n, writing n! entries into a zero grid (n! never exceeds the number of
-cells); the validating ``young_character`` is the per-cell reference the
-tests hold the sweep to.  Only callers that print or walk every cell read
-them, such as the ``specht-matrix`` output, ``conjectures.gram_column``, the
-polytope of the columns and the dense ``*_matrix`` coefficient path.
+``specht_matrix`` returns a ``SpechtMatrix``, a frozen dataclass whose one
+field is the partition, memoised per partition in ``_cache``.  Its labels,
+entries and row basis are ``functools.cached_property`` values, built on
+first read and kept on the memoised matrix; its shape is counted by
+``rearrangement_count`` without building either.  (Two threads reading an
+unbuilt value at once may both build it; they store equal values.)
+
+The entries come from one signed sweep over S_n, writing n! entries into a
+zero grid (n! never exceeds the number of cells); the validating
+``young_character`` is the per-cell reference the tests hold the sweep to.
+Only callers that print or walk every cell read them, such as the
+``specht-matrix`` output, ``conjectures.gram_column``, the polytope of the
+columns and the dense ``*_matrix`` coefficient path.
 
 The row basis and the rank read no rows.  ``SpechtMatrix.row_basis`` is the
 d_lambda rows whose labels are Yamanouchi (lattice) words: every prefix
@@ -84,56 +90,28 @@ def young_character(w1: Word, w2: Word, r1: Word, r2: Word) -> int:
     return Permutation(tuple(i + 1 for i in images)).sign()
 
 
-class _BuiltOnRead:
-    """A dataclass field that is built on first read, by the instance's
-    ``_build_<name>`` method, unless a value was given at construction.
-
-    As a field default the descriptor stands for None, "not given", so
-    ``dataclasses.replace`` and ``==`` work on the field as on any other
-    (both read it, and so build it).  Two threads reading an unbuilt field
-    at once may both build it; they store equal values.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None
-        values = obj.__dict__
-        if self.name not in values:
-            values[self.name] = getattr(obj, "_build_" + self.name)()
-        return values[self.name]
-
-    def __set__(self, obj, value):
-        if value is not None:
-            obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class SpechtMatrix:
     """The pairing matrix of a partition, with lex-ordered row and column
-    labels.  Labels and entries are built when first read; the row basis
-    and the rank read none of the rows."""
+    labels.  The partition fixes every cell, so it is the only field: ``==``
+    and ``hash`` compare it.  Labels, entries and the row basis are each
+    built on first read and kept on the instance; the rank reads none of
+    the rows."""
 
     partition: Partition
-    row_labels: tuple[Word, ...] = _BuiltOnRead()
-    col_labels: tuple[Word, ...] = _BuiltOnRead()
-    entries: tuple[tuple[int, ...], ...] = _BuiltOnRead()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_given_entries", "entries" in self.__dict__)
-        object.__setattr__(self, "_words", self.partition.canonical_words())
+    @cached_property
+    def row_labels(self) -> tuple[Word, ...]:
+        return tuple(rearrangements(self.partition.canonical_words()[0]))
 
-    def _build_row_labels(self) -> tuple[Word, ...]:
-        return tuple(rearrangements(self._words[0]))
+    @cached_property
+    def col_labels(self) -> tuple[Word, ...]:
+        return tuple(rearrangements(self.partition.canonical_words()[1]))
 
-    def _build_col_labels(self) -> tuple[Word, ...]:
-        return tuple(rearrangements(self._words[1]))
-
-    def _build_entries(self) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
         """Every cell, in one signed sweep over the n! position permutations."""
-        r1, r2 = self._words
+        r1, r2 = self.partition.canonical_words()
         row_index = {w: i for i, w in enumerate(self.row_labels)}
         col_index = {w: j for j, w in enumerate(self.col_labels)}
         grid = [[0] * len(col_index) for _ in row_index]
@@ -150,9 +128,7 @@ class SpechtMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         """(rows, columns), counted without building the labels."""
-        if self._given_entries:
-            return (len(self.row_labels), len(self.col_labels))
-        return tuple(map(rearrangement_count, self._words))
+        return tuple(map(rearrangement_count, self.partition.canonical_words()))
 
     def entry(self, w1: Word, w2: Word) -> int:
         return self.entries[self.row_labels.index(w1)][self.col_labels.index(w2)]
@@ -169,25 +145,8 @@ class SpechtMatrix:
         these, so ``entries = B R`` with R these rows and B holding the
         identity on them; B is injective, and any construction that only
         combines whole columns has the same rank on R as on ``entries``.
-
-        A matrix constructed with its entries given (a loaded or altered
-        one) has no Yamanouchi rows to trust; its basis is the first
-        independent rows of the entries as given, each distinct row reduced
-        once.  Kept on the instance, so it is computed once per memoised
-        matrix.
         """
         space = RowSpace(len(self.col_labels))
-        if self._given_entries:
-            seen = set()
-            basis = []
-            for row in self.entries:
-                if space.rank == space.dim:
-                    break
-                if row not in seen:
-                    seen.add(row)
-                    if space.add(row):
-                        basis.append(row)
-            return tuple(basis)
         basis = tuple(self._yamanouchi_rows())
         for row in basis:
             if not space.add(row):
@@ -280,17 +239,6 @@ class SpechtMatrix:
             writer.writerow([format_word(label)] + list(row))
         return buf.getvalue()
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "SpechtMatrix":
-        from .combinatorics import word_from_text
-
-        return SpechtMatrix(
-            partition=Partition(tuple(data["partition"])),
-            row_labels=tuple(word_from_text(t) for t in data["row_labels"]),
-            col_labels=tuple(word_from_text(t) for t in data["col_labels"]),
-            entries=tuple(tuple(row) for row in data["entries"]),
-        )
-
 
 _cache: dict[tuple[int, ...], SpechtMatrix] = {}
 _cache_lock = threading.Lock()
@@ -322,8 +270,6 @@ def specht_matrix(p: Partition, limits: Limits = DEFAULT_LIMITS) -> SpechtMatrix
         hit = _cache.get(p.parts)
     if hit is not None:
         return hit
-    if not classify_pair(r1, r2).is_complementary:
-        raise DomainError("base pair is not complementary")
     mat = SpechtMatrix(p)
     with _cache_lock:
         return _cache.setdefault(p.parts, mat)

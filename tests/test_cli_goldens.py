@@ -1,8 +1,9 @@
-"""Byte-identical CLI output of the polytope, matroid, chow and coeff
-commands against goldens.
+"""Byte-identical CLI output of the specht-matrix, polytope, matroid, chow
+and coeff commands against goldens.
 
 Each golden file maps a command line to its exit code, standard output and
-standard error.  ``goldens/cli_polytope.json`` holds the polytope commands,
+standard error.  ``goldens/cli_specht.json`` holds the pairing matrices in
+every format, ``goldens/cli_polytope.json`` the polytope commands,
 ``goldens/cli_matroid.json`` the matroid and chow commands and
 ``goldens/cli_coeff.json`` the coefficient commands; an output longer than
 ``DIGEST_OVER`` characters (the larger Chow presentations run to megabytes)
@@ -36,6 +37,12 @@ GOLDENS = ROOT / "tests" / "goldens"
 DIGEST_OVER = 65536
 
 SHAPES = [",".join(map(str, p.parts)) for n in range(1, 6) for p in partitions_of(n)]
+
+SPECHT = [
+    ["specht-matrix", "--lambda", lam, "--format", fmt]
+    for lam in SHAPES
+    for fmt in ("text", "json", "csv")
+]
 
 POLYTOPE = [
     ["polytope", action, "--lambda", lam, "--format", "json"]
@@ -88,7 +95,12 @@ COEFF = [
     for triple in triples_up_to_4(kind)
 ] + [coeff_argv(kind, triple, EMIT, "matrix.json") for kind, triple in MATRIX_TRIPLES]
 
-FILES = {"cli_polytope.json": POLYTOPE, "cli_matroid.json": MATROID, "cli_coeff.json": COEFF}
+FILES = {
+    "cli_specht.json": SPECHT,
+    "cli_polytope.json": POLYTOPE,
+    "cli_matroid.json": MATROID,
+    "cli_coeff.json": COEFF,
+}
 CASES = [(name, argv) for name, commands in FILES.items() for argv in commands]
 
 

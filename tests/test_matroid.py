@@ -22,6 +22,7 @@ from spechtkit.matroid import (
     poly2_to_json,
     specht_matroid,
 )
+from spechtkit import specht
 from spechtkit.specht import specht_matrix
 from spechtkit.oracles import (
     characteristic_from_tutte,
@@ -51,6 +52,15 @@ def test_specht_matroid_honours_limits():
         m = specht_matroid(p, Limits(max_ground=500))
         assert m.size == 180
         assert m.limits.max_ground == 500
+
+
+def test_specht_matroid_refuses_before_building_the_row_basis(monkeypatch):
+    monkeypatch.setattr(specht, "_cache", {})
+    p = Partition((5, 4))
+    message = r"^max_ground: requested 22680 exceeds limit 128$"
+    with pytest.raises(ResourceLimitError, match=message):
+        specht_matroid(p)
+    assert "row_basis" not in vars(specht_matrix(p))
 
 
 def test_rank_and_closure(x_matroid):

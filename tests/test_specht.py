@@ -1,6 +1,3 @@
-import dataclasses
-import json
-
 import pytest
 
 from spechtkit.combinatorics import (
@@ -154,18 +151,22 @@ def test_yamanouchi_basis_has_rank_d(n):
 
 def test_rank_leaves_rows_and_entries_unbuilt(monkeypatch):
     monkeypatch.setattr(specht, "_cache", {})
-
-    def unread(self):
-        raise AssertionError("the rank read the full matrix")
-
-    monkeypatch.setattr(SpechtMatrix, "_build_entries", unread)
-    monkeypatch.setattr(SpechtMatrix, "_build_row_labels", unread)
     for p, d in [(Partition((1,) * 7), 1), (Partition((2,) + (1,) * 7), 8)]:
         mat = specht_matrix(p)
         assert mat.rank() == specht_module_dimension(p) == d
         assert mat.shape == (len(rearrangements(p.canonical_words()[0])), len(mat.col_labels))
-        with pytest.raises(AssertionError, match="full matrix"):
-            mat.entries
+        assert "row_basis" in vars(mat)
+        assert "row_labels" not in vars(mat) and "entries" not in vars(mat)
+
+
+def test_matrices_compare_and_hash_by_partition(monkeypatch):
+    monkeypatch.setattr(specht, "_cache", {})
+    p = Partition((3, 2))
+    mat = specht_matrix(p)
+    fresh = SpechtMatrix(p)
+    assert hash(fresh) == hash(mat) and fresh == mat != SpechtMatrix(p.conjugate())
+    assert "entries" not in vars(mat) and "entries" not in vars(fresh)
+    assert fresh.entries == mat.entries
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -222,35 +223,18 @@ def test_pair_matrix_entry_normalizes_alphabets():
         pair_matrix_entry((1, 1, 2), (1, 2, 3))
 
 
-def test_json_round_trip():
-    mat = specht_matrix(Partition((2, 2)))
-    again = SpechtMatrix.from_json_dict(json.loads(mat.to_json()))
-    assert again == mat
-
-
-def test_loaded_and_altered_matrices_keep_their_content():
-    mat = specht_matrix(Partition((2, 2)))
-    data = json.loads(mat.to_json())
-    data["entries"][0][1] = 0
-    loaded = SpechtMatrix.from_json_dict(data)
-    assert [list(row) for row in loaded.entries] == data["entries"]
-    assert loaded.partition == mat.partition and loaded != mat
-    two = SpechtMatrix.from_json_dict(
-        {**data, "row_labels": data["row_labels"][:2], "entries": data["entries"][:2]}
-    )
-    assert loaded.shape == mat.shape == (6, 6) and two.shape == (2, 6)
-    # a matrix given its entries takes its basis from them
-    assert loaded.rank() == int_rank(loaded.entries)
-    zero = dataclasses.replace(mat, entries=((0,) * 6,) * 6)
-    assert zero != mat and zero.rank() == 0 and mat.rank() == 2
-    assert dataclasses.replace(mat, entries=mat.entries) == mat
-
-
 def test_csv_has_header_and_labels():
     mat = specht_matrix(Partition((2,)))
     lines = mat.to_csv().strip().splitlines()
     assert lines[0] == ",12,21"
     assert lines[1] == "11,1,-1"
+
+
+def test_canonical_words_stack_into_the_boxes():
+    # so the canonical base pair is complementary, as the pairing needs
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            assert list(zip(*p.canonical_words())) == p.boxes_row_major(), p
 
 
 def test_matrix_guard():
