@@ -33,6 +33,7 @@ from .conjectures import (
 from .errors import DomainError, ResourceLimitError
 from .matroid import (
     LinearMatroid,
+    _members,
     format_poly1,
     format_poly2,
     poly1_to_json,
@@ -181,8 +182,11 @@ def _label_sets(m: LinearMatroid, sets) -> list[list]:
 def _cmd_matroid(args, limits):
     m = _matroid_from_args(args, limits)
     if args.action in ("flats", "circuits"):
-        sets = m.flats() if args.action == "flats" else m.circuits(args.max_size)
-        out = _label_sets(m, sets)
+        if args.action == "flats":
+            names = [format_label(lab) for lab in m.labels]
+            out = [sorted([names[i] for i in _members(f)]) for f in m.flat_lattice()[0]]
+        else:
+            out = _label_sets(m, m.circuits(args.max_size))
         _emit(args, lambda: "\n".join(map(str, out)), lambda: out)
     elif args.action == "bases":
         count = m.bases_count()

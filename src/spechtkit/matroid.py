@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 from typing import Hashable, Iterable, Iterator
 
 from .config import DEFAULT_LIMITS, Limits
@@ -267,48 +267,70 @@ class LinearMatroid:
         raise DomainError(f"unknown tutte strategy {strategy!r}")
 
     def _tutte_subsets(self) -> Poly2:
-        """Corank-nullity sum over all subsets of the ground set.
+        """Corank-nullity sum over all subsets of the ground set, walked by
+        parallel classes.
 
-        Subsets are walked depth first, so each one extends its parent's span
-        by one column, and a subset's descendants add k of the rest columns
-        after its last.  The walk stops at the hyperplanes: once a span has
-        rank r - 1, a k-subset of the rest keeps that rank exactly when all of
-        its columns lie in the span, and reaches rank r otherwise.  So with
-        inside of the rest in the span, counted once, C(inside, k)
-        descendants sit at (1, size + k - r + 1) and C(rest, k) - C(inside, k)
-        at (0, size + k - r), k = 0 being the subset itself.  The same count
-        holds at rank r, where every column is inside; only the empty subset
-        of a rank-0 matroid starts there.
+        For each rank rho the walk sums v^|A| over the subsets A of rank rho,
+        packed as :meth:`_tutte_flats` packs h_F.  A subset is its loops and
+        a nonempty part of each parallel class it meets, and its rank is that
+        of those classes.  So the walk runs depth first over sets K of classes
+        (one representative each), each extending its parent's span by one
+        class, and K stands for (1 + v)^L * prod_{i in K} ((1 + v)^c_i - 1),
+        L the loops and c_i the size of class i: the subsets meeting exactly
+        the classes of K.  At a span S of rank r - 2 or more the walk stops
+        and closes in form, since the contraction by S has rank at most 2 and
+        so is loops and parallel classes only (Brylawski and Oxley 1992).  Of
+        the classes after K's last, those in S hold z columns, and the rest
+        group by residue against S into parallel classes of sizes s_j.  A
+        descendant keeps the rank of S if it takes columns from no group,
+        gains one if from exactly one, and gains two if from more than one.
+        Every packed coefficient counts subsets of one size, so no field
+        carries or borrows.
         """
-        r, n = self._rank, self.size
-        counts: dict[tuple[int, int], int] = {}
+        r, width = self._rank, self.size + 1
+        grow = [(1 + (1 << width)) ** k for k in range(width)]  # (1 + v)^k, packed
+        loops = 0
+        sizes: dict[tuple[int, ...], int] = {}  # normalised column -> the size of its class
+        for vec in self._vectors:
+            key = _normalize(vec)
+            if key is None:
+                loops += 1
+            else:
+                sizes[key] = sizes.get(key, 0) + 1
+        reps, counts = list(sizes), list(sizes.values())
+        gains = [grow[c] - 1 for c in counts]
+        by_rank = [0] * (r + 1)
         space = RowSpace(r)
-        vectors = self._vectors
 
-        def walk(start: int, size: int) -> None:
+        def walk(start: int, weight: int) -> None:
             rk = space.rank
-            if rk + 1 >= r:  # the span of a hyperplane, or of the top in rank 0
-                rest = n - start
-                inside = sum(space.contains(v) for v in vectors[start:])
-                for k in range(inside + 1):
-                    key = (r - rk, size + k - rk)
-                    counts[key] = counts.get(key, 0) + comb(inside, k)
-                for k in range(1, rest + 1):
-                    out = comb(rest, k) - comb(inside, k)
-                    if out:
-                        key = (0, size + k - r)
-                        counts[key] = counts.get(key, 0) + out
+            if rk + 2 >= r:
+                z = 0
+                groups: dict[tuple[int, ...], int] = {}  # residue -> columns
+                for i in range(start, len(reps)):
+                    res = space.reduce(reps[i])
+                    if res is None:
+                        z += counts[i]
+                    else:
+                        groups[res] = groups.get(res, 0) + counts[i]
+                weight *= grow[z]
+                by_rank[rk] += weight
+                if groups:
+                    one = sum(grow[s] for s in groups.values()) - len(groups)
+                    by_rank[rk + 1] += weight * one
+                    if len(groups) > 1:  # so rk = r - 2
+                        several = prod(grow[s] for s in groups.values()) - 1 - one
+                        by_rank[rk + 2] += weight * several
                 return
-            key = (r - rk, size - rk)
-            counts[key] = counts.get(key, 0) + 1
-            for i in range(start, n):
-                grew = space.add(vectors[i])
-                walk(i + 1, size + 1)
+            by_rank[rk] += weight
+            for i in range(start, len(reps)):
+                grew = space.add(reps[i])
+                walk(i + 1, weight * gains[i])
                 if grew:
                     space.pivots.pop()
 
-        walk(0, 0)
-        return _expand_corank_nullity(counts)
+        walk(0, grow[loops])
+        return _tutte_from_rank_sums(by_rank, width)
 
     def _tutte_flats(self) -> Poly2:
         """Sum over the lattice of flats.
@@ -329,23 +351,14 @@ class LinearMatroid:
         of one rank by C(|E|, t), so those sums are packed too.
         """
         width = self.size + 1
-        field = (1 << width) - 1
-        by_rank = [0] * (self._rank + 1)  # sum of h_F / v^r(F) over the flats of each rank
+        by_rank = [0] * (self._rank + 1)  # sum of h_F over the flats of each rank
         hs: list[int] = []
         for m, rf, down in zip(*self.flat_lattice()):
             h = (1 + (1 << width)) ** _popcount(m) - sum(map(hs.__getitem__, _members(down)))
             assert not h & ((1 << width * rf) - 1), "division fails"
-            by_rank[rf] += h >> width * rf
+            by_rank[rf] += h
             hs.append(h)
-        counts: dict[tuple[int, int], int] = {}
-        for rf, h in enumerate(by_rank):
-            t = 0
-            while h:
-                if h & field:
-                    counts[(self._rank - rf, t)] = h & field
-                h >>= width
-                t += 1
-        return _expand_corank_nullity(counts)
+        return _tutte_from_rank_sums(by_rank, width)
 
     def characteristic_polynomial(self) -> Poly1:
         """p(t) = sum over flats F of mu(F) t^(r - r(F)), where mu is the
@@ -386,6 +399,23 @@ def _row_basis(columns, dim: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         space.add(col)
     coords = sorted(c for c, _ in space.pivots)
     return tuple(tuple(col[i] for i in coords) for col in columns), space.rank
+
+
+def _tutte_from_rank_sums(by_rank: list[int], width: int) -> Poly2:
+    """The Tutte polynomial from by_rank[rho], the sum of v^|A| over the
+    subsets A of rank rho, packed one coefficient per field of *width* bits:
+    coefficient t of rank rho is the count at (r - rho, t - rho)."""
+    r, field = len(by_rank) - 1, (1 << width) - 1
+    counts: dict[tuple[int, int], int] = {}
+    for rho, h in enumerate(by_rank):
+        h >>= width * rho
+        t = 0
+        while h:
+            if h & field:
+                counts[(r - rho, t)] = h & field
+            h >>= width
+            t += 1
+    return _expand_corank_nullity(counts)
 
 
 def _expand_corank_nullity(counts: dict[tuple[int, int], int]) -> Poly2:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -319,6 +320,53 @@ def test_subset_tutte_with_columns_inside_the_hyperplanes(cols):
     assert t == tutte_deletion_contraction_oracle(cols)
     assert t == m.tutte_polynomial("flats")
     assert sum(c * 2**i * 2**j for (i, j), c in t.items()) == 2 ** len(cols)  # T(2, 2)
+
+
+def seeded_columns(rng):
+    """At most 10 integer columns of rank at most 5: loops, columns parallel
+    to earlier ones at negative and non-unit multiples, and the images of
+    0/±1 vectors under one integer map, so that spans often hold later
+    columns."""
+    r = rng.randint(0, 5)
+    cols = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if kind < 0.1:
+            cols.append((0,) * r)
+        elif kind < 0.4 and cols:
+            scale = rng.choice((-3, -2, -1, 2, 3))
+            cols.append(tuple(scale * x for x in rng.choice(cols)))
+        else:
+            cols.append(tuple(rng.choice((-1, 0, 0, 1)) for _ in range(r)))
+    amap = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r + 1)]
+    return [tuple(sum(a * x for a, x in zip(row, c)) for row in amap) for c in cols]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subset_tutte_on_seeded_matroids(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        cols = seeded_columns(rng)
+        m = LinearMatroid(tuple(range(len(cols))), cols)
+        t = m.tutte_polynomial("subsets")
+        assert t == tutte_deletion_contraction_oracle(cols), cols
+        assert t == m.tutte_polynomial("flats"), cols
+
+
+def test_subset_tutte_of_parallel_classes_in_closed_form():
+    # 4 independent classes of 8 equal columns: each class is U(1, 8), with
+    # T = x + y + ... + y^7, and a direct sum multiplies Tutte polynomials
+    cols = [tuple(int(i == k) for i in range(4)) for k in range(4) for _ in range(8)]
+    m = LinearMatroid(tuple(range(32)), cols, Limits(tutte_subset_limit=32))
+    factor = {(1, 0): 1, **{(0, j): 1 for j in range(1, 8)}}
+    want = {(0, 0): 1}
+    for _ in range(4):
+        out: dict[tuple[int, int], int] = {}
+        for (a, b), c in want.items():
+            for (i, j), d in factor.items():
+                out[(a + i, b + j)] = out.get((a + i, b + j), 0) + c * d
+        want = out
+    assert m.tutte_polynomial("subsets") == want
 
 
 def test_x_matroid_polynomials(x_matroid):
