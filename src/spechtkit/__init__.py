@@ -4,15 +4,13 @@ matroids, Chow rings, polytopes, and coefficient matrices."""
 __version__ = "0.1.0"
 
 from .combinatorics import (
-    OrderedSetPartition,
     Partition,
     Permutation,
     classify_pair,
-    properly_ordered_set_partitions,
     rearrangements,
 )
 from .errors import DomainError, ResourceLimitError
-from .specht import SpechtMatrix, specht_matrix, specht_module_dimension, young_character
+from .specht import SpechtMatrix, specht_matrix, young_character
 from .matroid import LinearMatroid, specht_matroid
 from .chow import chow_graded_dimensions, chow_presentation, hilbert_series_text
 from .polytope import Polytope, polytope_from_columns, root_polytope_structure_check
@@ -24,7 +22,6 @@ from .coefficients import (
     lr_matrix,
     plethysm_coefficient,
     plethysm_matrix,
-    wreath_elements,
 )
 from .conjectures import (
     check_conjecture1,
@@ -35,17 +32,14 @@ from .conjectures import (
 )
 
 __all__ = [
-    "OrderedSetPartition",
     "Partition",
     "Permutation",
     "classify_pair",
-    "properly_ordered_set_partitions",
     "rearrangements",
     "DomainError",
     "ResourceLimitError",
     "SpechtMatrix",
     "specht_matrix",
-    "specht_module_dimension",
     "young_character",
     "LinearMatroid",
     "specht_matroid",
@@ -62,7 +56,6 @@ __all__ = [
     "lr_matrix",
     "plethysm_coefficient",
     "plethysm_matrix",
-    "wreath_elements",
     "check_conjecture1",
     "check_conjecture2",
     "cyclic_orbit_structures",

@@ -71,7 +71,6 @@ import numpy as np
 
 from .combinatorics import (
     Partition,
-    Permutation,
     Word,
     format_word,
 )
@@ -361,20 +360,6 @@ def lr_coefficient(
 # wreath groups
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    """An element of the wreath subgroup on an l x m array of dots.
-
-    Dot (i, j) sits at position (j - 1) * l + i; the element applies the
-    row permutation ``rows[j-1]`` within column j of the array and then moves
-    column j to column slot_perm(j).
-    """
-
-    rows: tuple[Permutation, ...]
-    slot_perm: Permutation
-    permutation: Permutation  # realized on {1..lm}
-
-
 def _wreath_group(l: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The wreath group on an l x m array of dots, zero-based.
 
@@ -392,22 +377,6 @@ def _wreath_group(l: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.repeat(slots, len(choices), axis=0),
         np.repeat(signs, len(choices)),
     )
-
-
-def wreath_elements(
-    l: int, m: int, limits: Limits = DEFAULT_LIMITS
-) -> list[WreathElement]:
-    limits.require("max_group_order", factorial(l) ** m * factorial(m))
-    dots, slots, _ = _wreath_group(l, m)
-    perm = lambda images: Permutation(tuple(int(x) + 1 for x in images))
-    return [
-        WreathElement(
-            tuple(perm(row) for row in d.reshape(m, l) - l * t[:, None]),
-            perm(t),
-            perm(d),
-        )
-        for d, t in zip(dots, slots)
-    ]
 
 
 @dataclass(frozen=True)

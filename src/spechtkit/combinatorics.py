@@ -1,4 +1,4 @@
-"""Partitions, diagrams, words, permutations, and ordered set partitions.
+"""Partitions, diagrams, words, and permutations.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
 
 Word = tuple[int, ...]
@@ -54,10 +53,6 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.parts)
 
@@ -94,14 +89,6 @@ class Partition:
             for i, row in enumerate(self.parts)
             for j in range(row)
         ]
-
-    def hook_length(self, box: Box) -> int:
-        i, j = box
-        if not (1 <= i <= self.length and 1 <= j <= self.parts[i - 1]):
-            raise DomainError(f"box {box} outside diagram of {self}")
-        arm = self.parts[i - 1] - j
-        leg = sum(1 for k in range(i, self.length) if self.parts[k] >= j)
-        return 1 + arm + leg
 
     def dimension(self) -> int:
         """Hook-length dimension (number of standard fillings).
@@ -159,7 +146,10 @@ def word_from_text(text: str) -> Word:
     if not text:
         raise DomainError("empty word")
     if "," in text:
-        return tuple(int(tok) for tok in text.split(","))
+        try:
+            return tuple(int(tok) for tok in text.split(","))
+        except ValueError:
+            raise DomainError(f"cannot parse word {text!r}") from None
     if text.isdigit():
         return tuple(int(ch) for ch in text)
     if text.isalpha():
@@ -327,62 +317,3 @@ class Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     for img in itertools.permutations(range(1, n + 1)):
         yield Permutation(img)
-
-
-# ---------------------------------------------------------------------------
-# ordered set partitions
-
-
-@dataclass(frozen=True)
-class OrderedSetPartition:
-    parts: tuple[frozenset[int], ...]
-
-    @property
-    def n(self) -> int:
-        return sum(len(p) for p in self.parts)
-
-    def shape(self) -> Partition:
-        return Partition(tuple(len(p) for p in self.parts))
-
-    def word(self) -> Word:
-        """Letter k at every position belonging to the k-th part."""
-        out = [0] * self.n
-        for k, part in enumerate(self.parts, start=1):
-            for pos in part:
-                out[pos - 1] = k
-        return tuple(out)
-
-    def complementary_word(self) -> Word:
-        """Column word pairing with :meth:`word` along sorted positions."""
-        out = [0] * self.n
-        for part in self.parts:
-            for j, pos in enumerate(sorted(part), start=1):
-                out[pos - 1] = j
-        return tuple(out)
-
-
-def properly_ordered_set_partitions(
-    n: int, limits: Limits = DEFAULT_LIMITS
-) -> list[OrderedSetPartition]:
-    """All ordered set partitions of {1..n} with weakly decreasing part sizes.
-
-    Distinct orderings of equal-size parts are counted separately.
-    """
-    if n < 1:
-        raise DomainError("n must be positive")
-    limits.require("max_set_partition_n", n)
-    out: list[OrderedSetPartition] = []
-
-    def extend(remaining: frozenset[int], max_size: int, prefix):
-        if not remaining:
-            out.append(OrderedSetPartition(tuple(prefix)))
-            return
-        rest = sorted(remaining)
-        for size in range(min(max_size, len(rest)), 0, -1):
-            for combo in itertools.combinations(rest, size):
-                prefix.append(frozenset(combo))
-                extend(remaining - frozenset(combo), size, prefix)
-                prefix.pop()
-
-    extend(frozenset(range(1, n + 1)), n, [])
-    return out

@@ -16,8 +16,6 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Limits:
-    # combinatorics
-    max_set_partition_n: int = 7
     # specht matrices
     max_matrix_cells: int = 4_000_000
     # matroids

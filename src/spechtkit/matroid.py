@@ -23,10 +23,6 @@ Poly2 = dict[tuple[int, int], int]
 Poly1 = dict[int, int]
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _members(bits: int) -> Iterator[int]:
     """The indices of the set bits, ascending."""
     s = bin(bits)[:1:-1]
@@ -93,18 +89,7 @@ class LinearMatroid:
             return self._rank
         return self._rank_mask(self._mask(subset))
 
-    # -- closure and flats --------------------------------------------------
-
-    def _closure_mask(self, mask: int) -> int:
-        space = self._span(mask)
-        out = mask
-        for i in range(self.size):
-            if not (mask >> i & 1) and space.contains(self._vectors[i]):
-                out |= 1 << i
-        return out
-
-    def closure(self, subset: Iterable[Hashable]) -> frozenset:
-        return self._labels_of(self._closure_mask(self._mask(subset)))
+    # -- flats --------------------------------------------------------------
 
     def _flat_masks(self) -> list[int]:
         """All flats, from the closure of the empty set to the top, sorted by
@@ -214,9 +199,6 @@ class LinearMatroid:
                 out |= 1 << i
         return out
 
-    def loops(self) -> frozenset:
-        return self._labels_of(self._loop_mask())
-
     def circuits(self, max_size: int | None = None) -> list[frozenset]:
         """Minimal dependent sets, smallest first.
 
@@ -239,17 +221,6 @@ class LinearMatroid:
                     found.append(mask)
                     out.append(self._labels_of(mask))
         return out
-
-    def has_two_element_circuit(self) -> bool:
-        seen: dict[tuple[int, ...] | None, int] = {}
-        for vec in self._vectors:
-            key = _normalize(vec)
-            if key is None:
-                return True  # a loop forms a one-element circuit already
-            if key in seen:
-                return True
-            seen[key] = 1
-        return False
 
     def bases_count(self) -> int:
         return sum(self.tutte_polynomial().values())  # T(1, 1)
@@ -354,7 +325,7 @@ class LinearMatroid:
         by_rank = [0] * (self._rank + 1)  # sum of h_F over the flats of each rank
         hs: list[int] = []
         for m, rf, down in zip(*self.flat_lattice()):
-            h = (1 + (1 << width)) ** _popcount(m) - sum(map(hs.__getitem__, _members(down)))
+            h = (1 + (1 << width)) ** m.bit_count() - sum(map(hs.__getitem__, _members(down)))
             assert not h & ((1 << width * rf) - 1), "division fails"
             by_rank[rf] += h
             hs.append(h)

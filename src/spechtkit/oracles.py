@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
@@ -261,6 +262,56 @@ def standard_filling_count(p: Partition) -> int:
 # the funny sum of Conjecture 1, pair by pair
 
 
+@dataclass(frozen=True)
+class OrderedSetPartition:
+    parts: tuple[frozenset[int], ...]
+
+    @property
+    def n(self) -> int:
+        return sum(len(p) for p in self.parts)
+
+    def shape(self) -> Partition:
+        return Partition(tuple(len(p) for p in self.parts))
+
+    def word(self) -> tuple[int, ...]:
+        """Letter k at every position belonging to the k-th part."""
+        out = [0] * self.n
+        for k, part in enumerate(self.parts, start=1):
+            for pos in part:
+                out[pos - 1] = k
+        return tuple(out)
+
+    def complementary_word(self) -> tuple[int, ...]:
+        """Column word pairing with :meth:`word` along sorted positions."""
+        out = [0] * self.n
+        for part in self.parts:
+            for j, pos in enumerate(sorted(part), start=1):
+                out[pos - 1] = j
+        return tuple(out)
+
+
+def properly_ordered_set_partitions(n: int) -> list[OrderedSetPartition]:
+    """All ordered set partitions of {1..n} with weakly decreasing part sizes.
+
+    Distinct orderings of equal-size parts are counted separately.
+    """
+    out: list[OrderedSetPartition] = []
+
+    def extend(remaining: frozenset[int], max_size: int, prefix):
+        if not remaining:
+            out.append(OrderedSetPartition(tuple(prefix)))
+            return
+        rest = sorted(remaining)
+        for size in range(min(max_size, len(rest)), 0, -1):
+            for combo in itertools.combinations(rest, size):
+                prefix.append(frozenset(combo))
+                extend(remaining - frozenset(combo), size, prefix)
+                prefix.pop()
+
+    extend(frozenset(range(1, n + 1)), n, [])
+    return out
+
+
 def funny_sum_oracle(n: int, pairs: Sequence[tuple]) -> list[int]:
     """The funny sum of each (sigma, tau) in *pairs*, from its definition.
 
@@ -268,7 +319,7 @@ def funny_sum_oracle(n: int, pairs: Sequence[tuple]) -> list[int]:
     the properly ordered set partitions P of {1..n} and the rearrangements r
     of P's complementary word, Y read from the pairing matrix of P's shape.
     """
-    from .combinatorics import properly_ordered_set_partitions, rearrangements
+    from .combinatorics import rearrangements
     from .specht import specht_matrix
 
     tables = []

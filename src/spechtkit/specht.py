@@ -42,7 +42,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,7 +54,6 @@ from .combinatorics import (
     classify_pair,
     format_word,
     letter_multiplicities,
-    normalize_word,
     rearrangement_count,
     rearrangements,
 )
@@ -213,10 +211,6 @@ class SpechtMatrix:
     def rank(self) -> int:
         return len(self.row_basis)
 
-    def column(self, w2: Word) -> tuple[int, ...]:
-        j = self.col_labels.index(w2)
-        return tuple(row[j] for row in self.entries)
-
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.entries))
 
@@ -227,9 +221,6 @@ class SpechtMatrix:
             "col_labels": [format_word(w) for w in self.col_labels],
             "entries": [list(row) for row in self.entries],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -273,48 +264,3 @@ def specht_matrix(p: Partition, limits: Limits = DEFAULT_LIMITS) -> SpechtMatrix
     mat = SpechtMatrix(p)
     with _cache_lock:
         return _cache.setdefault(p.parts, mat)
-
-
-def specht_module_dimension(p: Partition, limits: Limits = DEFAULT_LIMITS) -> int:
-    """Rank of the pairing matrix; equals the hook-length dimension."""
-    return specht_matrix(p, limits).rank()
-
-
-def pair_matrix_entry(w1: Word, w2: Word) -> int:
-    """Pairing entry for arbitrary words after frequency normalization."""
-    cls = classify_pair(w1, w2)
-    if not cls.rearrangeable:
-        raise DomainError("words have no complementary rearrangement")
-    r1, r2 = cls.partition.canonical_words()
-    return young_character(normalize_word(w1), normalize_word(w2), r1, r2)
-
-
-def column_action_witness(
-    p: Partition, sigma: Permutation, limits: Limits = DEFAULT_LIMITS
-) -> dict[Word, tuple[Word, int]]:
-    """Show that permuting letter positions permutes matrix columns by sign.
-
-    For each column label c, the column of ``sigma.apply(c)`` read against
-    rows ``sigma.apply(r)`` equals ``sign(sigma)`` times the original column;
-    equivalently the column at label c of the position-permuted matrix equals
-    ``sign(sigma)`` times the column at ``sigma.inverse().apply(c)``.  Returns
-    ``{c: (source_label, sign)}`` and verifies the identity entry by entry.
-    """
-    if sigma.n != p.n:
-        raise DomainError("permutation degree does not match partition size")
-    mat = specht_matrix(p, limits)
-    sign = sigma.sign()
-    inv = sigma.inverse()
-    witness: dict[Word, tuple[Word, int]] = {}
-    for c in mat.col_labels:
-        source = inv.apply(c)
-        permuted = tuple(
-            mat.entry(sigma.apply(r), c) for r in mat.row_labels
-        )
-        expected = tuple(sign * x for x in mat.column(source))
-        if permuted != expected:
-            raise AssertionError(
-                f"column action failed at {format_word(c)} for {sigma.images}"
-            )
-        witness[c] = (source, sign)
-    return witness

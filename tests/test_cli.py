@@ -1,5 +1,8 @@
 import argparse
+import ast
+import functools
 import json
+from dataclasses import fields
 from importlib import resources
 
 import jsonschema
@@ -9,6 +12,7 @@ from spechtkit import cli, combinatorics
 from spechtkit.cli import build_parser, main
 from spechtkit.coefficients import kronecker_matrix
 from spechtkit.combinatorics import Partition
+from spechtkit.config import Limits
 from spechtkit.matroid import LinearMatroid
 from spechtkit.oracles import plethysm_oracle
 
@@ -232,6 +236,10 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "matroid", "charpoly", "--matrix", "/no/such/file.json")
     assert code == 2
     assert err.startswith("error: io:")
+    # max_set_partition_n guarded only an oracle; it is no guard and has no flag
+    code, _, err = run(capsys, "check", "conjecture1", "--n", "3", "--max-set-partition-n", "4")
+    assert code == 2
+    assert "unrecognized arguments: --max-set-partition-n 4" in err
 
 
 @pytest.mark.parametrize(
@@ -243,6 +251,8 @@ def test_usage_errors_exit_2(capsys):
         ["check", "conjecture1", "--n", "3", "--mode", "sampled", "--samples", "-5"],
         ["check", "conjecture1", "--n", "3", "--mode", "sampled", "--samples", "0"],
         ["matroid", "circuits", "--lambda", "2,2", "--max-size", "-1"],
+        ["classify", "--w1", "1,x", "--w2", "12"],
+        ["classify", "--w1", ",", "--w2", "1"],
     ],
     ids=" ".join,
 )
@@ -250,6 +260,51 @@ def test_vacuous_or_invalid_counts_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: usage:")
+
+
+# one CLI input per guard that the guard refuses at 1
+GUARDED_ARGV = {
+    "max_matrix_cells": "specht-matrix --lambda 2,1",
+    "max_ground": "matroid flats --lambda 2,1",
+    "max_circuit_ground": "matroid circuits --lambda 2,1",
+    "tutte_subset_limit": "matroid tutte --lambda 2,1 --strategy subsets",
+    "max_flats": "matroid flats --lambda 2,1",
+    "max_polytope_points": "polytope fvector --lambda 2,1",
+    "max_polytope_dim": "polytope fvector --lambda 2,1,1",
+    "max_box_volume": "polytope lattice-points --lambda 2,1",
+    "max_group_order": "coeff kronecker --lambda 2 --mu 2 --nu 2",
+    "max_coefficient_n": "coeff kronecker --lambda 2 --mu 2 --nu 2",
+    "max_funny_sum_n": "check conjecture1 --n 2",
+    "max_derangement_n": "check conjecture2 --n 2",
+}
+
+
+@functools.cache
+def modules_importing_oracles():
+    found = []
+    for path in resources.files("spechtkit").iterdir():
+        if path.name.endswith(".py") and path.name != "oracles.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(n.split(".")[-1] == "oracles" for n in names):
+                    found.append(path.name)
+    return found
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(Limits)])
+def test_every_guard_refuses_some_cli_input(capsys, field):
+    assert set(GUARDED_ARGV) == {f.name for f in fields(Limits)}
+    argv = GUARDED_ARGV[field].split() + ["--" + field.replace("_", "-"), "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: resource: {field}:")
+    # a guard on an oracle would guard no CLI input: no module reads them
+    assert modules_importing_oracles() == []
 
 
 def test_resource_errors_exit_3(capsys):

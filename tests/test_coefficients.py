@@ -17,13 +17,13 @@ from spechtkit.coefficients import (
     _orbit_walk,
     _plethysm_setup,
     _TensorPowerFactor,
+    _wreath_group,
     kronecker_coefficient,
     kronecker_matrix,
     lr_coefficient,
     lr_matrix,
     plethysm_coefficient,
     plethysm_matrix,
-    wreath_elements,
 )
 from spechtkit.combinatorics import Partition, Permutation, partitions_of
 from spechtkit.config import Limits
@@ -129,15 +129,14 @@ def test_lr_matches_oracle_and_matrix_rank():
 
 def test_wreath_group_order_and_closure():
     for l, m in [(2, 2), (3, 2), (2, 3)]:
-        els = wreath_elements(l, m)
-        assert len(els) == factorial(l) ** m * factorial(m)
-        perms = {e.permutation.images for e in els}
-        assert len(perms) == len(els)
-        # closed under composition of the realized permutations
-        sample = [els[0], els[1], els[-1], els[len(els) // 2]]
-        for a in sample:
-            for b in sample:
-                assert (a.permutation * b.permutation).images in perms
+        dots, _, _ = _wreath_group(l, m)
+        assert dots.shape == (factorial(l) ** m * factorial(m), l * m)
+        assert (np.sort(dots, axis=1) == np.arange(l * m)).all()
+        perms = {tuple(row) for row in dots.tolist()}
+        assert len(perms) == len(dots)
+        # closed under composition: row b of a[dots] is a o b
+        for a in dots:
+            assert all(tuple(row) in perms for row in a[dots].tolist())
 
 
 @pytest.mark.parametrize(

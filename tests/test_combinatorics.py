@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spechtkit.combinatorics import (
-    OrderedSetPartition,
     Partition,
     Permutation,
     all_permutations,
@@ -13,7 +12,6 @@ from spechtkit.combinatorics import (
     letter_multiplicities,
     normalize_word,
     partitions_of,
-    properly_ordered_set_partitions,
     rearrangement_count,
     rearrangements,
     word_from_text,
@@ -84,10 +82,8 @@ def test_dimension_squares_sum_to_group_order(n):
 
 
 def test_hook_length_example():
-    p = Partition((3, 2))
     # hooks of (3,2): 4 3 1 / 2 1
-    hooks = [p.hook_length(b) for b in p.boxes_row_major()]
-    assert hooks == [4, 3, 1, 2, 1]
+    assert Partition((3, 2)).dimension() == factorial(5) // (4 * 3 * 1 * 2 * 1)
 
 
 def test_canonical_word_multiplicities():
@@ -109,6 +105,9 @@ def test_word_from_text_digits_csv_letters():
     assert word_from_text("1,2,1,2") == (1, 2, 1, 2)
     # letters are normalized by frequency rank, then first appearance
     assert word_from_text("ABAB") == word_from_text("1212")
+    for text in ["1,x", ",", "1,,2"]:
+        with pytest.raises(DomainError, match="cannot parse word"):
+            word_from_text(text)
 
 
 def test_word_round_trip():
@@ -203,38 +202,3 @@ def test_from_cycles():
 
 def test_all_permutations_count():
     assert len(list(all_permutations(4))) == 24
-
-
-# ---------------------------------------------------------------------------
-# ordered set partitions
-
-
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 10), (4, 47)])
-def test_properly_ordered_set_partition_counts(n, count):
-    osps = properly_ordered_set_partitions(n)
-    assert len(osps) == count
-    seen = set()
-    for osp in osps:
-        sizes = [len(b) for b in osp.parts]
-        assert sizes == sorted(sizes, reverse=True)
-        union = set().union(*osp.parts)
-        assert union == set(range(1, n + 1))
-        key = tuple(tuple(sorted(b)) for b in osp.parts)
-        assert key not in seen
-        seen.add(key)
-
-
-def test_set_partition_words():
-    osp = OrderedSetPartition((frozenset({1, 3}), frozenset({2})))
-    # letter k marks the members of block k
-    assert osp.word() == (1, 2, 1)
-    # within each block, the j-th smallest member gets letter j
-    assert osp.complementary_word() == (1, 1, 2)
-
-
-def test_set_partition_guard():
-    from spechtkit.config import Limits
-    from spechtkit.errors import ResourceLimitError
-
-    with pytest.raises(ResourceLimitError):
-        properly_ordered_set_partitions(5, Limits(max_set_partition_n=4))

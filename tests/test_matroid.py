@@ -15,6 +15,7 @@ from spechtkit.combinatorics import (
 )
 from spechtkit.config import Limits
 from spechtkit.errors import DomainError, ResourceLimitError
+from spechtkit.linalg import _normalize
 from spechtkit.matroid import (
     LinearMatroid,
     format_poly1,
@@ -64,13 +65,18 @@ def test_specht_matroid_refuses_before_building_the_row_basis(monkeypatch):
     assert "row_basis" not in vars(specht_matrix(p))
 
 
+def closure(m, subset):
+    """The least flat of *m* that contains *subset*."""
+    return min((f for f in m.flats() if f >= set(subset)), key=len)
+
+
 def test_rank_and_closure(x_matroid):
     m = x_matroid
     assert m.rank() == 3
     assert m.rank([0]) == 1
     assert m.rank([]) == 0
-    assert m.closure([0, 1]) == frozenset({0, 1, 3, 4})
-    assert m.closure([]) == frozenset()
+    assert closure(m, [0, 1]) == frozenset({0, 1, 3, 4})
+    assert closure(m, []) == frozenset()
     with pytest.raises(DomainError):
         m.rank([99])
 
@@ -104,9 +110,9 @@ def test_x_matroid_flats(x_matroid):
 
 def test_closure_and_flats_with_loops():
     m = LinearMatroid("abcd", ((0, 0, 0), (1, 2, 0), (2, 4, 0), (0, 0, 0)))
-    assert m.loops() == {"a", "d"}
-    assert m.closure([]) == {"a", "d"}
-    assert m.closure(["b"]) == {"a", "b", "c", "d"}
+    assert m.flats()[0] == {"a", "d"}  # the loops
+    assert closure(m, []) == {"a", "d"}
+    assert closure(m, ["b"]) == {"a", "b", "c", "d"}
     assert [sorted(f) for f in m.flats()] == [["a", "d"], ["a", "b", "c", "d"]]
     assert [sorted(f) for f in m.flats() if 0 < len(f) < m.size] == [["a", "d"]]
 
@@ -387,7 +393,6 @@ def test_matroid_2_2_circuits_bases_flats():
     }
     # plus one circuit per transversal of the three parallel classes
     assert len(m.circuits()) == 3 + 8
-    assert m.has_two_element_circuit()
     assert m.bases_count() == 12
     assert len(m.flats()) == 5  # empty, three parallel pairs, everything
 
@@ -473,9 +478,14 @@ def test_tutte_specializations(x_matroid):
 
 def test_loops_and_coloops():
     m = LinearMatroid(("a", "b"), ((0, 0), (1, 0)))
-    assert m.loops() == {"a"}
+    assert m.flats()[0] == {"a"}  # the loops
     assert m.tutte_polynomial() == {(1, 1): 1}
     assert {frozenset(c) for c in m.circuits()} == {frozenset({"a"})}
+
+
+def conjugate_has_repeated_part(p):
+    conj = p.conjugate().parts
+    return len(set(conj)) < len(conj)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -484,19 +494,20 @@ def test_two_element_circuit_detection_matches_enumeration(n):
         m = specht_matroid(p)
         if m.size > m.limits.max_circuit_ground:
             continue
-        pairs = [c for c in m.circuits(max_size=2)]
-        assert m.has_two_element_circuit() == bool(pairs)
+        assert bool(m.circuits(max_size=2)) == conjugate_has_repeated_part(p)
 
 
-@pytest.mark.parametrize(
-    "parts,expected",
-    [((2, 2), True), ((2, 1, 1), False), ((3, 1), True), ((4, 1), True)],
-)
-def test_two_element_circuit_iff_conjugate_has_repeated_part(parts, expected):
-    p = Partition(parts)
-    assert specht_matroid(p).has_two_element_circuit() == expected
-    conj = p.conjugate().parts
-    assert (len(set(conj)) < len(conj)) == expected
+SHAPES_TO_6 = [p for n in range(1, 7) for p in partitions_of(n)]
+
+
+@pytest.mark.parametrize("p", SHAPES_TO_6, ids=str)
+def test_two_element_circuit_iff_conjugate_has_repeated_part(p):
+    # a parallel pair is two row-basis columns that normalise alike (v and -v
+    # normalise alike); no column is zero, so there is no loop
+    columns = list(zip(*specht_matrix(p).row_basis))
+    keys = [_normalize(c) for c in columns]
+    assert None not in keys
+    assert (len(set(keys)) < len(keys)) == conjugate_has_repeated_part(p)
 
 
 def test_rank_is_submodular(x_matroid):

@@ -7,6 +7,7 @@ import pytest
 from spechtkit.combinatorics import Partition, partitions_of
 from spechtkit.linalg import int_rank
 from spechtkit.oracles import (
+    OrderedSetPartition,
     _hyperplane_normal,
     character_value,
     class_size_factor,
@@ -15,6 +16,7 @@ from spechtkit.oracles import (
     kronecker_oracle,
     lr_oracle,
     plethysm_oracle,
+    properly_ordered_set_partitions,
     schur_in_powersums,
     standard_filling_count,
 )
@@ -152,3 +154,26 @@ def test_derangement_excedance_oracle_counts_derangements():
         assert sum(counts) == derangements[n]
         assert counts == counts[::-1]
         assert len(counts) == n - 1  # one to n - 1 excedances
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 10), (4, 47)])
+def test_properly_ordered_set_partition_counts(n, count):
+    osps = properly_ordered_set_partitions(n)
+    assert len(osps) == count
+    seen = set()
+    for osp in osps:
+        sizes = [len(b) for b in osp.parts]
+        assert sizes == sorted(sizes, reverse=True)
+        union = set().union(*osp.parts)
+        assert union == set(range(1, n + 1))
+        key = tuple(tuple(sorted(b)) for b in osp.parts)
+        assert key not in seen
+        seen.add(key)
+
+
+def test_set_partition_words():
+    osp = OrderedSetPartition((frozenset({1, 3}), frozenset({2})))
+    # letter k marks the members of block k
+    assert osp.word() == (1, 2, 1)
+    # within each block, the j-th smallest member gets letter j
+    assert osp.complementary_word() == (1, 1, 2)
