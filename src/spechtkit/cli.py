@@ -24,12 +24,7 @@ from .coefficients import (
 )
 from .combinatorics import Partition, classify_pair, format_label, format_word, word_from_text
 from .config import Limits, resolve_limits
-from .conjectures import (
-    check_conjecture1,
-    check_conjecture2,
-    cyclic_orbit_structures,
-    derangement_excedance_counts,
-)
+from .conjectures import check_conjecture1, check_conjecture2, cyclic_orbit_structures
 from .errors import DomainError, ResourceLimitError
 from .matroid import (
     LinearMatroid,

@@ -57,6 +57,24 @@ conjugation.  So ``*_coefficient`` walks the variant with the fewest columns
 power, and a tie keeps the triple given), and the numbers in a refusal of
 its guards refer to the variant walked.  ``*_matrix`` walks the triple as
 given, whose labels it returns.
+
+Before the walk, ``*_coefficient`` answers 0 where a classical support rule
+shows the coefficient vanishes; each rule reads only the three partitions.
+With |a ∩ b| = sum of min(a_i, b_i) and ⊴ dominance:
+
+* Kronecker (Dvir, J. Algebra 154, 1993): g(a, b, c) != 0 needs
+  c_1 <= |a ∩ b| and l(c) <= |a ∩ b'|, for each of the three as c;
+* Littlewood-Richardson: c^nu_{lam mu} != 0 needs lam, mu inside nu and
+  lam ∪ mu ⊴ nu ⊴ lam + mu (parts sorted together, and added row by row);
+* plethysm: s_mu[s_lam] is a summand of s_lam^m, m = |mu|, so a nonzero
+  value needs nu ⊴ m lam and nu' ⊴ m lam'; and s_mu[s_1] = s_mu.
+
+Each rule holds alike for every conjugate variant.  It runs after the setup,
+so every usage check and setup guard comes first, and only the guards of the
+walk itself never see a triple a rule answers: plethysm (1), (1^7), (7),
+whose 5040 x 5040 action table ``max_matrix_cells`` refuses, answers 0.
+Every other value, zero or not, is the rank of the walk.  ``*_matrix``
+always walks.
 """
 
 from __future__ import annotations
@@ -286,6 +304,18 @@ def _fewest_columns(triple: tuple[Partition, ...], flips, limits: Limits, powers
     return tuple(p.conjugate() if f in flip else p for f, p in enumerate(triple))
 
 
+def _meet(a: Partition, b: Partition) -> int:
+    """|a ∩ b|, the boxes the two diagrams share: the sum of min(a_i, b_i)."""
+    return sum(map(min, a.parts, b.parts))
+
+
+def _dominated(p: Sequence[int], q: Sequence[int]) -> bool:
+    """p ⊴ q for the parts of two partitions of one size.  The partial sums
+    past the shorter are left out: if p is the shorter, the last one it has
+    is the whole size and bounds q's there; if q is, its sums are the size."""
+    return all(a <= b for a, b in zip(itertools.accumulate(p), itertools.accumulate(q)))
+
+
 def _symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-based one-line images of S_n, one row per element, and the signs."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
@@ -307,6 +337,17 @@ def _kronecker_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limit
     return factors, [perms, perms, perms], signs
 
 
+def _kronecker_vanishes(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """Dvir's bounds (J. Algebra 154, 1993): g(a, b, c) != 0 needs
+    c_1 <= |a ∩ b| and l(c) <= |a ∩ b'|, for c each of the three."""
+    triple = (lam, mu, nu)
+    for k, c in enumerate(triple):
+        a, b = triple[:k] + triple[k + 1 :]
+        if max(c.parts, default=0) > _meet(a, b) or len(c.parts) > _meet(a, b.conjugate()):
+            return True
+    return False
+
+
 def kronecker_matrix(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> LabeledCoefficientMatrix:
@@ -318,7 +359,8 @@ def kronecker_coefficient(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> int:
     triple = _fewest_columns((lam, mu, nu), [(), (0, 1), (0, 2), (1, 2)], limits)
-    return _coefficient(*_kronecker_setup(*triple, limits), limits)
+    setup = _kronecker_setup(*triple, limits)
+    return 0 if _kronecker_vanishes(*triple) else _coefficient(*setup, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +385,15 @@ def _lr_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits):
     return factors, [left, right, np.hstack([left, l + right])], weights
 
 
+def _lr_vanishes(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """c^nu_{lam mu} != 0 needs lam, mu inside nu and lam ∪ mu ⊴ nu ⊴ lam + mu."""
+    if _meet(lam, nu) < lam.n or _meet(mu, nu) < mu.n:
+        return True
+    union = sorted(lam.parts + mu.parts, reverse=True)
+    total = [a + b for a, b in itertools.zip_longest(lam.parts, mu.parts, fillvalue=0)]
+    return not (_dominated(union, nu.parts) and _dominated(nu.parts, total))
+
+
 def lr_matrix(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> LabeledCoefficientMatrix:
@@ -353,7 +404,8 @@ def lr_coefficient(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> int:
     triple = _fewest_columns((lam, mu, nu), [(), (0, 1, 2)], limits)
-    return _coefficient(*_lr_setup(*triple, limits), limits)
+    setup = _lr_setup(*triple, limits)
+    return 0 if _lr_vanishes(*triple) else _coefficient(*setup, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +498,19 @@ def _plethysm_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits
     return factors, [dots, slots, dots], weights
 
 
+def _plethysm_vanishes(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """s_mu[s_lam] is a summand of s_lam^m, m = |mu|, so a nonzero
+    <s_mu[s_lam], s_nu> needs nu ⊴ m lam and nu' ⊴ m lam'; and
+    s_mu[s_1] = s_mu."""
+    if lam.n == 1:
+        return nu != mu
+    m = mu.n
+    return not (
+        _dominated(nu.parts, [m * x for x in lam.parts])
+        and _dominated(nu.conjugate().parts, [m * x for x in lam.conjugate().parts])
+    )
+
+
 def plethysm_matrix(
     lam: Partition, mu: Partition, nu: Partition, limits: Limits = DEFAULT_LIMITS
 ) -> LabeledCoefficientMatrix:
@@ -467,4 +532,5 @@ def plethysm_coefficient(
     # mu is conjugated with lam' only for |lam| odd
     flip = (0, 2) if lam.n % 2 == 0 else (0, 1, 2)
     triple = _fewest_columns((lam, mu, nu), [(), flip], limits, (mu.n, 1, 1))
-    return _coefficient(*_plethysm_setup(*triple, limits), limits)
+    setup = _plethysm_setup(*triple, limits)
+    return 0 if _plethysm_vanishes(*triple) else _coefficient(*setup, limits)

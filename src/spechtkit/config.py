@@ -53,20 +53,23 @@ def resolve_limits(flags: Mapping[str, int | None]) -> Limits:
     variables and then by *flags*, a mapping from guard name to value (None
     where unset) such as the parsed CLI arguments.
 
-    A value that is not a positive integer raises ``DomainError`` naming the
-    variable or the guard.
+    A value that is not a positive integer, and a SPECHTKIT_ variable that
+    names no guard, raise ``DomainError`` naming the variable or the guard.
     """
+    names = {"SPECHTKIT_" + f.name.upper(): f.name for f in fields(Limits)}
+    for var in sorted(os.environ):
+        if var.startswith("SPECHTKIT_") and var not in names:
+            raise DomainError(f"{var} names no guard")
 
     def given():
-        for f in fields(Limits):
-            var = "SPECHTKIT_" + f.name.upper()
+        for var, name in names.items():
             raw = os.environ.get(var)
             if raw is not None:
                 try:
                     value = int(raw)
                 except ValueError:
                     raise DomainError(f"{var}={raw!r} is not an integer") from None
-                yield f.name, value, var
+                yield name, value, var
         for f in fields(Limits):
             value = flags.get(f.name)
             if value is not None:

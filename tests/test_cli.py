@@ -14,7 +14,7 @@ from spechtkit.coefficients import kronecker_matrix
 from spechtkit.combinatorics import Partition
 from spechtkit.config import Limits
 from spechtkit.matroid import LinearMatroid
-from spechtkit.oracles import plethysm_oracle
+from spechtkit.oracles import kronecker_oracle, plethysm_oracle
 
 
 def run(capsys, *argv):
@@ -333,20 +333,27 @@ def test_guard_refusal_of_a_huge_request_exits_3(capsys):
 
 
 def test_action_table_guard_exits_3(capsys):
-    # S_m acts on the m! columns of (m): an m! x m! action table, checked
-    # before it is built
-    code, _, err = run(
-        capsys, "coeff", "plethysm", "--lambda", "1", "--mu", "1,1,1,1,1,1,1", "--nu", "7"
-    )
+    # S_n acts on the n! columns of (n): an n! x n! action table, checked
+    # before it is built; (n)^3 walks (1^n),(1^n),(n)
+    big = ("coeff", "kronecker", "--lambda", "7", "--mu", "7", "--nu", "7")
+    code, _, err = run(capsys, *big, "--max-coefficient-n", "7", "--max-group-order", "5040")
     assert code == 3
     assert "max_matrix_cells: requested 25401600" in err
-    small = ("coeff", "plethysm", "--lambda", "1", "--mu", "1,1,1,1,1", "--nu", "5")
+    small = ("coeff", "kronecker", "--lambda", "5", "--mu", "5", "--nu", "5")
     code, _, err = run(capsys, *small, "--max-matrix-cells", "14399")
     assert code == 3
     assert "max_matrix_cells: requested 14400" in err
     code, out, _ = run(capsys, *small, "--max-matrix-cells", "14400", "--format", "json")
     assert code == 0
-    assert json.loads(out)["coefficient"] == plethysm_oracle(Partition((1,)), Partition((1,) * 5), Partition((5,)))
+    five = Partition((5,))
+    assert json.loads(out)["coefficient"] == kronecker_oracle(five, five, five) == 1
+    # s_(1^7)[s_1] = s_(1^7): the support rule answers before the walk,
+    # whose action table on (7) the guard refuses
+    ones = ("coeff", "plethysm", "--lambda", "1", "--mu", "1,1,1,1,1,1,1", "--nu", "7")
+    code, out, _ = run(capsys, *ones, "--format", "json")
+    assert code == 0
+    triple = (Partition((1,)), Partition((1,) * 7), Partition((7,)))
+    assert json.loads(out)["coefficient"] == plethysm_oracle(*triple) == 0
 
 
 def test_limit_flag_overrides(capsys):
@@ -436,6 +443,20 @@ def test_bad_limit_env_value_is_usage_error(capsys, monkeypatch, value):
     assert code == 2
     assert err.startswith("error: usage:")
     assert "SPECHTKIT_MAX_GROUND" in err
+
+
+@pytest.mark.parametrize("var", ["SPECHTKIT_MAX_GROUD", "SPECHTKIT_MAX_SET_PARTITION_N"])
+def test_unknown_limit_env_variable_is_usage_error(capsys, monkeypatch, var):
+    # a misspelt or removed guard variable is refused, as its flag is
+    monkeypatch.setenv(var, "1")
+    code, out, err = run(capsys, "check", "conjecture1", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: usage: {var} names no guard\n"
+    flag = "--" + var.removeprefix("SPECHTKIT_").lower().replace("_", "-")
+    monkeypatch.delenv(var)
+    code, _, err = run(capsys, "check", "conjecture1", "--n", "3", flag, "1")
+    assert code == 2
+    assert f"unrecognized arguments: {flag} 1" in err
 
 
 def test_seed_is_a_check_flag_only(capsys):

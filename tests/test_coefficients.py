@@ -13,9 +13,12 @@ from spechtkit.coefficients import (
     _coefficient,
     _column_table,
     _kronecker_setup,
+    _kronecker_vanishes,
     _lr_setup,
+    _lr_vanishes,
     _orbit_walk,
     _plethysm_setup,
+    _plethysm_vanishes,
     _TensorPowerFactor,
     _wreath_group,
     kronecker_coefficient,
@@ -38,6 +41,13 @@ from spechtkit.oracles import (
 from spechtkit.specht import specht_matrix
 
 P = Partition.parse
+SETUPS = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
+
+
+def walk_value(kind, triple, limits=Limits()):
+    """The rank of the orbit walk on the triple as given: no support rule
+    and no conjugate variant stands in for it."""
+    return _coefficient(*SETUPS[kind](*triple, limits), limits)
 
 
 def test_kronecker_2_2_2_golden():
@@ -63,6 +73,7 @@ def test_kronecker_matches_oracle_and_matrix_rank():
                 for nu in partitions_of(n):
                     expected = kronecker_oracle(lam, mu, nu)
                     assert kronecker_coefficient(lam, mu, nu) == expected
+                    assert walk_value("kronecker", (lam, mu, nu)) == expected
                     assert kronecker_matrix(lam, mu, nu).rank() == expected
 
 
@@ -77,7 +88,9 @@ def test_kronecker_at_n6_matches_oracle_on_a_seeded_sample():
         if prod(cols[p] for p in t) <= 100_000
     ]
     for triple in random.Random(6).sample(triples, 24):
-        assert kronecker_coefficient(*triple, limits) == kronecker_oracle(*triple), triple
+        expected = kronecker_oracle(*triple)
+        assert kronecker_coefficient(*triple, limits) == expected, triple
+        assert walk_value("kronecker", triple, limits) == expected, triple
 
 
 def test_kronecker_is_symmetric_in_its_arguments():
@@ -96,6 +109,7 @@ def test_kronecker_with_trivial_factor_detects_equality(n):
     for lam in partitions_of(n):
         for mu in partitions_of(n):
             assert kronecker_coefficient(lam, mu, triv) == int(lam == mu)
+            assert walk_value("kronecker", (lam, mu, triv)) == int(lam == mu)
 
 
 def test_lr_2_1_2_1_3_2_1_golden():
@@ -123,6 +137,7 @@ def test_lr_matches_oracle_and_matrix_rank():
                 for nu in partitions_of(l + m):
                     expected = lr_oracle(lam, mu, nu)
                     assert lr_coefficient(lam, mu, nu) == expected
+                    assert walk_value("lr", (lam, mu, nu)) == expected
                     if l + m <= 4:
                         assert lr_matrix(lam, mu, nu).rank() == expected
 
@@ -155,6 +170,7 @@ def test_wreath_group_order_and_closure():
 )
 def test_plethysm_classical_degree_four_values(lam, mu, nu, expected):
     assert plethysm_coefficient(P(lam), P(mu), P(nu)) == expected
+    assert walk_value("plethysm", (P(lam), P(mu), P(nu))) == expected
     assert plethysm_matrix(P(lam), P(mu), P(nu)).rank() == expected
 
 
@@ -170,6 +186,7 @@ def test_plethysm_matches_oracle_and_matrix_rank():
                 for nu in partitions_of(l * m):
                     expected = plethysm_oracle(lam, mu, nu)
                     assert plethysm_coefficient(lam, mu, nu) == expected
+                    assert walk_value("plethysm", (lam, mu, nu)) == expected
                     assert plethysm_matrix(lam, mu, nu).rank() == expected
 
 
@@ -185,6 +202,7 @@ def test_plethysm_slot_mixing_regression():
     for lam, mu, nu in cases:
         expected = plethysm_oracle(P(lam), P(mu), P(nu))
         assert plethysm_coefficient(P(lam), P(mu), P(nu)) == expected
+        assert walk_value("plethysm", (P(lam), P(mu), P(nu))) == expected
         assert plethysm_matrix(P(lam), P(mu), P(nu)).rank() == expected
 
 
@@ -264,6 +282,7 @@ def test_coefficient_equals_matrix_rank_and_character_oracle(case):
     kind, triple = case
     expected = ORACLES[kind](*triple)
     assert VALUES[kind](*triple) == expected
+    assert walk_value(kind, triple) == expected
     assert BUILDERS[kind](*triple).rank() == expected
 
 
@@ -323,7 +342,9 @@ def test_plethysm_matrix_with_three_slots_equals_dense_group_sum():
         rows, cols, entries = coefficient_matrix_oracle("plethysm", *triple)
         assert (mat.row_labels, mat.col_labels) == (rows, cols), triple
         assert mat.entries.tolist() == entries, triple
-        assert mat.rank() == plethysm_oracle(*triple), triple
+        expected = plethysm_oracle(*triple)
+        assert mat.rank() == expected, triple
+        assert plethysm_coefficient(*triple) == walk_value("plethysm", triple) == expected, triple
 
 
 @pytest.mark.parametrize("kind,triple", [
@@ -373,9 +394,6 @@ def triples_up_to_4(kind):
         yield from itertools.product(*map(partitions_of, size))
 
 
-SETUPS = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
-
-
 def walk_blocks(kind, triple, read):
     """Every block the orbit walk hands over, reading each factor by *read*."""
     factors, positions, weights = SETUPS[kind](*triple, Limits())
@@ -395,7 +413,7 @@ def test_row_basis_value_equals_full_walk_and_oracle(kind):
         blocks = walk_blocks(kind, triple, lambda f: f.entries)
         expected = ORACLES[kind](*triple)
         assert int_rank(np.concatenate([b[0] for b in blocks]).tolist()) == expected, triple
-        assert VALUES[kind](*triple) == expected, triple
+        assert VALUES[kind](*triple) == walk_value(kind, triple) == expected, triple
 
 
 @pytest.mark.parametrize("kind", sorted(SETUPS))
@@ -433,12 +451,14 @@ def test_plethysm_value_path_builds_no_dense_tensor_power(monkeypatch):
     for triple in [("2,1", "2", "3,2,1"), ("2", "2,1", "4,2"), ("1,1", "3", "2,2,1,1")]:
         triple = tuple(map(P, triple))
         assert plethysm_coefficient(*triple) == plethysm_oracle(*triple)
+        assert walk_value("plethysm", triple) == plethysm_oracle(*triple)
 
 
 def test_kronecker_at_n_6_under_raised_limits():
     limits = Limits(max_coefficient_n=6, max_group_order=1000, max_matrix_cells=10**9)
     triple = (P("2,2,1,1"), P("3,2,1"), P("3,2,1"))
     assert kronecker_coefficient(*triple, limits) == kronecker_oracle(*triple) == 3
+    assert walk_value("kronecker", triple, limits) == 3
 
 
 def conjugate_variants(kind, lam, mu, nu):
@@ -523,6 +543,7 @@ def test_value_path_admits_whatever_the_matrix_path_admits(kind, monkeypatch):
             BUILDERS[kind](*triple)
         limits = Limits(max_matrix_cells=max(requested))
         assert VALUES[kind](*triple, limits) == ORACLES[kind](*triple), triple
+        assert walk_value(kind, triple, limits) == ORACLES[kind](*triple), triple
 
 
 def test_value_path_takes_no_factorial_past_the_cells_guard(monkeypatch):
@@ -540,3 +561,77 @@ def test_value_path_takes_no_factorial_past_the_cells_guard(monkeypatch):
         lr_coefficient(big, P("1"), P("1000001"))
     with pytest.raises(ResourceLimitError, match="max_matrix_cells"):
         plethysm_coefficient(P("2"), P("10000"), P("20000"))
+
+
+VANISHES = {"kronecker": _kronecker_vanishes, "lr": _lr_vanishes, "plethysm": _plethysm_vanishes}
+
+
+def sized_triples(kind, size):
+    """Kronecker n <= size (unordered: the rule is symmetric), LR l + m <= size,
+    plethysm l*m <= size."""
+    if kind == "kronecker":
+        for n in range(1, size + 1):
+            yield from itertools.combinations_with_replacement(partitions_of(n), 3)
+    elif kind == "lr":
+        for l, m in itertools.product(range(1, size), repeat=2):
+            if l + m <= size:
+                yield from itertools.product(partitions_of(l), partitions_of(m), partitions_of(l + m))
+    else:
+        for l, m in itertools.product(range(1, size + 1), repeat=2):
+            if l * m <= size:
+                yield from itertools.product(partitions_of(l), partitions_of(m), partitions_of(l * m))
+
+
+@pytest.mark.parametrize("kind,size,answered", [
+    ("kronecker", 7, 538),
+    ("lr", 7, 1284),
+    ("plethysm", 8, 1982),
+])
+def test_support_rules_answer_only_oracle_zeros(kind, size, answered):
+    # a false zero fails the oracle; a weakened rule answers fewer triples
+    zeros = [t for t in sized_triples(kind, size) if VANISHES[kind](*t)]
+    assert len(zeros) == answered
+    for triple in zeros:
+        assert ORACLES[kind](*triple) == 0, triple
+
+
+@pytest.mark.parametrize("kind", sorted(SETUPS))
+def test_support_rules_run_after_every_setup_check(kind, monkeypatch):
+    # on a rule-zero triple the value path checks the guards the walk would,
+    # in the same order, up to where the walk begins
+    def guards(triple, rule):
+        checked = []
+        require = Limits.require
+
+        def record(self, name, value):
+            checked.append((name, value))
+            require(self, name, value)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Limits, "require", record)
+            if not rule:
+                patch.setattr(coefficients, f"_{kind}_vanishes", lambda *triple: False)
+            assert VALUES[kind](*triple) == 0, triple
+        return checked
+
+    zeros = [t for t in small_triples(kind) if VANISHES[kind](*t)]
+    assert zeros
+    for triple in zeros:
+        ruled, walked = guards(triple, True), guards(triple, False)
+        assert ruled == walked[: len(ruled)] and len(ruled) < len(walked), triple
+
+
+def test_support_rules_keep_the_setup_refusals():
+    six, one = P("6"), P("1,1,1,1,1,1")
+    assert _kronecker_vanishes(six, six, one)
+    with pytest.raises(ResourceLimitError, match="max_coefficient_n: requested 6"):
+        kronecker_coefficient(six, six, one)
+    assert kronecker_coefficient(six, six, one, Limits(max_coefficient_n=6)) == 0
+    with pytest.raises(DomainError, match="same size"):
+        kronecker_coefficient(six, six, P("5"))
+    triple = (P("1"), P("1,1,1,1,1,1,1"), P("7"))
+    assert _plethysm_vanishes(*triple)
+    with pytest.raises(ResourceLimitError, match="max_group_order: requested 5040"):
+        plethysm_coefficient(*triple, Limits(max_group_order=5039))
+    with pytest.raises(DomainError, match="l \\+ m"):
+        lr_coefficient(P("3"), P("3"), P("1,1,1,1,1"))
