@@ -22,8 +22,12 @@ so its rank is the dimension of the relevant invariant space:
 
 The engine, ``_orbit_walk``, never forms the group sum.  Because w is a
 character, the columns at the labels of one orbit agree up to sign,
-A_{g.c} = w(g) A_c, so the walk sums one column per orbit representative.
-It is one walk for both callers: it reads the factor matrices it is handed,
+A_{g.c} = w(g) A_c, so the walk sums one column per orbit representative,
+the least column of its orbit.  Every group here is transitive on the first
+factor's labels, so each orbit meets, and its representative lies among,
+the columns whose first label is the first one: the walk visits only those,
+and raises on a group that is not transitive there.  It is one walk for
+both callers: it reads the factor matrices it is handed,
 sums the representatives block by block, and hands each block to its caller
 with the orbit map (every column of the block's orbits, its representative
 and an element taking the one to the other), keeping nothing itself.
@@ -38,6 +42,14 @@ the columns and the compressed rows times the live representatives, the
 memory it holds.  The column-label tables the walk reads (``_column_table``,
 also the action table of ``conjectures.gram_column``) are checked against
 the same guard, built for each call and dropped with it.
+
+The group arrays never change for a size n: the one-line images and signs
+of S_n are ``SpechtMatrix.symmetric_group``, kept on the memoised pairing
+matrix of any partition of n.  Kronecker reads its first factor's S_n, LR
+its first two factors' S_l and S_m, and plethysm builds the wreath group
+from lam's S_l and mu's S_m.  Each ``_*_setup`` makes every check, the
+group order's included, and returns the factors with an ``action`` that
+reads those arrays only when the walk calls it.
 
 Since S^lam' = S^lam (x) sgn, each coefficient equals the same coefficient
 on some conjugated triples:
@@ -71,8 +83,9 @@ With |a ∩ b| = sum of min(a_i, b_i) and ⊴ dominance:
 
 Each rule holds alike for every conjugate variant.  It runs after the setup,
 so every usage check and setup guard comes first, and only the guards of the
-walk itself never see a triple a rule answers: plethysm (1), (1^7), (7),
-whose 5040 x 5040 action table ``max_matrix_cells`` refuses, answers 0.
+walk itself never see a triple a rule answers, nor is a group array read
+for it: plethysm (1), (1^7), (7), whose 5040 x 5040 action table
+``max_matrix_cells`` refuses, answers 0.
 Every other value, zero or not, is the rank of the walk.  ``*_matrix``
 always walks.
 """
@@ -95,7 +108,7 @@ from .combinatorics import (
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
 from .linalg import affine_rank, int_rank
-from .specht import SpechtMatrix, _lex_permutation_signs, specht_matrix
+from .specht import SpechtMatrix, specht_matrix
 
 Label = tuple[Word, ...]
 
@@ -204,19 +217,24 @@ def _orbit_walk(
     limits.require("max_matrix_cells", n_rows)
     tables = [_column_table(f.col_labels, p, limits) for f, p in zip(factors, positions)]
     strides = [prod(sizes[f + 1 :]) for f in range(len(sizes))]
+    # the group takes the first factor's label 0 to each of its labels, so
+    # the least column of an orbit, its representative, has first label 0
+    if len(np.unique(tables[0][:, 0])) != sizes[0]:
+        raise ValueError("the group is not transitive on the first factor's labels")
 
-    # walk the columns in blocks; a column not yet reached is a representative
-    # when no element takes it lower, and then its images are its orbit,
-    # disjoint from the others.  Sorting each live orbit's images lists its
-    # columns once, each with an element taking the representative there;
-    # w is trivial on a live orbit's stabiliser, so any such element has the
-    # same weight.
+    # walk the columns with first label 0 in blocks; a column not yet reached
+    # is a representative when no element takes it lower, and then its
+    # images are its orbit, disjoint from the others.  Sorting each live
+    # orbit's images lists its columns once, each with an element taking the
+    # representative there; w is trivial on a live orbit's stabiliser, so
+    # any such element has the same weight.
     reached = np.zeros(n_cols, dtype=bool)
     n_live = 0
     n_group = len(weights)
     step = max(1, _CHUNK // n_group)
-    for start in range(0, n_cols, step):
-        cols = start + np.flatnonzero(~reached[start : start + step])
+    for start in range(0, strides[0], step):
+        stop = min(start + step, strides[0])
+        cols = start + np.flatnonzero(~reached[start:stop])
         if not len(cols):
             continue
         images = sum(t[:, cols // s % n] * s for t, s, n in zip(tables, strides, sizes))
@@ -249,21 +267,22 @@ def _orbit_walk(
         take(summed, js, rep, g)
 
 
-def _coefficient(factors, positions, weights, limits: Limits) -> int:
+def _coefficient(factors, action: Callable, limits: Limits) -> int:
     # elementary columns can cancel: keep each block's nonzero rows
     blocks = []
     take = lambda summed, js, rep, g: blocks.append(summed[summed.any(axis=1)])
-    _orbit_walk(factors, [f.row_basis for f in factors], positions, weights, limits, take)
+    _orbit_walk(factors, [f.row_basis for f in factors], *action(), limits, take)
     return int_rank(row for block in blocks for row in block.tolist())
 
 
 def _coefficient_matrix(
-    kind: str, partitions: tuple[Partition, ...], factors, positions, weights, limits: Limits
+    kind: str, partitions: tuple[Partition, ...], factors, action: Callable, limits: Limits
 ) -> LabeledCoefficientMatrix:
     n_rows = prod(f.shape[0] for f in factors)
     n_cols = prod(f.shape[1] for f in factors)
     limits.require("max_matrix_cells", n_rows * n_cols)
     entries = np.zeros((n_rows, n_cols), dtype=np.int64)
+    positions, weights = action()
 
     # column j of an orbit is w(g) times its representative's column
     def take(summed, js, rep, g):
@@ -316,12 +335,6 @@ def _dominated(p: Sequence[int], q: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(itertools.accumulate(p), itertools.accumulate(q)))
 
 
-def _symmetric_group(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based one-line images of S_n, one row per element, and the signs."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    return perms, np.array(_lex_permutation_signs(n), dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Kronecker
 
@@ -333,8 +346,12 @@ def _kronecker_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limit
     limits.require("max_coefficient_n", n)
     factors = [specht_matrix(p, limits) for p in (lam, mu, nu)]
     limits.require("max_group_order", factorial(n))
-    perms, signs = _symmetric_group(n)
-    return factors, [perms, perms, perms], signs
+
+    def action():
+        perms, signs = factors[0].symmetric_group
+        return [perms, perms, perms], signs
+
+    return factors, action
 
 
 def _kronecker_vanishes(lam: Partition, mu: Partition, nu: Partition) -> bool:
@@ -375,14 +392,17 @@ def _lr_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits):
     limits.require("max_coefficient_n", l + m - 1)
     factors = [specht_matrix(p, limits) for p in (lam, mu, nu)]
     limits.require("max_group_order", factorial(l) * factorial(m))
-    sigma, _ = _symmetric_group(l)
-    tau, _ = _symmetric_group(m)
-    # (sigma, tau) acts on the third factor as sigma x tau on 1..l+m
-    left = np.repeat(sigma, len(tau), axis=0)
-    right = np.tile(tau, (len(sigma), 1))
-    # the two tensor-factor signs cancel against the embedded sign
-    weights = np.ones(len(left), dtype=np.int64)
-    return factors, [left, right, np.hstack([left, l + right])], weights
+
+    def action():
+        (sigma, _), (tau, _) = factors[0].symmetric_group, factors[1].symmetric_group
+        # (sigma, tau) acts on the third factor as sigma x tau on 1..l+m
+        left = np.repeat(sigma, len(tau), axis=0)
+        right = np.tile(tau, (len(sigma), 1))
+        # the two tensor-factor signs cancel against the embedded sign
+        weights = np.ones(len(left), dtype=np.int64)
+        return [left, right, np.hstack([left, l + right])], weights
+
+    return factors, action
 
 
 def _lr_vanishes(lam: Partition, mu: Partition, nu: Partition) -> bool:
@@ -412,16 +432,19 @@ def lr_coefficient(
 # wreath groups
 
 
-def _wreath_group(l: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The wreath group on an l x m array of dots, zero-based.
+def _wreath_group(
+    rows: np.ndarray, slots: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wreath group on an l x m array of dots, zero-based, from the
+    one-line images *rows* of S_l and *slots* of S_m and the signs of S_m.
 
     Returns the dot permutations (|G|, l*m), the slot permutations (|G|, m)
     and the slot permutations' signs, one row per element (tau, rows) with
     tau in S_m major and the m row permutations in S_l in product order.
     """
-    rows, _ = _symmetric_group(l)
-    slots, signs = _symmetric_group(m)
-    choices = np.array(list(itertools.product(range(len(rows)), repeat=m)), dtype=np.int64)
+    l, m = rows.shape[1], slots.shape[1]
+    # every m-tuple of row-permutation indices, the last varying fastest
+    choices = np.indices((len(rows),) * m, dtype=np.int64).reshape(m, -1).T
     # dot (i, j) goes to (rows_j(i), tau(j))
     dots = slots[:, None, :, None] * l + rows[choices][None, :, :, :]
     return (
@@ -491,11 +514,15 @@ def _plethysm_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits
     limits.require("max_matrix_cells", len(base.row_basis) ** m * len(base.col_labels) ** m)
     factors = [_TensorPowerFactor(base, m), specht_matrix(mu, limits), specht_matrix(nu, limits)]
     limits.require("max_group_order", factorial(l) ** m * factorial(m))
-    dots, slots, signs = _wreath_group(l, m)
-    # the within-slot signs cancel against the embedded-permutation sign,
-    # leaving sgn(slot shuffle)^(l+1)
-    weights = signs if l % 2 == 0 else np.ones_like(signs)
-    return factors, [dots, slots, dots], weights
+
+    def action():
+        dots, slots, signs = _wreath_group(base.symmetric_group[0], *factors[1].symmetric_group)
+        # the within-slot signs cancel against the embedded-permutation sign,
+        # leaving sgn(slot shuffle)^(l+1)
+        weights = signs if l % 2 == 0 else np.ones_like(signs)
+        return [dots, slots, dots], weights
+
+    return factors, action
 
 
 def _plethysm_vanishes(lam: Partition, mu: Partition, nu: Partition) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -42,11 +43,14 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        p = tuple(map(_part, self.parts))
-        object.__setattr__(self, "parts", p)
-        if any(x <= 0 for x in p):
+        p = self.parts
+        # plain ints in a tuple need no conversion
+        if type(p) is not tuple or any(type(x) is not int for x in p):
+            p = tuple(map(_part, p))
+            object.__setattr__(self, "parts", p)
+        if p and min(p) <= 0:
             raise DomainError(f"partition parts must be positive: {p}")
-        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+        if p != tuple(sorted(p, reverse=True)):
             raise DomainError(f"partition parts must be weakly decreasing: {p}")
 
     @property
@@ -67,14 +71,17 @@ class Partition:
         return Partition(parts)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return self
-        return Partition(
-            tuple(
-                sum(1 for x in self.parts if x >= i)
-                for i in range(1, self.parts[0] + 1)
-            )
-        )
+        return self._conjugate
+
+    @cached_property
+    def _conjugate(self) -> "Partition":
+        """The conjugate, built once per instance."""
+        parts = self.parts
+        # lambda_i - lambda_{i+1} columns have length i, longest first
+        conj: list[int] = []
+        for i in range(len(parts), 0, -1):
+            conj += [i] * (parts[i - 1] - (parts[i] if i < len(parts) else 0))
+        return Partition(tuple(conj))
 
     def diagram(self) -> frozenset[Box]:
         return frozenset(

@@ -102,15 +102,16 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
 
     import numpy as np
 
-    from .coefficients import _column_table, _symmetric_group
+    from .coefficients import _column_table
 
-    perms, _ = _symmetric_group(n)
-    column = np.zeros(len(perms), dtype=np.int64)
+    column = np.zeros(factorial(n), dtype=np.int64)
+    group = None  # S_n, read on the first shape's matrix
     for shape, weight in zip(shapes, weights):
         mat = specht_matrix(shape, limits)
+        group = group or mat.symmetric_group
         entries = np.array(mat.entries, dtype=np.int64)
         gram = entries @ entries.T
-        acted = _column_table(mat.row_labels, perms, limits)  # [k, w]: rho_k . w
+        acted = _column_table(mat.row_labels, group[0], limits)  # [k, w]: rho_k . w
         column += weight * gram[acted, np.arange(len(gram))].sum(axis=1)
     return column.tolist()
 

@@ -12,10 +12,14 @@ the positions, and then it is ``sign(pi)``.
 
 ``specht_matrix`` returns a ``SpechtMatrix``, a frozen dataclass whose one
 field is the partition, memoised per partition in ``_cache``.  Its labels,
-entries and row basis are ``functools.cached_property`` values, built on
-first read and kept on the memoised matrix; its shape is counted by
-``rearrangement_count`` without building either.  (Two threads reading an
-unbuilt value at once may both build it; they store equal values.)
+entries, row basis and shape are ``functools.cached_property`` values,
+built on first read and kept on the memoised matrix; the shape is counted
+by ``rearrangement_count`` without building the labels, and a cache hit
+checks ``max_matrix_cells`` against it.  So is ``symmetric_group``, the
+read-only one-line images and signs of S_n, n = |lambda|, that the
+coefficient walks and ``conjectures.gram_column`` act by.  (Two threads
+reading an unbuilt value at once may both build it; they store equal
+values.)
 
 The entries come from one signed sweep over S_n, writing n! entries into a
 zero grid (n! never exceeds the number of cells); the validating
@@ -46,6 +50,8 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+
+import numpy as np
 
 from .combinatorics import (
     Partition,
@@ -123,10 +129,21 @@ class SpechtMatrix:
             grid[row_index[w1]][col_index[w2]] = sign
         return tuple(map(tuple, grid))
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, int]:
         """(rows, columns), counted without building the labels."""
         return tuple(map(rearrangement_count, self.partition.canonical_words()))
+
+    @cached_property
+    def symmetric_group(self) -> tuple[np.ndarray, np.ndarray]:
+        """S_n for n = |lambda|, as read-only int64 arrays: the zero-based
+        one-line images, one row per element in lexicographic order, and
+        their signs.  The coefficient walks and ``gram_column`` act by them."""
+        n = self.partition.n
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        signs = np.array(_lex_permutation_signs(n), dtype=np.int64)
+        perms.flags.writeable = signs.flags.writeable = False
+        return perms, signs
 
     def entry(self, w1: Word, w2: Word) -> int:
         return self.entries[self.row_labels.index(w1)][self.col_labels.index(w2)]
@@ -251,16 +268,16 @@ def specht_matrix(p: Partition, limits: Limits = DEFAULT_LIMITS) -> SpechtMatrix
     """The pairing matrix of p with lex-ordered row and column labels.
 
     The guard counts every cell, rows times columns, whether or not the
-    caller reads them.  The matrix is memoised whole, with whatever of it has
-    been built.
+    caller reads them: a cache hit reads the stored shape, and a miss
+    checks before it stores the matrix.  The matrix is memoised whole, with
+    whatever of it has been built.
     """
-    r1, r2 = p.canonical_words()
-    cells = rearrangement_count(r1) * rearrangement_count(r2)
-    limits.require("max_matrix_cells", cells)
     with _cache_lock:
         hit = _cache.get(p.parts)
-    if hit is not None:
+    mat = hit or SpechtMatrix(p)
+    rows, cols = mat.shape
+    limits.require("max_matrix_cells", rows * cols)
+    if hit:
         return hit
-    mat = SpechtMatrix(p)
     with _cache_lock:
         return _cache.setdefault(p.parts, mat)

@@ -38,7 +38,7 @@ from spechtkit.oracles import (
     lr_oracle,
     plethysm_oracle,
 )
-from spechtkit.specht import specht_matrix
+from spechtkit.specht import SpechtMatrix, specht_matrix
 
 P = Partition.parse
 SETUPS = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
@@ -142,10 +142,38 @@ def test_lr_matches_oracle_and_matrix_rank():
                         assert lr_matrix(lam, mu, nu).rank() == expected
 
 
+def symmetric_group(n):
+    return specht_matrix(Partition((n,))).symmetric_group
+
+
+def test_symmetric_group_arrays_are_lexicographic_read_only_and_signed():
+    for n in range(1, 6):
+        perms, signs = symmetric_group(n)
+        assert perms.tolist() == [list(p) for p in itertools.permutations(range(n))]
+        assert signs.tolist() == [Permutation(tuple(x + 1 for x in p)).sign() for p in perms]
+        assert not perms.flags.writeable and not signs.flags.writeable
+        # every partition of n holds the same arrays, built on its own matrix
+        for p in partitions_of(n):
+            other = specht_matrix(p).symmetric_group
+            assert all(np.array_equal(a, b) for a, b in zip(other, (perms, signs)))
+
+
 def test_wreath_group_order_and_closure():
     for l, m in [(2, 2), (3, 2), (2, 3)]:
-        dots, _, _ = _wreath_group(l, m)
+        dots, slots, signs = _wreath_group(symmetric_group(l)[0], *symmetric_group(m))
         assert dots.shape == (factorial(l) ** m * factorial(m), l * m)
+        # element (tau, rows) in product order, tau major: dot (i, j) goes
+        # to (rows_j(i), tau(j))
+        elements = itertools.product(
+            itertools.permutations(range(m)),
+            itertools.product(itertools.permutations(range(l)), repeat=m),
+        )
+        expected = [
+            [tau[j] * l + rows[j][i] for j in range(m) for i in range(l)] for tau, rows in elements
+        ]
+        assert dots.tolist() == expected
+        assert slots.tolist() == [[x // l for x in row[::l]] for row in expected]
+        assert signs.tolist() == [Permutation(tuple(x + 1 for x in s)).sign() for s in slots]
         assert (np.sort(dots, axis=1) == np.arange(l * m)).all()
         perms = {tuple(row) for row in dots.tolist()}
         assert len(perms) == len(dots)
@@ -323,7 +351,8 @@ def test_column_table_equals_permutation_apply_on_every_factor():
     cases += [(_lr_setup, pick(l, m, l + m)) for l, m in ((2, 2), (3, 1), (1, 3))]
     cases += [(_plethysm_setup, pick(l, m, l * m)) for l, m in ((2, 2), (3, 2), (2, 3))]
     for setup, triple in cases:
-        factors, positions, _ = setup(*triple, Limits())
+        factors, action = setup(*triple, Limits())
+        positions, _ = action()
         for f, p in zip(factors, positions):
             words = [sum(lab, ()) if isinstance(lab[0], tuple) else lab for lab in f.col_labels]
             index = {w: c for c, w in enumerate(words)}
@@ -357,7 +386,8 @@ def test_factor_actions_form_one_group_action(kind, triple):
     # the orbit engine relies on g -> (action on every factor) being a group
     # action of the product: the composite of two elements is a third
     setup = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
-    factors, positions, weights = setup[kind](*map(P, triple), Limits())
+    factors, action = setup[kind](*map(P, triple), Limits())
+    positions, weights = action()
     tables = [_column_table(f.col_labels, p, Limits()) for f, p in zip(factors, positions)]
     elements = {}
     for g in range(len(weights)):
@@ -396,7 +426,8 @@ def triples_up_to_4(kind):
 
 def walk_blocks(kind, triple, read):
     """Every block the orbit walk hands over, reading each factor by *read*."""
-    factors, positions, weights = SETUPS[kind](*triple, Limits())
+    factors, action = SETUPS[kind](*triple, Limits())
+    positions, weights = action()
     blocks = []
     take = lambda *block: blocks.append(block)
     _orbit_walk(factors, [read(f) for f in factors], positions, weights, Limits(), take)
@@ -433,6 +464,60 @@ def test_orbit_map_is_the_same_on_row_bases_and_full_factors(kind):
             assert np.array_equal(zero, ~high.any(axis=1)), triple
             cancelled += int(zero.sum())
     assert cancelled == {"kronecker": 2981, "lr": 151, "plethysm": 221}[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(SETUPS))
+def test_walk_starts_at_the_first_factors_first_label(kind):
+    # every group is transitive on the first factor's labels, so each
+    # representative has first label 0; under the trivial character no orbit
+    # cancels, and the orbits handed over cover every column exactly once
+    for triple in triples_up_to_4(kind):
+        factors, action = SETUPS[kind](*triple, Limits())
+        positions, weights = action()
+        n_cols = prod(f.shape[1] for f in factors)
+        first = n_cols // factors[0].shape[1]  # the columns with first label 0
+        for trivial in (False, True):
+            blocks = []
+            take = lambda summed, js, rep, g: blocks.append((js, rep))
+            w = np.ones_like(weights) if trivial else weights
+            _orbit_walk(factors, [f.row_basis for f in factors], positions, w, Limits(), take)
+            handed = np.concatenate([js for js, _ in blocks])
+            assert len(np.unique(handed)) == len(handed), triple
+            if trivial:
+                assert np.array_equal(np.sort(handed), np.arange(n_cols)), triple
+            # each orbit's columns come sorted, its representative first
+            reps = np.concatenate([js[np.diff(rep, prepend=-1) != 0] for js, rep in blocks])
+            assert (reps < first).all(), triple
+
+
+def test_walk_refuses_a_group_not_transitive_on_the_first_factor():
+    p = P("2,1")
+    factors, action = _kronecker_setup(p, p, p, Limits())
+    (perms, _, _), weights = action()
+    fixed = np.tile(np.arange(3), (len(perms), 1))  # every element fixes factor 1
+    with pytest.raises(ValueError, match="transitive"):
+        _orbit_walk(
+            factors, [f.row_basis for f in factors], [fixed, perms, perms], weights,
+            Limits(), lambda *block: None,
+        )
+
+
+def test_rule_zero_answers_read_no_group_array(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"group arrays of {self.partition} read")
+
+    monkeypatch.setattr(SpechtMatrix, "symmetric_group", property(refuse))
+    # the plethysm's 5040-element wreath group is checked, never built
+    assert plethysm_coefficient(P("1"), P("1,1,1,1,1,1,1"), P("7")) == 0
+    for kind in sorted(SETUPS):
+        zeros = [t for t in small_triples(kind) if VANISHES[kind](*t)]
+        assert zeros, kind
+        for triple in zeros:
+            assert VALUES[kind](*triple) == 0, triple
+        # the walk does read them
+        walked = next(t for t in small_triples(kind) if not VANISHES[kind](*t))
+        with pytest.raises(AssertionError, match="group arrays"):
+            VALUES[kind](*walked)
 
 
 def test_tensor_power_row_basis_is_the_power_of_the_base_row_basis():
@@ -492,10 +577,10 @@ def test_value_path_walks_the_variant_with_fewest_columns(monkeypatch):
     walked = []
     walk = coefficients._coefficient
 
-    def record(factors, positions, weights, limits):
+    def record(factors, action, limits):
         shapes = tuple(str(getattr(f, "base", f).partition) for f in factors)
         walked.append((shapes, prod(f.shape[1] for f in factors)))
-        return walk(factors, positions, weights, limits)
+        return walk(factors, action, limits)
 
     monkeypatch.setattr(coefficients, "_coefficient", record)
     # (5)^3 has 120^3 columns, (1^5),(1^5),(5) has 120

@@ -45,6 +45,32 @@ def test_partition_converts_integral_numpy_scalars():
     p = Partition((np.int64(3), np.int32(1)))
     assert p == Partition((3, 1)) and hash(p) == hash(Partition((3, 1)))
     assert all(type(x) is int for x in p.parts) and type(p.n) is int
+    # any iterable of parts becomes a tuple
+    for parts in [[3, 1], (x for x in (3, 1)), [np.int8(3), 1]]:
+        q = Partition(parts)
+        assert q == p and type(q.parts) is tuple
+
+
+@pytest.mark.parametrize("parts,message", [
+    ((0, 1), "partition parts must be positive: (0, 1)"),
+    ((2, 3), "partition parts must be weakly decreasing: (2, 3)"),
+    ((2, 0, 3), "partition parts must be positive: (2, 0, 3)"),
+    ((np.int64(2), 3), "partition parts must be weakly decreasing: (2, 3)"),
+    ((True,), "partition parts must be integers, not True"),
+    ((2.0,), "partition parts must be integers, not 2.0"),
+    ((3, 1.0), "partition parts must be integers, not 1.0"),
+])
+def test_partition_refusals_keep_their_texts_and_order(parts, message):
+    # plain int parts skip the conversion, not the checks
+    with pytest.raises(DomainError) as info:
+        Partition(parts)
+    assert str(info.value) == message
+
+
+def test_conjugate_is_built_once_per_instance():
+    p = Partition((4, 2, 1))
+    assert p.conjugate() is p.conjugate() == Partition((3, 2, 1, 1))
+    assert Partition((4, 2, 1)).conjugate() == p.conjugate()
 
 
 @pytest.mark.parametrize("n,count", sorted(PARTITION_COUNTS.items()))

@@ -248,6 +248,29 @@ def test_matrix_guard_holds_on_cold_and_warm_cache(monkeypatch):
         specht_matrix(p, tight)
 
 
+def test_cache_hit_checks_the_cells_guard_on_the_stored_shape(monkeypatch):
+    monkeypatch.setattr(specht, "_cache", {})
+    p = Partition.parse("3,2,1")
+    low = Limits(max_matrix_cells=3599)
+    with pytest.raises(ResourceLimitError) as cold:
+        specht_matrix(p, low)
+    assert specht._cache == {}
+    mat = specht_matrix(p, Limits(max_matrix_cells=10**9))
+    assert specht._cache == {p.parts: mat}
+
+    # a hit counts no words: it reads the shape kept on the matrix
+    def recount(word):
+        raise AssertionError("words recounted on a cache hit")
+
+    monkeypatch.setattr(specht, "rearrangement_count", recount)
+    with pytest.raises(ResourceLimitError) as warm:
+        specht_matrix(p, low)
+    assert str(warm.value) == str(cold.value) == (
+        "max_matrix_cells: requested 3600 exceeds limit 3599"
+    )
+    assert specht_matrix(p, Limits(max_matrix_cells=3600)) is mat
+
+
 SWEEP_SHAPES = [p for n in range(1, 7) for p in partitions_of(n)] + [
     Partition((4, 2, 1)),
     Partition((2, 1, 1, 1, 1, 1)),
