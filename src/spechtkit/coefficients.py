@@ -39,9 +39,10 @@ each factor M_f = B_f R_f, with R_f its first rank-many independent rows
 and B_f injective, so A = (tensor of the B_f) C with C the walk's output on
 the R_f, and rank A = rank C.  That path's ``max_matrix_cells`` guard counts
 the columns and the compressed rows times the live representatives, the
-memory it holds.  The column-label tables the walk reads (``_column_table``,
-also the action table of ``conjectures.gram_column``) are checked against
-the same guard, built for each call and dropped with it.
+memory it holds.  Both ranks, this one and ``LabeledCoefficientMatrix.rank``,
+hand ``int_rank`` only the distinct primitive nonzero rows: scaling and
+repeating rows leave the span as it is, and the summed columns of a walk
+repeat up to sign and scale.
 
 The group arrays never change for a size n: the one-line images and signs
 of S_n are ``SpechtMatrix.symmetric_group``, kept on the memoised pairing
@@ -49,7 +50,26 @@ matrix of any partition of n.  Kronecker reads its first factor's S_n, LR
 its first two factors' S_l and S_m, and plethysm builds the wreath group
 from lam's S_l and mu's S_m.  Each ``_*_setup`` makes every check, the
 group order's included, and returns the factors with an ``action`` that
-reads those arrays only when the walk calls it.
+reads the group only when the walk calls it.
+
+The column-label tables the walk reads (``_column_table``, also the action
+table of ``conjectures.gram_column``) are fixed by a factor's partition and
+the group, so they live with the memoised matrices, in
+``SpechtMatrix.derived``, the one place this layer keeps anything:
+
+* each factor's table, keyed by the group that acts and the factor's role:
+  ``("S_n", "diagonal")`` for Kronecker; ``("S_l x S_m", l, m, role)`` with
+  role left, right or embedded for LR; ``("S_l wr S_m", l, m, role)`` with
+  role power, slots or dots for plethysm;
+* the LR and wreath group arrays, ``("S_l x S_m", l, m)`` and
+  ``("S_l wr S_m", l, m)``, on the first factor's matrix (lam's);
+* the tensor power's column labels and row basis, ``("power col_labels",
+  m)`` and ``("power row_basis", m)``, and its table, on its base matrix.
+
+A table is checked against ``max_matrix_cells`` before it is built, and a
+kept one against the same numbers in the same order on every call
+(``_kept_tables``), so a lower limit refuses it as it refuses the build.
+Kept arrays are read-only.
 
 Since S^lam' = S^lam (x) sgn, each coefficient equals the same coefficient
 on some conjugated triples:
@@ -84,8 +104,8 @@ With |a ∩ b| = sum of min(a_i, b_i) and ⊴ dominance:
 Each rule holds alike for every conjugate variant.  It runs after the setup,
 so every usage check and setup guard comes first, and only the guards of the
 walk itself never see a triple a rule answers, nor is a group array read
-for it: plethysm (1), (1^7), (7), whose 5040 x 5040 action table
-``max_matrix_cells`` refuses, answers 0.
+for it, nor any kept table: plethysm (1), (1^7), (7), whose 5040 x 5040
+action table ``max_matrix_cells`` refuses, answers 0.
 Every other value, zero or not, is the rank of the walk.  ``*_matrix``
 always walks.
 """
@@ -96,7 +116,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -126,7 +146,7 @@ class LabeledCoefficientMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
     def rank(self) -> int:
-        return int_rank(self.entries.tolist(), self.entries.shape[1])
+        return _distinct_rank(_primitive_rows(self.entries), self.entries.shape[1])
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self.entries.T.tolist()))
@@ -180,14 +200,49 @@ def _column_table(labels: Sequence, positions: np.ndarray, limits: Limits) -> np
     return lookup[place @ digits.T]
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _kept(factor, key: tuple, build: Callable):
+    """``factor.derived[key]``, built by *build* on the first read."""
+    value = factor.derived.get(key)
+    if value is None:
+        value = factor.derived.setdefault(key, build())
+    return value
+
+
+def _kept_tables(factors, group: tuple, roles, positions, limits: Limits):
+    """Each factor's action table in turn, kept in its ``derived`` under
+    *group* plus its role, read or built only when the walk asks for it.
+
+    A built table is ``_column_table`` of the factor's column labels, which
+    checks ``max_matrix_cells`` first; a kept one is checked against the
+    same numbers in the same order, so a lower limit refuses it as it
+    refuses the build.
+    """
+    for f, role, p in zip(factors, roles, positions):
+        kept = f.derived.get(group + (role,))
+        if kept is None:
+            labels = f.col_labels
+            table = _frozen(_column_table(labels, p, limits))
+            # each label rearranges one word: its letters give the code count
+            word = np.ravel(labels[0])
+            kept = f.derived.setdefault(group + (role,), (table, int(word.max()) ** len(word)))
+        else:
+            limits.require("max_matrix_cells", kept[0].size)
+            limits.require("max_matrix_cells", kept[1])
+        yield kept[0]
+
+
 # entries per numpy temporary of the walk; bounds its working memory
 _CHUNK = 1 << 18
 
 
 def _orbit_walk(
-    factors: Sequence,
     matrices: Sequence,
-    positions: Sequence[np.ndarray],
+    tables: Iterable[np.ndarray],
     weights: np.ndarray,
     limits: Limits,
     take: Callable,
@@ -201,7 +256,9 @@ def _orbit_walk(
     product of the factor columns at j.  Orbits with s = 0 are not summed.
 
     E_j is read on *matrices*, one per factor, each with the factor's
-    columns; the factors give the column labels.  The walk goes in blocks
+    columns.  *tables* holds each factor's action table (``_column_table``):
+    the walk reads them in turn after its own checks, so a generator such as
+    ``_kept_tables`` checks and builds each only then.  The walk goes in blocks
     and keeps none: each block's live orbits are handed over as
     ``take(summed, js, rep, g)``, where row i of *summed* is the i-th
     representative's summed column (zero when its elementary columns
@@ -215,11 +272,11 @@ def _orbit_walk(
     n_cols = prod(sizes)
     limits.require("max_matrix_cells", n_cols)
     limits.require("max_matrix_cells", n_rows)
-    tables = [_column_table(f.col_labels, p, limits) for f, p in zip(factors, positions)]
+    tables = list(tables)
     strides = [prod(sizes[f + 1 :]) for f in range(len(sizes))]
     # the group takes the first factor's label 0 to each of its labels, so
     # the least column of an orbit, its representative, has first label 0
-    if len(np.unique(tables[0][:, 0])) != sizes[0]:
+    if not np.bincount(tables[0][:, 0], minlength=sizes[0]).all():
         raise ValueError("the group is not transitive on the first factor's labels")
 
     # walk the columns with first label 0 in blocks; a column not yet reached
@@ -267,12 +324,31 @@ def _orbit_walk(
         take(summed, js, rep, g)
 
 
+def _primitive_rows(rows: np.ndarray) -> dict[bytes, None]:
+    """The distinct primitive nonzero rows of an int64 matrix, as their
+    bytes in first-seen order: each nonzero row divided by its gcd, with its
+    lead made positive, as ``linalg._normalize`` does."""
+    rows = rows[rows.any(axis=1)]
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    rows = rows // (np.gcd.reduce(rows, axis=1) * np.sign(lead))[:, None]
+    return dict.fromkeys(map(bytes, rows))
+
+
+def _distinct_rank(rows: dict[bytes, None], width: int) -> int:
+    """``int_rank`` of the *width*-long rows that ``_primitive_rows`` keyed:
+    scaling, repeating and dropping zero rows leave the span as it is."""
+    distinct = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(-1, width)
+    return int_rank(distinct.tolist(), width)
+
+
 def _coefficient(factors, action: Callable, limits: Limits) -> int:
-    # elementary columns can cancel: keep each block's nonzero rows
-    blocks = []
-    take = lambda summed, js, rep, g: blocks.append(summed[summed.any(axis=1)])
-    _orbit_walk(factors, [f.row_basis for f in factors], *action(), limits, take)
-    return int_rank(row for block in blocks for row in block.tolist())
+    # elementary columns can cancel and summed columns repeat up to scale:
+    # keep each block's distinct primitive nonzero rows
+    rows = {}
+    take = lambda summed, js, rep, g: rows.update(_primitive_rows(summed))
+    bases = [f.row_basis for f in factors]
+    _orbit_walk(bases, *action(), limits, take)
+    return _distinct_rank(rows, prod(map(len, bases)))
 
 
 def _coefficient_matrix(
@@ -282,13 +358,13 @@ def _coefficient_matrix(
     n_cols = prod(f.shape[1] for f in factors)
     limits.require("max_matrix_cells", n_rows * n_cols)
     entries = np.zeros((n_rows, n_cols), dtype=np.int64)
-    positions, weights = action()
+    tables, weights = action()
 
     # column j of an orbit is w(g) times its representative's column
     def take(summed, js, rep, g):
         entries[:, js] = (summed[rep] * weights[g, None]).T
 
-    _orbit_walk(factors, [f.entries for f in factors], positions, weights, limits, take)
+    _orbit_walk([f.entries for f in factors], tables, weights, limits, take)
     return LabeledCoefficientMatrix(
         kind,
         partitions,
@@ -349,7 +425,7 @@ def _kronecker_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limit
 
     def action():
         perms, signs = factors[0].symmetric_group
-        return [perms, perms, perms], signs
+        return _kept_tables(factors, ("S_n",), ["diagonal"] * 3, [perms] * 3, limits), signs
 
     return factors, action
 
@@ -393,14 +469,21 @@ def _lr_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits):
     factors = [specht_matrix(p, limits) for p in (lam, mu, nu)]
     limits.require("max_group_order", factorial(l) * factorial(m))
 
-    def action():
+    group = ("S_l x S_m", l, m)
+
+    def build():
         (sigma, _), (tau, _) = factors[0].symmetric_group, factors[1].symmetric_group
         # (sigma, tau) acts on the third factor as sigma x tau on 1..l+m
         left = np.repeat(sigma, len(tau), axis=0)
         right = np.tile(tau, (len(sigma), 1))
         # the two tensor-factor signs cancel against the embedded sign
         weights = np.ones(len(left), dtype=np.int64)
-        return [left, right, np.hstack([left, l + right])], weights
+        return [*map(_frozen, (left, right, np.hstack([left, l + right])))], _frozen(weights)
+
+    def action():
+        positions, weights = _kept(factors[0], group, build)
+        roles = ["left", "right", "embedded"]
+        return _kept_tables(factors, group, roles, positions, limits), weights
 
     return factors, action
 
@@ -468,7 +551,9 @@ class _TensorPowerFactor:
 
     The entries are built only when read: the value path reads the row
     basis, the m-fold Kronecker power of the base's, and never the dense
-    power.
+    power.  The column labels, the row basis and the action table are kept
+    in the base's ``derived``, keyed by m, so that ``derived`` here is the
+    base's.
     """
 
     base: SpechtMatrix
@@ -484,8 +569,13 @@ class _TensorPowerFactor:
         return tuple(itertools.product(self.base.row_labels, repeat=self.m))
 
     @property
+    def derived(self) -> dict:
+        return self.base.derived
+
+    @property
     def col_labels(self) -> tuple:
-        return tuple(itertools.product(self.base.col_labels, repeat=self.m))
+        build = lambda: tuple(itertools.product(self.base.col_labels, repeat=self.m))
+        return _kept(self, ("power col_labels", self.m), build)
 
     @property
     def entries(self) -> np.ndarray:
@@ -493,7 +583,8 @@ class _TensorPowerFactor:
 
     @property
     def row_basis(self) -> np.ndarray:
-        return _kron_power(self.base.row_basis, self.m)
+        build = lambda: _frozen(_kron_power(self.base.row_basis, self.m))
+        return _kept(self, ("power row_basis", self.m), build)
 
 
 def _kron_power(rows, m: int) -> np.ndarray:
@@ -515,12 +606,19 @@ def _plethysm_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits
     factors = [_TensorPowerFactor(base, m), specht_matrix(mu, limits), specht_matrix(nu, limits)]
     limits.require("max_group_order", factorial(l) ** m * factorial(m))
 
-    def action():
+    group = ("S_l wr S_m", l, m)
+
+    def build():
         dots, slots, signs = _wreath_group(base.symmetric_group[0], *factors[1].symmetric_group)
         # the within-slot signs cancel against the embedded-permutation sign,
         # leaving sgn(slot shuffle)^(l+1)
         weights = signs if l % 2 == 0 else np.ones_like(signs)
-        return [dots, slots, dots], weights
+        return [*map(_frozen, (dots, slots, dots))], _frozen(weights)
+
+    def action():
+        positions, weights = _kept(base, group, build)
+        roles = ["power", "slots", "dots"]
+        return _kept_tables(factors, group, roles, positions, limits), weights
 
     return factors, action
 

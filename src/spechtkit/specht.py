@@ -17,9 +17,14 @@ built on first read and kept on the memoised matrix; the shape is counted
 by ``rearrangement_count`` without building the labels, and a cache hit
 checks ``max_matrix_cells`` against it.  So is ``symmetric_group``, the
 read-only one-line images and signs of S_n, n = |lambda|, that the
-coefficient walks and ``conjectures.gram_column`` act by.  (Two threads
-reading an unbuilt value at once may both build it; they store equal
-values.)
+coefficient walks and ``conjectures.gram_column`` act by.  ``derived`` is a
+dict that the coefficient layer fills with what it derives from the matrix
+and a group and keeps for later calls: the column-label action table of each
+group that acts on the matrix as a factor, the LR and wreath group arrays
+(on the first factor's matrix) and a tensor power's column labels, row basis
+and table (on its base matrix); ``coefficients`` names the keys.  (Two
+threads reading an unbuilt value at once may both build it; they store
+equal values.)
 
 The entries come from one signed sweep over S_n, writing n! entries into a
 zero grid (n! never exceeds the number of cells); the validating
@@ -144,6 +149,12 @@ class SpechtMatrix:
         signs = np.array(_lex_permutation_signs(n), dtype=np.int64)
         perms.flags.writeable = signs.flags.writeable = False
         return perms, signs
+
+    @cached_property
+    def derived(self) -> dict:
+        """Values the coefficient layer derives from this matrix and a group,
+        keyed by ``coefficients`` and kept as long as the matrix is."""
+        return {}
 
     def entry(self, w1: Word, w2: Word) -> int:
         return self.entries[self.row_labels.index(w1)][self.col_labels.index(w2)]

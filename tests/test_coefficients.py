@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from math import factorial, prod
 
 import numpy as np
@@ -8,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spechtkit
 from spechtkit import coefficients
 from spechtkit.coefficients import (
+    LabeledCoefficientMatrix,
     _coefficient,
     _column_table,
     _kronecker_setup,
@@ -31,7 +36,7 @@ from spechtkit.coefficients import (
 from spechtkit.combinatorics import Partition, Permutation, partitions_of
 from spechtkit.config import Limits
 from spechtkit.errors import DomainError, ResourceLimitError
-from spechtkit.linalg import int_rank
+from spechtkit.linalg import _normalize, int_rank
 from spechtkit.oracles import (
     coefficient_matrix_oracle,
     kronecker_oracle,
@@ -342,21 +347,41 @@ def test_column_table_refuses_codes_beyond_64_bits():
         _column_table([word], np.arange(16)[None, :], Limits(max_matrix_cells=1))
 
 
+def group_positions(kind, l, m):
+    """Each factor's positions, one row per group element, built here from
+    the definitions: S_n on all three factors; (sigma, tau) on the left,
+    right and embedded factors; the wreath group's dots, slots and dots."""
+    if kind == "kronecker":
+        return [symmetric_group(l)[0]] * 3
+    sigma, tau = symmetric_group(l)[0], symmetric_group(m)[0]
+    if kind == "lr":
+        pairs = list(itertools.product(sigma, tau))
+        return [
+            np.array([s for s, _ in pairs]),
+            np.array([t for _, t in pairs]),
+            np.array([np.concatenate([s, l + t]) for s, t in pairs]),
+        ]
+    dots, slots, _ = _wreath_group(sigma, *symmetric_group(m))
+    return [dots, slots, dots]
+
+
 def test_column_table_equals_permutation_apply_on_every_factor():
     # every factor of seeded setups: the three-slot tensor power (l, m) = (2, 3)
-    # and LR's embedded sigma x tau action on its third factor among them
+    # and LR's embedded sigma x tau action on its third factor among them.
+    # Each case runs twice, so the second run reads kept tables
     rng = random.Random(13)
     pick = lambda *sizes: [rng.choice(partitions_of(k)) for k in sizes]
-    cases = [(_kronecker_setup, pick(n, n, n)) for n in (3, 4, 4)]
-    cases += [(_lr_setup, pick(l, m, l + m)) for l, m in ((2, 2), (3, 1), (1, 3))]
-    cases += [(_plethysm_setup, pick(l, m, l * m)) for l, m in ((2, 2), (3, 2), (2, 3))]
-    for setup, triple in cases:
-        factors, action = setup(*triple, Limits())
-        positions, _ = action()
-        for f, p in zip(factors, positions):
+    cases = [("kronecker", pick(n, n, n)) for n in (3, 4, 4)]
+    cases += [("lr", pick(l, m, l + m)) for l, m in ((2, 2), (3, 1), (1, 3))]
+    cases += [("plethysm", pick(l, m, l * m)) for l, m in ((2, 2), (3, 2), (2, 3))]
+    for kind, triple in cases * 2:
+        factors, action = SETUPS[kind](*triple, Limits())
+        tables, _ = action()
+        positions = group_positions(kind, triple[0].n, triple[1].n)
+        for f, p, table in zip(factors, positions, tables):
             words = [sum(lab, ()) if isinstance(lab[0], tuple) else lab for lab in f.col_labels]
             index = {w: c for c, w in enumerate(words)}
-            table = _column_table(f.col_labels, p, Limits())
+            assert not table.flags.writeable, triple
             assert table.shape == (len(p), len(words)), triple
             for g, row in zip(p, table.tolist()):
                 perm = Permutation(tuple(int(x) + 1 for x in g))
@@ -385,10 +410,9 @@ def test_plethysm_matrix_with_three_slots_equals_dense_group_sum():
 def test_factor_actions_form_one_group_action(kind, triple):
     # the orbit engine relies on g -> (action on every factor) being a group
     # action of the product: the composite of two elements is a third
-    setup = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
-    factors, action = setup[kind](*map(P, triple), Limits())
-    positions, weights = action()
-    tables = [_column_table(f.col_labels, p, Limits()) for f, p in zip(factors, positions)]
+    factors, action = SETUPS[kind](*map(P, triple), Limits())
+    tables, weights = action()
+    tables = list(tables)
     elements = {}
     for g in range(len(weights)):
         elements[tuple(np.concatenate([t[g] for t in tables]).tolist())] = int(weights[g])
@@ -427,10 +451,10 @@ def triples_up_to_4(kind):
 def walk_blocks(kind, triple, read):
     """Every block the orbit walk hands over, reading each factor by *read*."""
     factors, action = SETUPS[kind](*triple, Limits())
-    positions, weights = action()
+    tables, weights = action()
     blocks = []
     take = lambda *block: blocks.append(block)
-    _orbit_walk(factors, [read(f) for f in factors], positions, weights, Limits(), take)
+    _orbit_walk([read(f) for f in factors], tables, weights, Limits(), take)
     return blocks
 
 
@@ -473,14 +497,15 @@ def test_walk_starts_at_the_first_factors_first_label(kind):
     # cancels, and the orbits handed over cover every column exactly once
     for triple in triples_up_to_4(kind):
         factors, action = SETUPS[kind](*triple, Limits())
-        positions, weights = action()
+        tables, weights = action()
+        tables = list(tables)
         n_cols = prod(f.shape[1] for f in factors)
         first = n_cols // factors[0].shape[1]  # the columns with first label 0
         for trivial in (False, True):
             blocks = []
             take = lambda summed, js, rep, g: blocks.append((js, rep))
             w = np.ones_like(weights) if trivial else weights
-            _orbit_walk(factors, [f.row_basis for f in factors], positions, w, Limits(), take)
+            _orbit_walk([f.row_basis for f in factors], tables, w, Limits(), take)
             handed = np.concatenate([js for js, _ in blocks])
             assert len(np.unique(handed)) == len(handed), triple
             if trivial:
@@ -493,20 +518,27 @@ def test_walk_starts_at_the_first_factors_first_label(kind):
 def test_walk_refuses_a_group_not_transitive_on_the_first_factor():
     p = P("2,1")
     factors, action = _kronecker_setup(p, p, p, Limits())
-    (perms, _, _), weights = action()
-    fixed = np.tile(np.arange(3), (len(perms), 1))  # every element fixes factor 1
+    tables, weights = action()
+    tables = list(tables)
+    fixed = np.tile(np.arange(3), (len(weights), 1))  # every element fixes factor 1
+    tables[0] = _column_table(factors[0].col_labels, fixed, Limits())
     with pytest.raises(ValueError, match="transitive"):
-        _orbit_walk(
-            factors, [f.row_basis for f in factors], [fixed, perms, perms], weights,
-            Limits(), lambda *block: None,
-        )
+        _orbit_walk([f.row_basis for f in factors], tables, weights, Limits(), lambda *block: None)
 
 
 def test_rule_zero_answers_read_no_group_array(monkeypatch):
-    def refuse(self):
-        raise AssertionError(f"group arrays of {self.partition} read")
+    def refuse(what):
+        def read(self):
+            raise AssertionError(f"{what} of {self.partition} read")
 
-    monkeypatch.setattr(SpechtMatrix, "symmetric_group", property(refuse))
+        return property(read)
+
+    walked = {kind: [t for t in small_triples(kind) if not VANISHES[kind](*t)] for kind in SETUPS}
+    for kind, triples in walked.items():
+        for triple in triples:  # every table, group and power they read is kept now
+            VALUES[kind](*triple)
+    monkeypatch.setattr(SpechtMatrix, "symmetric_group", refuse("group arrays"))
+    monkeypatch.setattr(SpechtMatrix, "derived", refuse("kept values"))
     # the plethysm's 5040-element wreath group is checked, never built
     assert plethysm_coefficient(P("1"), P("1,1,1,1,1,1,1"), P("7")) == 0
     for kind in sorted(SETUPS):
@@ -514,10 +546,10 @@ def test_rule_zero_answers_read_no_group_array(monkeypatch):
         assert zeros, kind
         for triple in zeros:
             assert VALUES[kind](*triple) == 0, triple
-        # the walk does read them
-        walked = next(t for t in small_triples(kind) if not VANISHES[kind](*t))
-        with pytest.raises(AssertionError, match="group arrays"):
-            VALUES[kind](*walked)
+        # the walk reads its kept tables, and the group arrays where it keeps none
+        for triple in walked[kind]:
+            with pytest.raises(AssertionError, match="group arrays|kept values"):
+                VALUES[kind](*triple)
 
 
 def test_tensor_power_row_basis_is_the_power_of_the_base_row_basis():
@@ -720,3 +752,160 @@ def test_support_rules_keep_the_setup_refusals():
         plethysm_coefficient(*triple, Limits(max_group_order=5039))
     with pytest.raises(DomainError, match="l \\+ m"):
         lr_coefficient(P("3"), P("3"), P("1,1,1,1,1"))
+
+
+def run_fresh(script, *args):
+    """Standard output of *script* run with *args* in a fresh interpreter
+    that imports this checkout's spechtkit."""
+    src = os.path.dirname(os.path.dirname(spechtkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_coefficient_jobs_import_no_numpy_ma():
+    # numpy.ma costs about 15 ms to import; np.unique on numpy 2.4 imports it
+    script = """
+import sys
+import spechtkit.cli
+from spechtkit.coefficients import (
+    kronecker_coefficient, kronecker_matrix, lr_coefficient, plethysm_coefficient,
+)
+from spechtkit.combinatorics import Partition
+
+P = Partition.parse
+assert kronecker_coefficient(P("2,1"), P("2,1"), P("2,1")) == 1
+assert lr_coefficient(P("2,1"), P("1"), P("2,1,1")) == 1
+assert plethysm_coefficient(P("2"), P("2"), P("2,2")) == 1
+assert kronecker_matrix(P("2,1"), P("2,1"), P("2,1")).rank() == 1
+print("numpy.ma" in sys.modules)
+"""
+    # each triple is walked, not answered by a support rule
+    for kind, triple in [("kronecker", "2,1 2,1 2,1"), ("lr", "2,1 1 2,1,1"), ("plethysm", "2 2 2,2")]:
+        assert not VANISHES[kind](*map(P, triple.split()))
+    assert run_fresh(script) == "False\n"
+
+
+CHECKED_CALL = """
+import json, sys
+from spechtkit import coefficients
+from spechtkit.combinatorics import Partition
+from spechtkit.config import Limits
+from spechtkit.errors import ResourceLimitError
+
+
+def checked_call(kind, triple, cells):
+    \"\"\"The value or refusal text of the coefficient under max_matrix_cells
+    = cells, and every (guard, number) it checked, in order.\"\"\"
+    checked = []
+
+    class Recorded(Limits):
+        def require(self, name, value):
+            checked.append([name, value])
+            super().require(name, value)
+
+    try:
+        value = getattr(coefficients, kind + "_coefficient")(
+            *map(Partition.parse, triple), Recorded(max_matrix_cells=cells)
+        )
+    except ResourceLimitError as exc:
+        return str(exc), checked
+    return str(value), checked
+
+
+if __name__ == "__main__":
+    print(json.dumps(checked_call(*json.loads(sys.argv[1]))))
+"""
+
+
+@pytest.mark.parametrize("kind,triple", [
+    ("kronecker", ("2,1,1", "2,2", "2,1,1")),
+    ("lr", ("2,1", "1,1", "2,2,1")),
+    ("plethysm", ("2,1", "1,1", "3,2,1")),
+])
+def test_kept_tables_are_refused_as_a_fresh_process_refuses_them(kind, triple, monkeypatch):
+    # each triple is the conjugate variant with the fewest columns, so every
+    # limit below walks it as given.  Walk at the defaults, recording the two
+    # max_matrix_cells numbers each table is checked against: its cells and
+    # its code count
+    assert not VANISHES[kind](*map(P, triple))
+    counts = []
+    kept_tables = coefficients._kept_tables
+
+    def record(factors, group, roles, positions, limits):
+        for f, table in zip(factors, kept_tables(factors, group, roles, positions, limits)):
+            word = np.ravel(f.col_labels[0])
+            counts.extend([table.size, int(word.max()) ** len(word)])
+            yield table
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coefficients, "_kept_tables", record)
+        value = VALUES[kind](*map(P, triple))
+    assert value == ORACLES[kind](*map(P, triple)) and len(counts) == 6
+    # every table is kept now; one below each count, this process refuses
+    # with the text, and after the checks, of a process that keeps nothing
+    namespace = {}
+    exec(CHECKED_CALL, namespace)
+
+    def build(*args):
+        raise AssertionError("a table was built, not read")
+
+    for cells in sorted(set(counts)):
+        with monkeypatch.context() as patch:
+            patch.setattr(coefficients, "_column_table", build)
+            warm = namespace["checked_call"](kind, triple, cells - 1)
+        assert warm[0].startswith("max_matrix_cells: requested"), (cells, warm)
+        cold = run_fresh(CHECKED_CALL, json.dumps([kind, triple, cells - 1]))
+        assert json.loads(cold) == list(warm), cells
+
+
+def test_kept_values_stay_on_the_memoised_matrices():
+    p = P("2,1")
+    kronecker_coefficient(p, p, p)
+    plethysm_coefficient(p, P("2"), P("3,2,1"))
+    mat = specht_matrix(p)
+    table, codes = mat.derived[("S_n", "diagonal")]
+    assert table.shape == (6, 3) and codes == 2**3 and not table.flags.writeable
+    factor = _TensorPowerFactor(mat, 2)
+    assert factor.row_basis is factor.row_basis and not factor.row_basis.flags.writeable
+    assert factor.col_labels is factor.col_labels is mat.derived[("power col_labels", 2)]
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_matrix_rank_equals_int_rank_of_every_row(kind):
+    for triple in triples_up_to_4(kind):
+        mat = BUILDERS[kind](*triple)
+        assert mat.rank() == int_rank(mat.entries.tolist()), triple
+
+
+def test_rank_hands_int_rank_the_distinct_normalised_rows(monkeypatch):
+    # seeded int64 matrices with zero, repeated, negated and scaled rows: the
+    # rows handed to int_rank are the nonzero rows normalised as RowSpace
+    # normalises them, each once, in first-seen order
+    handed = []
+    monkeypatch.setattr(
+        coefficients, "int_rank", lambda rows, dim: handed.append(rows) or int_rank(rows, dim)
+    )
+    rng = random.Random(29)
+    for _ in range(300):
+        width = rng.randint(1, 7)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            pick = rng.choice(["zero", "new", "new", "repeat", "negate", "scale"])
+            if pick == "zero":
+                rows.append([0] * width)
+            elif pick == "new" or not rows:
+                rows.append([rng.randint(-4, 4) for _ in range(width)])
+            else:
+                row = rng.choice(rows)
+                factor = {"repeat": 1, "negate": -1}.get(pick) or rng.choice([-6, -3, -2, 2, 3, 5])
+                rows.append([factor * x for x in row])
+        entries = np.array(rows, dtype=np.int64)
+        mat = LabeledCoefficientMatrix("kronecker", (), (), (), entries)
+        assert mat.rank() == int_rank(rows), rows
+        normalised = [r for r in map(_normalize, rows) if r is not None]
+        assert list(map(tuple, handed[-1])) == list(dict.fromkeys(normalised)), rows
