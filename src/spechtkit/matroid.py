@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import Hashable, Iterable, Iterator
 
 from .config import DEFAULT_LIMITS, Limits
@@ -30,6 +30,41 @@ def _members(bits: int) -> Iterator[int]:
     while i >= 0:
         yield i
         i = s.find("1", i + 1)
+
+
+def _drop(res: tuple[int, ...], piv: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The residue of *res* modulo *piv*, both normalised residues, on the
+    coordinates left once piv's lead coordinate is dropped, normalised; None
+    when res is parallel to piv.
+
+    The residue p*res - c*piv (p piv's lead, c res's entry there) is zero at
+    the lead, so dropping that coordinate loses nothing.  A 3-long input, the
+    step into a rank-2 contraction, is taken as a 2-vector directly.
+    """
+    if len(piv) == 3:
+        a, b, c = res
+        p, q, s = piv
+        if p:
+            u, v = p * b - a * q, p * c - a * s
+        elif q:
+            u, v = q * a, q * c - b * s
+        else:  # piv = (0, 0, 1)
+            u, v = a, b
+        g = gcd(u, v)
+        if not g:
+            return None
+        if (u or v) < 0:
+            g = -g
+        return (u // g, v // g)
+    for col, p in enumerate(piv):
+        if p:
+            break
+    c = res[col]
+    if not c:  # dropping a zero keeps res normalised
+        return res[:col] + res[col + 1 :]
+    row = [p * a - c * b for a, b in zip(res, piv)]
+    del row[col]
+    return _normalize(row)
 
 
 @dataclass
@@ -96,18 +131,22 @@ class LinearMatroid:
         (rank, mask).
 
         The lattice grows one rank at a time by covers.  A flat holds all of a
-        parallel class of columns or none of it, and the members of a class
-        have equal residues against any span, so the work runs on one
-        representative per class (its first column) and a cover takes whole
-        classes.  Each flat F of rank below r - 1 carries the residues of the
-        representatives outside it against span(F) (see
-        :meth:`RowSpace.reduce`): normalised, two columns have the same
-        residue exactly when they are parallel modulo span(F), so each residue
-        class R gives the cover F | R, of rank r(F) + 1.  The cover's residues
-        are F's, eliminated once more against R's residue, which keeps them
-        zero at every pivot column so far.  A flat of rank r - 1 has exactly
-        one cover, the ground set, so the covers of that rank carry the marker
-        None in place of residues, and the top is added once, above them all.
+        parallel class of columns or none of it, and columns parallel modulo a
+        flat stay parallel modulo every flat above it, so the work runs on
+        classes and a cover takes whole classes.  Each flat F of rank below
+        r - 1 keeps one dict ``{residue: class mask}`` of the classes outside
+        it.  A residue is the class's projection modulo span(F), normalised,
+        on quotient coordinates: the r - r(F) coordinates left once each
+        pivot's lead coordinate is dropped.  Two columns outside F have the
+        same residue exactly when they are parallel modulo span(F), so each
+        entry gives the cover F | mask, of rank r(F) + 1.  The cover's dict is
+        its first parent's, each other entry stepped once by :func:`_drop`
+        against the cover's residue, equal residues merged.  A merged class
+        keeps the place of its first entry, so the classes stay in order of
+        their lowest column and the covers are found and counted in that
+        order.  A flat of rank r - 1 has exactly one cover, the ground set, so
+        the covers of that rank carry the marker None in place of a dict, and
+        the top is added once, above them all.
         The ranks are kept in ``_flat_ranks``, one per flat, and the
         down-sets, read through :meth:`flat_lattice`, in ``_flat_below``: a
         cover's down-set is the union of the flats it covers and their
@@ -121,18 +160,15 @@ class LinearMatroid:
             ranks: dict[int, int] = {}
             below: list[int] = []
             bottom = self._loop_mask()
-            parallel: dict[tuple[int, ...], int] = {}  # normalised column -> its first index
-            cls: dict[int, int] = {}  # first index -> the mask of its parallel class
+            classes: dict[tuple[int, ...], int] = {}  # residue -> the mask of its class
             for i, vec in enumerate(self._vectors):
                 if not bottom >> i & 1:
-                    first = parallel.setdefault(_normalize(vec), i)
-                    cls[first] = cls.get(first, 0) | 1 << i
-            level: dict[int, dict[int, tuple[int, ...]] | None] = {
-                bottom: {i: key for key, i in parallel.items()}
-            }
+                    key = _normalize(vec)
+                    classes[key] = classes.get(key, 0) | 1 << i
+            level: dict[int, dict[tuple[int, ...], int] | None] = {bottom: classes}
             under = {bottom: 0}  # the down-set of each flat in level
             for rank in range(self._rank):
-                covers: dict[int, dict[int, tuple[int, ...]] | None] = {}
+                covers: dict[int, dict[tuple[int, ...], int] | None] = {}
                 over: dict[int, int] = {}
                 hyper = rank + 1 == self._rank  # level holds the flats of rank r - 1
                 last = rank + 2 == self._rank  # the covers have rank r - 1
@@ -142,10 +178,7 @@ class LinearMatroid:
                     below.append(under[flat])
                     if hyper:
                         continue
-                    residues = level[flat]
-                    classes: dict[tuple[int, ...], int] = {}
-                    for i, res in residues.items():
-                        classes[res] = classes.get(res, 0) | cls[i]
+                    classes = level.pop(flat)  # freed once its covers are made
                     for piv, members in classes.items():
                         cover = flat | members
                         if cover in covers:
@@ -158,15 +191,12 @@ class LinearMatroid:
                         if last:
                             covers[cover] = None
                             continue
-                        col = next(j for j, x in enumerate(piv) if x)
-                        p = piv[col]
-                        covers[cover] = {
-                            i: _normalize([p * a - res[col] * b for a, b in zip(res, piv)])
-                            if res[col]
-                            else res
-                            for i, res in residues.items()
-                            if not members >> i & 1
-                        }
+                        step: dict[tuple[int, ...], int] = {}
+                        for res, mask in classes.items():
+                            if mask != members:
+                                key = _drop(res, piv)
+                                step[key] = step[key] | mask if key in step else mask
+                        covers[cover] = step
                 level, under = covers, over
             top = (1 << self.size) - 1
             if self._rank:
@@ -244,19 +274,22 @@ class LinearMatroid:
         For each rank rho the walk sums v^|A| over the subsets A of rank rho,
         packed as :meth:`_tutte_flats` packs h_F.  A subset is its loops and
         a nonempty part of each parallel class it meets, and its rank is that
-        of those classes.  So the walk runs depth first over sets K of classes
-        (one representative each), each extending its parent's span by one
-        class, and K stands for (1 + v)^L * prod_{i in K} ((1 + v)^c_i - 1),
-        L the loops and c_i the size of class i: the subsets meeting exactly
-        the classes of K.  At a span S of rank r - 2 or more the walk stops
-        and closes in form, since the contraction by S has rank at most 2 and
-        so is loops and parallel classes only (Brylawski and Oxley 1992).  Of
-        the classes after K's last, those in S hold z columns, and the rest
-        group by residue against S into parallel classes of sizes s_j.  A
-        descendant keeps the rank of S if it takes columns from no group,
-        gains one if from exactly one, and gains two if from more than one.
-        Every packed coefficient counts subsets of one size, so no field
-        carries or borrows.
+        of those classes.  So the walk runs depth first over sets K of classes,
+        and K stands for (1 + v)^L * prod_{i in K} ((1 + v)^c_i - 1), L the
+        loops and c_i the size of class i: the subsets meeting exactly the
+        classes of K.  Each node carries the residues of the classes after
+        K's last modulo span(K), on quotient coordinates as in
+        :meth:`_flat_masks`, and None for a class inside the span.  A child
+        that adds class i steps each later residue once by :func:`_drop`
+        against i's, or keeps them all when i is inside the span.  At a span
+        S of rank r - 2 or more the walk stops and closes in form, since the
+        contraction by S has rank at most 2 and so is loops and parallel
+        classes only (Brylawski and Oxley 1992).  Of the classes after K's
+        last, those in S hold z columns, and the rest group by residue into
+        parallel classes of sizes s_j.  A descendant keeps the rank of S if it
+        takes columns from no group, gains one if from exactly one, and gains
+        two if from more than one.  Every packed coefficient counts subsets of
+        one size, so no field carries or borrows.
         """
         r, width = self._rank, self.size + 1
         grow = [(1 + (1 << width)) ** k for k in range(width)]  # (1 + v)^k, packed
@@ -268,22 +301,19 @@ class LinearMatroid:
                 loops += 1
             else:
                 sizes[key] = sizes.get(key, 0) + 1
-        reps, counts = list(sizes), list(sizes.values())
+        counts = list(sizes.values())
         gains = [grow[c] - 1 for c in counts]
         by_rank = [0] * (r + 1)
-        space = RowSpace(r)
 
-        def walk(start: int, weight: int) -> None:
-            rk = space.rank
+        def walk(start: int, weight: int, rk: int, residues: list[tuple[int, ...] | None]) -> None:
             if rk + 2 >= r:
                 z = 0
                 groups: dict[tuple[int, ...], int] = {}  # residue -> columns
-                for i in range(start, len(reps)):
-                    res = space.reduce(reps[i])
+                for res, c in zip(residues, counts[start:]):
                     if res is None:
-                        z += counts[i]
+                        z += c
                     else:
-                        groups[res] = groups.get(res, 0) + counts[i]
+                        groups[res] = groups.get(res, 0) + c
                 weight *= grow[z]
                 by_rank[rk] += weight
                 if groups:
@@ -294,13 +324,15 @@ class LinearMatroid:
                         by_rank[rk + 2] += weight * several
                 return
             by_rank[rk] += weight
-            for i in range(start, len(reps)):
-                grew = space.add(reps[i])
-                walk(i + 1, weight * gains[i])
-                if grew:
-                    space.pivots.pop()
+            for i, piv in enumerate(residues, start):
+                rest = residues[i - start + 1 :]
+                if piv is None:  # class i lies in the span
+                    walk(i + 1, weight * gains[i], rk, rest)
+                else:
+                    rest = [None if res is None else _drop(res, piv) for res in rest]
+                    walk(i + 1, weight * gains[i], rk + 1, rest)
 
-        walk(0, grow[loops])
+        walk(0, grow[loops], 0, list(sizes))
         return _tutte_from_rank_sums(by_rank, width)
 
     def _tutte_flats(self) -> Poly2:

@@ -18,6 +18,7 @@ from spechtkit.errors import DomainError, ResourceLimitError
 from spechtkit.linalg import _normalize
 from spechtkit.matroid import (
     LinearMatroid,
+    _drop,
     format_poly1,
     format_poly2,
     poly1_to_json,
@@ -235,6 +236,7 @@ MARKER_CASES = {
     "rank 4 with classes and loops": [(0,) * 4]
     + [tuple(s * x for x in col) for col in moment_curve(4, 6) for s in (1, 3)]
     + [(1, 0, 0, 0), (0, 0, 0, 0), (2, 0, 0, 0)],
+    "rank 5 in general position": moment_curve(5, 9),
 }
 
 
@@ -328,11 +330,11 @@ def test_subset_tutte_with_columns_inside_the_hyperplanes(cols):
     assert sum(c * 2**i * 2**j for (i, j), c in t.items()) == 2 ** len(cols)  # T(2, 2)
 
 
-def seeded_columns(rng):
+def seeded_columns(rng, bound=2):
     """At most 10 integer columns of rank at most 5: loops, columns parallel
     to earlier ones at negative and non-unit multiples, and the images of
-    0/±1 vectors under one integer map, so that spans often hold later
-    columns."""
+    0/±1 vectors under one integer map with entries in [-bound, bound], so
+    that spans often hold later columns."""
     r = rng.randint(0, 5)
     cols = []
     for _ in range(rng.randint(0, 10)):
@@ -344,19 +346,60 @@ def seeded_columns(rng):
             cols.append(tuple(scale * x for x in rng.choice(cols)))
         else:
             cols.append(tuple(rng.choice((-1, 0, 0, 1)) for _ in range(r)))
-    amap = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r + 1)]
+    amap = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(r + 1)]
     return [tuple(sum(a * x for a, x in zip(row, c)) for row in amap) for c in cols]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_subset_tutte_on_seeded_matroids(seed):
     rng = random.Random(seed)
+    bound = 2**80 if seed % 2 else 2  # odd seeds: entries past 2^64
     for _ in range(40):
-        cols = seeded_columns(rng)
+        cols = seeded_columns(rng, bound)
         m = LinearMatroid(tuple(range(len(cols))), cols)
         t = m.tutte_polynomial("subsets")
         assert t == tutte_deletion_contraction_oracle(cols), cols
         assert t == m.tutte_polynomial("flats"), cols
+        check_lattice(m)
+
+
+def eliminate(res, piv):
+    """The generic step: p*res - c*piv, piv's lead coordinate dropped,
+    normalised."""
+    col = next(j for j, x in enumerate(piv) if x)
+    p, c = piv[col], res[col]
+    row = [p * a - c * b for a, b in zip(res, piv)]
+    del row[col]
+    return _normalize(row)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residue_step_is_the_generic_elimination(seed):
+    rng = random.Random(seed)
+
+    def residue(n, bound):
+        while True:
+            row = _normalize([rng.choice((0, rng.randint(-bound, bound))) for _ in range(n)])
+            if row is not None:
+                return row
+
+    for _ in range(1000):
+        n, bound = rng.randint(2, 6), rng.choice((1, 5, 2**80))
+        piv = residue(n, bound)
+        kind = rng.random()
+        if kind < 0.2:  # res = k * piv, normalised
+            res = _normalize([rng.choice((-1, 1)) * rng.randint(1, bound) * x for x in piv])
+        elif kind < 0.4:  # res zero at piv's lead
+            col = next(j for j, x in enumerate(piv) if x)
+            res = residue(n, bound)
+            res = _normalize(res[:col] + (0,) + res[col + 1 :]) or res
+        else:
+            res = residue(n, bound)
+        parallel = all(res[i] * piv[j] == res[j] * piv[i] for i, j in itertools.combinations(range(n), 2))
+        got = _drop(res, piv)
+        assert got == eliminate(res, piv), (res, piv)
+        assert (got is None) == parallel, (res, piv)
+        assert got is None or (type(got) is tuple and len(got) == n - 1)
 
 
 def test_subset_tutte_of_parallel_classes_in_closed_form():
