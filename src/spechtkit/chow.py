@@ -11,7 +11,8 @@ Graded dimensions come from a chain-counting basis: monomials
 x_{F1}^{d1} ... x_{Fk}^{dk} over chains of flats above the bottom with
 0 < d_i < rank(F_i) - rank(F_{i-1}) for i < k and the top-of-chain exponent
 bounded the same way against the previous flat, where the chain may also end
-at the full ground set.
+at the full ground set.  One DP over the flat lattice counts them, never
+listing them; on the flats a symmetry fixes, it counts the ones it fixes.
 """
 
 from __future__ import annotations
@@ -96,13 +97,18 @@ def chow_presentation(m: LinearMatroid) -> ChowPresentation:
     return ChowPresentation(tuple(flats), tuple(quads), tuple(linear))
 
 
-def chow_graded_dimensions(m: LinearMatroid) -> list[int]:
+def chow_graded_dimensions(m: LinearMatroid, *, fixed: int | None = None) -> list[int]:
     """Dimensions of the graded pieces, computed by counting basis monomials.
 
     The degree-d dimension is the number of monomials supported on chains
     F1 < F2 < ... < Fk of flats strictly above the bottom (the top flat is
     allowed) with exponents d_i satisfying 0 < d_i < rank(F_i) - rank(F_{i-1})
     and total degree d.
+
+    *fixed*, a bitset over :meth:`LinearMatroid.flat_lattice` indices that
+    holds the bottom (all by default), counts only the chains in those flats.
+    A column symmetry of the matroid relabels a monomial flat by flat, so on
+    the flats it fixes this counts the monomials it fixes.
 
     Each row of counts by degree d < r is packed into one integer, degree d in
     the field of W = r * bit_length(N*r + 1) + 1 bits at bit W*d, N the number
@@ -119,49 +125,30 @@ def chow_graded_dimensions(m: LinearMatroid) -> list[int]:
     width = r * (len(ranks) * r + 1).bit_length() + 1
     keep = (1 << width * r) - 1  # the fields of degrees 0 .. r - 1
     # ways[i] = the monomials whose largest chain element is flat i, by
-    # degree; the bottom holds the empty monomial.  A monomial ending at F
-    # extends one ending at G < F by x_F^e, 0 < e < r(F) - r(G), so the step
-    # depends on r(G) alone: sum the down-set by rank first.  Flats come in
-    # (rank, mask) order, and no step comes from rank r(F) - 1, so only the
-    # down-set below index start[r(F) - 1], the first flat of that rank, is read.
-    start = [ranks.index(k) for k in range(r)]
-    ways = [1]
-    for rf, down in zip(ranks[1:], below[1:]):
+    # degree; the bottom holds the empty monomial, an unfixed flat none.  A
+    # monomial ending at F extends one ending at G < F by x_F^e,
+    # 0 < e < r(F) - r(G), so the step depends on r(G) alone: sum the
+    # down-set by rank first.  Flats come in (rank, mask) order, and no step
+    # comes from rank r(F) - 1, so only the (fixed) flats in earlier[r(F) - 1],
+    # those before the first flat of rank r(F) - 1, are read.
+    earlier = [(1 << ranks.index(k)) - 1 for k in range(r)]
+    flats = range(1, len(ranks))
+    if fixed is not None:
+        earlier, flats = [x & fixed for x in earlier], _members(fixed & ~1)
+    ways = [1] + [0] * (len(ranks) - 1)
+    for f in flats:
+        rf = ranks[f]
         by_rank = [0] * rf
-        for g in _members(down & ((1 << start[rf - 1]) - 1)):
+        for g in _members(below[f] & earlier[rf - 1]):
             by_rank[ranks[g]] += ways[g]
         acc = 0
         for rg, row in enumerate(by_rank):
             for e in range(1, rf - rg):
                 acc += row << width * e
-        ways.append(acc & keep)
+        ways[f] = acc & keep
     total = sum(ways)
     field = (1 << width) - 1
     return [total >> width * d & field for d in range(max(r, 1))]
-
-
-def fy_basis_monomials(m: LinearMatroid, degree: int) -> list[tuple[tuple[frozenset, int], ...]]:
-    """Basis monomials of the given degree as ((flat, exponent), ...) chains."""
-    masks, ranks, below = m.flat_lattice()
-    out = []
-
-    def extend(chain, last, remaining):
-        if remaining == 0:
-            out.append(tuple(chain))
-            return
-        for x in range(last + 1, len(masks)):
-            if not below[x] >> last & 1:
-                continue
-            gap = ranks[x] - ranks[last]
-            for d in range(1, min(gap - 1, remaining) + 1):
-                chain.append((m._labels_of(masks[x]), d))
-                extend(chain, x, remaining - d)
-                chain.pop()
-
-    if degree == 0:
-        return [()]
-    extend([], 0, degree)
-    return out
 
 
 def hilbert_series_text(dims: list[int], var: str = "T") -> str:

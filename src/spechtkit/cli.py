@@ -2,7 +2,8 @@
 
 One binary with subcommands; all output goes to stdout, diagnostics to
 stderr with machine-parsable one-line prefixes.  Exit codes: 0 success,
-2 usage/domain/io error, 3 resource-guard refusal.
+1 a conjecture check failed (its report is still printed), 2 usage/domain/io
+error, 3 resource-guard refusal.
 """
 
 from __future__ import annotations
@@ -337,6 +338,8 @@ def _cmd_check(args, limits):
                 "match": match,
             },
         )
+        if not match:
+            raise SystemExit(1)
 
 
 # ---------------------------------------------------------------------------

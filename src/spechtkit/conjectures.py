@@ -10,17 +10,19 @@ The excedance table comes from a DP over the sets of values already placed
 ``oracles.derangement_excedance_oracle`` enumerates them for the tests.  The
 orbit refinement acts on the derangements themselves, so it lists them, but
 only those with the excedance count asked for, by backtracking on one-line
-tuples.
+tuples.  The chain-basis side is counted by Burnside, never listed;
+``oracles.chain_basis_orbits_oracle`` lists it for the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from math import factorial
 
-from .chow import chow_graded_dimensions, fy_basis_monomials
+from .chow import chow_graded_dimensions
 from .combinatorics import (
     Partition,
     Permutation,
@@ -29,7 +31,7 @@ from .combinatorics import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError, ResourceLimitError
-from .matroid import specht_matroid
+from .matroid import _members, specht_matroid
 from .specht import specht_matrix
 
 
@@ -310,10 +312,7 @@ class OrbitStructure:
     sizes: tuple[int, ...]  # sorted orbit sizes
 
     def multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s in self.sizes:
-            out[s] = out.get(s, 0) + 1
-        return out
+        return dict(Counter(self.sizes))  # sizes ascending, as sorted
 
     @property
     def total(self) -> int:
@@ -322,18 +321,13 @@ class OrbitStructure:
 
 def _orbits(elements, step) -> OrbitStructure:
     """Orbit sizes of the cyclic action generated by *step*."""
-    remaining = set(elements)
-    sizes = []
+    remaining, sizes = set(elements), []
     while remaining:
-        x = next(iter(remaining))
-        size = 0
-        y = x
-        while True:
-            remaining.discard(y)
+        x = y = remaining.pop()
+        size = 1
+        while (y := step(y)) != x:
+            remaining.remove(y)  # a KeyError if *step* leaves the elements
             size += 1
-            y = step(y)
-            if y == x:
-                break
         sizes.append(size)
     return OrbitStructure(tuple(sorted(sizes)))
 
@@ -341,9 +335,16 @@ def _orbits(elements, step) -> OrbitStructure:
 def cyclic_orbit_structures(
     n: int, k: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[OrbitStructure, OrbitStructure]:
-    """Orbit-size multisets of the long cycle acting on (a) derangements of
-    k+1 excedances by conjugation and (b) degree-k chain-basis monomials of
-    the hook matroid by relabeling."""
+    """Orbit-size multisets of the long cycle c = (1 2 ... n) acting on (a)
+    derangements of k+1 excedances by conjugation, listed and walked, and (b)
+    degree-k chain-basis monomials of the hook matroid by relabeling its
+    columns by c^-1, counted.
+
+    c^t fixes a monomial exactly when it fixes every flat of its chain, so
+    Fix(t), the monomials c^t fixes, is the Chow DP on the flats c^t fixes.
+    The E(s) monomials of orbit size s, a divisor of n, are fixed by c^t
+    exactly when s divides t, so Fix(s) less E(t) for the divisors t < s of
+    s leaves E(s): E(s)/s orbits of size s (Burnside)."""
     limits.require("max_derangement_n", n)
     m = hook_matroid(n, limits)
     if not 0 <= k <= n - 2:  # excedances run from 1 to n - 1
@@ -357,13 +358,20 @@ def cyclic_orbit_structures(
         lambda img: tuple(v % n + 1 for v in img[-1:] + img[:-1]),
     )
 
-    monomials = fy_basis_monomials(m, k)
-    # the long cycle relabels the columns by c^-1, looked up once per label
+    masks = m.flat_lattice()[0]
+    column = {w: i for i, w in enumerate(m.labels)}
     cycle_inv = Permutation.from_cycles(n, list(range(1, n + 1))).inverse()
-    image = {w: cycle_inv.apply(w) for w in m.labels}
-
-    def relabel(mono):
-        return tuple((frozenset(map(image.__getitem__, flat)), d) for flat, d in mono)
-
-    fy = _orbits([tuple(mono) for mono in monomials], relabel)
-    return conj, fy
+    step = [column[cycle_inv.apply(w)] for w in m.labels]
+    power, exact, sizes = list(range(n)), {}, []  # power: c^t on the columns
+    for t in range(1, n + 1):
+        power = [step[i] for i in power]
+        if n % t:
+            continue
+        bit = [1 << i for i in power]
+        fixed = sum(1 << f for f, x in enumerate(masks) if sum(bit[i] for i in _members(x)) == x)
+        fix = chow_graded_dimensions(m, fixed=fixed)[k]
+        exact[t] = fix - sum(e for s, e in exact.items() if t % s == 0)
+        if exact[t] % t or exact[t] < 0:
+            raise AssertionError(f"{exact[t]} chain-basis monomials of orbit size {t}")
+        sizes += [t] * (exact[t] // t)
+    return conj, OrbitStructure(tuple(sizes))

@@ -9,8 +9,9 @@ pair over properly ordered set partitions, excedance tables over every
 permutation, matroid flats from the closure of
 every independent subset, Tutte polynomials by deletion-contraction on the
 columns, Chow graded dimensions from a quotient-ring relation-matrix rank over
-those flats, polytope facets from a search over every spanning point subset,
-and polytope faces level by level from the facets.
+those flats, Chow chain-basis monomials and their cyclic orbits by listing
+chains of those flats, polytope facets from a search over every spanning
+point subset, and polytope faces level by level from the facets.
 """
 
 from __future__ import annotations
@@ -410,6 +411,67 @@ def flats_oracle(columns: Sequence[Sequence[int]]) -> set[frozenset[int]]:
 
     walk([], 0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Chow chain-basis monomials, listed, and their cyclic orbits
+
+
+def fy_basis_monomials(
+    m, degree: int | None = None
+) -> list[tuple[tuple[frozenset, int], ...]]:
+    """Basis monomials of the given degree, or of every degree when it is
+    None, as ((flat, exponent), ...) chains, each flat a frozenset of labels,
+    listed one by one.
+
+    A monomial is a chain F1 < ... < Fk of flats strictly above the bottom
+    (the loops; the ground set is allowed) with exponents
+    0 < d_i < rank(F_i) - rank(F_{i-1}), F0 the bottom (Feichtner and
+    Yuzvinsky 2004).  The flats come from :func:`flats_oracle` and their
+    ranks from ``int_rank`` on their columns.
+    """
+    from .linalg import int_rank
+
+    dim = len(m.columns[0]) if m.columns else 0
+    flats = sorted(flats_oracle(m.columns), key=len)  # the bottom first
+    rank = {f: int_rank([m.columns[i] for i in f], dim) for f in flats}
+    budget = max(rank.values()) - 1 if degree is None else degree
+    out = []
+
+    def extend(chain, last, remaining):
+        if degree is None or remaining == 0:
+            out.append(tuple(chain))
+        for f in flats:
+            if last < f:
+                for d in range(1, min(rank[f] - rank[last] - 1, remaining) + 1):
+                    chain.append((frozenset(m.labels[i] for i in f), d))
+                    extend(chain, f, remaining - d)
+                    chain.pop()
+
+    extend([], flats[0], budget)
+    return out
+
+
+def chain_basis_orbits_oracle(m, degree: int) -> list[int]:
+    """Sorted orbit sizes of the long cycle (1 2 ... n) on the listed
+    degree-*degree* basis monomials of *m*, whose labels are words of length
+    n: the cycle relabels each flat's words by moving every letter one place
+    right, the last letter first.  A relabelled monomial that is not listed
+    raises ``KeyError``."""
+
+    def relabel(mono):
+        return tuple((frozenset(w[-1:] + w[:-1] for w in f), d) for f, d in mono)
+
+    remaining = set(fy_basis_monomials(m, degree))
+    sizes = []
+    while remaining:
+        mono = start = remaining.pop()
+        size = 1
+        while (mono := relabel(mono)) != start:
+            remaining.remove(mono)
+            size += 1
+        sizes.append(size)
+    return sorted(sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,9 @@
 import pytest
 
-from spechtkit.chow import (
-    chow_graded_dimensions,
-    chow_presentation,
-    fy_basis_monomials,
-    hilbert_series_text,
-)
-from spechtkit.combinatorics import Partition, partitions_of
+from spechtkit.chow import chow_graded_dimensions, chow_presentation, hilbert_series_text
+from spechtkit.combinatorics import Partition, Permutation, partitions_of
 from spechtkit.matroid import LinearMatroid, specht_matroid
-from spechtkit.oracles import chow_dims_quotient_oracle
+from spechtkit.oracles import chow_dims_quotient_oracle, fy_basis_monomials
 
 TABLE_DIMS = {
     (4,): [1],
@@ -131,6 +126,33 @@ def test_basis_monomials_count_matches_dimensions(x_matroid):
                 flats = [f for f, _ in mono]
                 for a, b in zip(flats, flats[1:]):
                     assert a < b
+
+
+@pytest.mark.parametrize(
+    "lam", [p for n in range(2, 6) for p in partitions_of(n)], ids=str
+)
+def test_fixed_flat_dp_counts_the_listed_monomials_a_symmetry_fixes(lam):
+    m = specht_matroid(lam)
+    n = lam.n
+    dims = chow_graded_dimensions(m)
+    masks = m.flat_lattice()[0]
+    assert chow_graded_dimensions(m, fixed=(1 << len(masks)) - 1) == dims
+    monomials = fy_basis_monomials(m)
+    assert len(monomials) == sum(dims)
+    flats = [m._labels_of(x) for x in masks]
+    long_cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
+    for perm in (long_cycle, Permutation.from_cycles(n, [1, 2])):
+        image = {w: perm.apply(w) for w in m.labels}
+
+        def act(flat):
+            return frozenset(map(image.__getitem__, flat))
+
+        fixed = sum(1 << i for i, f in enumerate(flats) if act(f) == f)
+        want = [0] * len(dims)
+        for mono in monomials:
+            if tuple((act(f), d) for f, d in mono) == mono:
+                want[sum(d for _, d in mono)] += 1
+        assert chow_graded_dimensions(m, fixed=fixed) == want, (lam, perm)
 
 
 def test_rank_zero_and_one_matroids():

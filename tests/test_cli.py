@@ -11,8 +11,9 @@ import pytest
 from spechtkit import cli, combinatorics
 from spechtkit.cli import build_parser, main
 from spechtkit.coefficients import kronecker_matrix
-from spechtkit.combinatorics import Partition
+from spechtkit.combinatorics import Partition, Permutation
 from spechtkit.config import Limits
+from spechtkit.conjectures import Conjecture2Report, FunnySumReport, OrbitStructure
 from spechtkit.matroid import LinearMatroid
 from spechtkit.oracles import kronecker_oracle, plethysm_oracle
 
@@ -225,6 +226,36 @@ def test_check_commands(capsys):
     data = json.loads(out)
     jsonschema.validate(data, schema("report.schema.json"))
     assert data["match"] is True
+
+
+FAILED_CHECKS = {
+    "conjecture1": (
+        "check_conjecture1",
+        lambda *a, **k: FunnySumReport(
+            3, "full", 1, False, None, (Permutation((1, 2, 3)),) * 2 + (0, 36)
+        ),
+        "FAIL",
+    ),
+    "conjecture2": (
+        "check_conjecture2",
+        lambda *a, **k: Conjecture2Report(3, (1, 1), (1, 2), False),
+        "FAIL",
+    ),
+    "orbits": (
+        "cyclic_orbit_structures",
+        lambda *a, **k: (OrbitStructure((1, 3)), OrbitStructure((1, 1, 1, 1))),
+        "MISMATCH",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(FAILED_CHECKS))
+def test_a_failed_check_prints_its_report_and_exits_1(capsys, monkeypatch, what):
+    name, report, verdict = FAILED_CHECKS[what]
+    monkeypatch.setattr(cli, name, report)
+    code, out, err = run(capsys, "check", what, "--n", "3", "--k", "1")
+    assert code == 1
+    assert out.rstrip().endswith(verdict) and not err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -5,7 +5,8 @@ Each golden file maps a command line to its exit code, standard output and
 standard error.  ``goldens/cli_specht.json`` holds the pairing matrices in
 every format, ``goldens/cli_polytope.json`` the polytope commands,
 ``goldens/cli_matroid.json`` the matroid and chow commands and
-``goldens/cli_coeff.json`` the coefficient commands; an output longer than
+``goldens/cli_coeff.json`` the coefficient commands and
+``goldens/cli_check.json`` the cyclic-orbit checks; an output longer than
 ``DIGEST_OVER`` characters (the larger Chow presentations run to megabytes)
 is held as the SHA-256 of its UTF-8 bytes.  Commands run from the repository
 root, so ``--matrix`` paths are relative to it.  An ``--emit-matrix`` file is
@@ -95,11 +96,20 @@ COEFF = [
     for triple in triples_up_to_4(kind)
 ] + [coeff_argv(kind, triple, EMIT, "matrix.json") for kind, triple in MATRIX_TRIPLES]
 
+# every hook size up to 8 with every valid k, and the n = 9 pair CI runs
+CHECK = [
+    ["check", "orbits", "--n", str(n), "--k", str(k), "--format", fmt]
+    for n in range(2, 9)
+    for k in range(n - 1)
+    for fmt in ("text", "json")
+] + [["check", "orbits", "--n", "9", "--k", str(k), "--format", "json"] for k in (3, 4)]
+
 FILES = {
     "cli_specht.json": SPECHT,
     "cli_polytope.json": POLYTOPE,
     "cli_matroid.json": MATROID,
     "cli_coeff.json": COEFF,
+    "cli_check.json": CHECK,
 }
 CASES = [(name, argv) for name, commands in FILES.items() for argv in commands]
 

@@ -18,7 +18,11 @@ from spechtkit.conjectures import (
     hook_matroid,
 )
 from spechtkit.errors import DomainError, ResourceLimitError
-from spechtkit.oracles import derangement_excedance_oracle, funny_sum_oracle
+from spechtkit.oracles import (
+    chain_basis_orbits_oracle,
+    derangement_excedance_oracle,
+    funny_sum_oracle,
+)
 from spechtkit.specht import specht_matrix
 
 DERANGEMENT_TABLES = {
@@ -271,6 +275,30 @@ def test_orbit_walk_equals_the_permutation_enumeration(n):
         conj, fy = cyclic_orbit_structures(n, k)
         assert conj.sizes == tuple(sorted(sizes)), (n, k)
         assert conj.total == derangement_excedance_oracle(n)[k], (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chain_basis_orbit_count_equals_the_listing_oracle(n):
+    m = hook_matroid(n)
+    for k in range(n - 1):
+        _, fy = cyclic_orbit_structures(n, k)
+        assert list(fy.sizes) == chain_basis_orbits_oracle(m, k), (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(5, 1), (6, 2)])
+def test_an_off_by_one_fixed_count_raises(monkeypatch, n, k):
+    # one monomial too many fixed by c^n, the identity: E(n) = n * orbits + 1
+    real = conjectures.chow_graded_dimensions
+
+    def off_by_one(m, *, fixed=None):
+        dims = real(m, fixed=fixed)
+        if fixed == (1 << len(m.flat_lattice()[0])) - 1:
+            dims[k] += 1
+        return dims
+
+    monkeypatch.setattr(conjectures, "chow_graded_dimensions", off_by_one)
+    with pytest.raises(AssertionError, match="orbit size"):
+        cyclic_orbit_structures(n, k)
 
 
 def test_cyclic_orbits_agree_small():
