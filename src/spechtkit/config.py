@@ -22,7 +22,7 @@ class Limits:
     max_ground: int = 128
     max_circuit_ground: int = 20
     tutte_subset_limit: int = 20  # subset-sum strategy bound on |E|
-    max_flats: int = 100_000  # flats held by one lattice, down-sets included
+    max_flats: int = 100_000  # flats one lattice may find; bounds its down-sets and residue dicts
     # polytopes
     max_polytope_points: int = 64
     max_polytope_dim: int = 8

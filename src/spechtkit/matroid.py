@@ -133,20 +133,23 @@ class LinearMatroid:
         The lattice grows one rank at a time by covers.  A flat holds all of a
         parallel class of columns or none of it, and columns parallel modulo a
         flat stay parallel modulo every flat above it, so the work runs on
-        classes and a cover takes whole classes.  Each flat F of rank below
-        r - 1 keeps one dict ``{residue: class mask}`` of the classes outside
-        it.  A residue is the class's projection modulo span(F), normalised,
-        on quotient coordinates: the r - r(F) coordinates left once each
-        pivot's lead coordinate is dropped.  Two columns outside F have the
-        same residue exactly when they are parallel modulo span(F), so each
-        entry gives the cover F | mask, of rank r(F) + 1.  The cover's dict is
-        its first parent's, each other entry stepped once by :func:`_drop`
-        against the cover's residue, equal residues merged.  A merged class
-        keeps the place of its first entry, so the classes stay in order of
-        their lowest column and the covers are found and counted in that
-        order.  A flat of rank r - 1 has exactly one cover, the ground set, so
-        the covers of that rank carry the marker None in place of a dict, and
-        the top is added once, above them all.
+        classes and a cover takes whole classes.  A flat F is expanded through
+        a dict ``{residue: class mask}`` of the classes outside it.  A residue
+        is the class's projection modulo span(F), normalised, on quotient
+        coordinates: the r - r(F) coordinates left once each pivot's lead
+        coordinate is dropped.  Two columns outside F have the same residue
+        exactly when they are parallel modulo span(F), so each entry gives the
+        cover F | mask, of rank r(F) + 1.  Each flat found keeps one entry,
+        ``[down-set, first parent's dict, its residue there]``, and builds its
+        own dict only when its covers are made: the parent's, each other entry
+        stepped once by :func:`_drop` against the flat's residue, equal
+        residues merged.  A merged class keeps the place of its first entry,
+        so the classes stay in order of their lowest column and the covers are
+        found and counted in that order.  A flat of rank r - 1 has the ground
+        set as its one cover, so it is not expanded, and the top is added once,
+        above them all.  The dicts alive are those of the level being expanded
+        and of the level below it, never those of the level being counted:
+        refused at the default guard, (3,2,1,1) stays under 128 MiB traced.
         The ranks are kept in ``_flat_ranks``, one per flat, and the
         down-sets, read through :meth:`flat_lattice`, in ``_flat_below``: a
         cover's down-set is the union of the flats it covers and their
@@ -159,45 +162,36 @@ class LinearMatroid:
             found = 1
             ranks: dict[int, int] = {}
             below: list[int] = []
-            bottom = self._loop_mask()
-            classes: dict[tuple[int, ...], int] = {}  # residue -> the mask of its class
-            for i, vec in enumerate(self._vectors):
-                if not bottom >> i & 1:
-                    key = _normalize(vec)
-                    classes[key] = classes.get(key, 0) | 1 << i
-            level: dict[int, dict[tuple[int, ...], int] | None] = {bottom: classes}
-            under = {bottom: 0}  # the down-set of each flat in level
+            classes = self._classes()
+            bottom = classes.pop(None, 0)
+            level: dict[int, list] = {bottom: [0, classes, None]}
             for rank in range(self._rank):
-                covers: dict[int, dict[tuple[int, ...], int] | None] = {}
-                over: dict[int, int] = {}
-                hyper = rank + 1 == self._rank  # level holds the flats of rank r - 1
-                last = rank + 2 == self._rank  # the covers have rank r - 1
+                covers: dict[int, list] = {}
                 for flat in sorted(level):
+                    down, classes, piv = level.pop(flat)  # the last child frees the parent's dict
                     ranks[flat] = rank
-                    down = under[flat] | 1 << len(below)
-                    below.append(under[flat])
-                    if hyper:
+                    below.append(down)
+                    if rank + 1 == self._rank:  # a hyperplane, covered by the top alone
                         continue
-                    classes = level.pop(flat)  # freed once its covers are made
-                    for piv, members in classes.items():
-                        cover = flat | members
-                        if cover in covers:
-                            over[cover] |= down
-                            continue
-                        over[cover] = down
-                        found += 1
-                        if found > bound:
-                            self.limits.require("max_flats", found)
-                        if last:
-                            covers[cover] = None
-                            continue
+                    if rank:  # the bottom's dict is the columns' classes
+                        members = classes[piv]
                         step: dict[tuple[int, ...], int] = {}
                         for res, mask in classes.items():
                             if mask != members:
                                 key = _drop(res, piv)
                                 step[key] = step[key] | mask if key in step else mask
-                        covers[cover] = step
-                level, under = covers, over
+                        classes = step
+                    down |= 1 << len(below) - 1
+                    for piv, members in classes.items():
+                        cover = flat | members
+                        if cover in covers:
+                            covers[cover][0] |= down
+                            continue
+                        found += 1
+                        if found > bound:
+                            self.limits.require("max_flats", found)
+                        covers[cover] = [down, classes, piv]
+                level = covers
             top = (1 << self.size) - 1
             if self._rank:
                 found += 1
@@ -221,6 +215,15 @@ class LinearMatroid:
         return [self._labels_of(m) for m in masks]
 
     # -- circuits, bases, loops --------------------------------------------
+
+    def _classes(self) -> dict[tuple[int, ...] | None, int]:
+        """Each normalised column, None for the loops, to the mask of its
+        parallel class, in order of the lowest column."""
+        out: dict[tuple[int, ...] | None, int] = {}
+        for i, vec in enumerate(self._vectors):
+            key = _normalize(vec)
+            out[key] = out.get(key, 0) | 1 << i
+        return out
 
     def _loop_mask(self) -> int:
         out = 0
@@ -293,15 +296,9 @@ class LinearMatroid:
         """
         r, width = self._rank, self.size + 1
         grow = [(1 + (1 << width)) ** k for k in range(width)]  # (1 + v)^k, packed
-        loops = 0
-        sizes: dict[tuple[int, ...], int] = {}  # normalised column -> the size of its class
-        for vec in self._vectors:
-            key = _normalize(vec)
-            if key is None:
-                loops += 1
-            else:
-                sizes[key] = sizes.get(key, 0) + 1
-        counts = list(sizes.values())
+        classes = self._classes()
+        loops = classes.pop(None, 0).bit_count()
+        counts = [mask.bit_count() for mask in classes.values()]
         gains = [grow[c] - 1 for c in counts]
         by_rank = [0] * (r + 1)
 
@@ -332,7 +329,7 @@ class LinearMatroid:
                     rest = [None if res is None else _drop(res, piv) for res in rest]
                     walk(i + 1, weight * gains[i], rk + 1, rest)
 
-        walk(0, grow[loops], 0, list(sizes))
+        walk(0, grow[loops], 0, list(classes))
         return _tutte_from_rank_sums(by_rank, width)
 
     def _tutte_flats(self) -> Poly2:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -169,6 +170,22 @@ def test_flat_guard_refuses_as_the_lattice_grows():
             lattice_reader()
 
 
+def test_refused_lattice_holds_two_levels_of_dicts():
+    # the bound of the _flat_masks docstring: only the levels being expanded
+    # and below hold residue dicts, never the level being counted
+    m = specht_matroid(Partition((3, 2, 1, 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ResourceLimitError, match="max_flats: requested 100001 exceeds limit 100000"
+        ):
+            chow_graded_dimensions(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20  # about 71 MiB
+
+
 def boolean_matroid(n, limits=Limits(), scales=(1,), loops=0):
     """B_n: the identity columns, each repeated at every scale in *scales*
     (a parallel class), then *loops* zero columns."""
@@ -184,7 +201,7 @@ def eulerian(n):
 
 def test_flat_guard_counts_the_hyperplanes():
     # B_8 has 247 flats below rank 7, so the 251st flat found is a hyperplane,
-    # a level whose covers carry no residues
+    # at rank r - 1, a level that is counted but never expanded
     m = boolean_matroid(8, Limits(max_flats=250))
     with pytest.raises(ResourceLimitError, match="max_flats: requested 251 exceeds limit 250"):
         m.flats()
@@ -220,8 +237,8 @@ def moment_curve(r, n):
     return [tuple(t**k for k in range(r)) for t in range(1, n + 1)]
 
 
-# columns around the hyperplane marker: a flat of rank r - 1 has the ground
-# set as its one cover
+# columns around the rank r - 1 boundary: a flat of rank r - 1 has the ground
+# set as its one cover, so it is not expanded
 MARKER_CASES = {
     "empty": [],
     "rank 0, every column a loop": [(0, 0)] * 3,
