@@ -52,10 +52,11 @@ from lam's S_l and mu's S_m.  Each ``_*_setup`` makes every check, the
 group order's included, and returns the factors with an ``action`` that
 reads the group only when the walk calls it.
 
-The column-label tables the walk reads (``_column_table``, also the action
-table of ``conjectures.gram_column``) are fixed by a factor's partition and
-the group, so they live with the memoised matrices, in
-``SpechtMatrix.derived``, the one place this layer keeps anything:
+The walk acts on each factor's column labels through ``specht.action_table``.
+A table is fixed by a factor's partition and the group, so
+``specht.kept_tables`` keeps it, read-only, with the memoised matrix and
+checks it as a fresh build would be checked.  ``SpechtMatrix.derived`` is
+the one place this layer keeps anything, read-only arrays included:
 
 * each factor's table, keyed by the group that acts and the factor's role:
   ``("S_n", "diagonal")`` for Kronecker; ``("S_l x S_m", l, m, role)`` with
@@ -65,11 +66,6 @@ the group, so they live with the memoised matrices, in
   ``("S_l wr S_m", l, m)``, on the first factor's matrix (lam's);
 * the tensor power's column labels and row basis, ``("power col_labels",
   m)`` and ``("power row_basis", m)``, and its table, on its base matrix.
-
-A table is checked against ``max_matrix_cells`` before it is built, and a
-kept one against the same numbers in the same order on every call
-(``_kept_tables``), so a lower limit refuses it as it refuses the build.
-Kept arrays are read-only.
 
 Since S^lam' = S^lam (x) sgn, each coefficient equals the same coefficient
 on some conjugated triples:
@@ -128,7 +124,7 @@ from .combinatorics import (
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
 from .linalg import affine_rank, int_rank
-from .specht import SpechtMatrix, specht_matrix
+from .specht import SpechtMatrix, frozen, kept, kept_tables, specht_matrix
 
 Label = tuple[Word, ...]
 
@@ -173,69 +169,6 @@ class LabeledCoefficientMatrix:
 # the orbit engine
 
 
-def _column_table(labels: Sequence, positions: np.ndarray, limits: Limits) -> np.ndarray:
-    """(|G|, len(labels)) array whose entry [g, c] is the index of g . labels[c].
-
-    Each label is read as one word (a tuple of words as their concatenation)
-    of L letters, with digits letter - 1 in radix the largest letter.  Since
-    (g . w)[k] = w[p_g(k)], the letter at place j of w moves to place
-    p_g^-1(j), so the codes of every g . w are one product of the digits with
-    the place values of the inverse permutations, and a direct table over all
-    radix^L codes turns them into label indices.  The result and that table
-    are checked against ``max_matrix_cells`` before either is built.
-    """
-    letters = np.array(labels, dtype=np.int64).reshape(len(labels), -1)
-    radix, length = int(letters.max()), letters.shape[1]
-    if radix**length >= 2**63:
-        raise DomainError("column labels are too long to encode in 64 bits")
-    limits.require("max_matrix_cells", len(positions) * len(labels))
-    limits.require("max_matrix_cells", radix**length)
-    digits = letters - 1
-    powers = radix ** np.arange(length - 1, -1, -1)
-    lookup = np.zeros(radix**length, dtype=np.int64)
-    lookup[digits @ powers] = np.arange(len(labels))
-    # place[g, j] = powers[p_g^-1(j)], scattered along p_g
-    place = np.empty_like(positions)
-    place[np.arange(len(positions))[:, None], positions] = powers
-    return lookup[place @ digits.T]
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _kept(factor, key: tuple, build: Callable):
-    """``factor.derived[key]``, built by *build* on the first read."""
-    value = factor.derived.get(key)
-    if value is None:
-        value = factor.derived.setdefault(key, build())
-    return value
-
-
-def _kept_tables(factors, group: tuple, roles, positions, limits: Limits):
-    """Each factor's action table in turn, kept in its ``derived`` under
-    *group* plus its role, read or built only when the walk asks for it.
-
-    A built table is ``_column_table`` of the factor's column labels, which
-    checks ``max_matrix_cells`` first; a kept one is checked against the
-    same numbers in the same order, so a lower limit refuses it as it
-    refuses the build.
-    """
-    for f, role, p in zip(factors, roles, positions):
-        kept = f.derived.get(group + (role,))
-        if kept is None:
-            labels = f.col_labels
-            table = _frozen(_column_table(labels, p, limits))
-            # each label rearranges one word: its letters give the code count
-            word = np.ravel(labels[0])
-            kept = f.derived.setdefault(group + (role,), (table, int(word.max()) ** len(word)))
-        else:
-            limits.require("max_matrix_cells", kept[0].size)
-            limits.require("max_matrix_cells", kept[1])
-        yield kept[0]
-
-
 # entries per numpy temporary of the walk; bounds its working memory
 _CHUNK = 1 << 18
 
@@ -256,9 +189,9 @@ def _orbit_walk(
     product of the factor columns at j.  Orbits with s = 0 are not summed.
 
     E_j is read on *matrices*, one per factor, each with the factor's
-    columns.  *tables* holds each factor's action table (``_column_table``):
+    columns.  *tables* holds each factor's action table (``action_table``):
     the walk reads them in turn after its own checks, so a generator such as
-    ``_kept_tables`` checks and builds each only then.  The walk goes in blocks
+    ``kept_tables`` checks and builds each only then.  The walk goes in blocks
     and keeps none: each block's live orbits are handed over as
     ``take(summed, js, rep, g)``, where row i of *summed* is the i-th
     representative's summed column (zero when its elementary columns
@@ -425,7 +358,7 @@ def _kronecker_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limit
 
     def action():
         perms, signs = factors[0].symmetric_group
-        return _kept_tables(factors, ("S_n",), ["diagonal"] * 3, [perms] * 3, limits), signs
+        return kept_tables(factors, ("S_n",), ["diagonal"] * 3, [perms] * 3, limits), signs
 
     return factors, action
 
@@ -478,12 +411,12 @@ def _lr_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits):
         right = np.tile(tau, (len(sigma), 1))
         # the two tensor-factor signs cancel against the embedded sign
         weights = np.ones(len(left), dtype=np.int64)
-        return [*map(_frozen, (left, right, np.hstack([left, l + right])))], _frozen(weights)
+        return [*map(frozen, (left, right, np.hstack([left, l + right])))], frozen(weights)
 
     def action():
-        positions, weights = _kept(factors[0], group, build)
+        positions, weights = kept(factors[0], group, build)
         roles = ["left", "right", "embedded"]
-        return _kept_tables(factors, group, roles, positions, limits), weights
+        return kept_tables(factors, group, roles, positions, limits), weights
 
     return factors, action
 
@@ -575,7 +508,7 @@ class _TensorPowerFactor:
     @property
     def col_labels(self) -> tuple:
         build = lambda: tuple(itertools.product(self.base.col_labels, repeat=self.m))
-        return _kept(self, ("power col_labels", self.m), build)
+        return kept(self, ("power col_labels", self.m), build)
 
     @property
     def entries(self) -> np.ndarray:
@@ -583,8 +516,8 @@ class _TensorPowerFactor:
 
     @property
     def row_basis(self) -> np.ndarray:
-        build = lambda: _frozen(_kron_power(self.base.row_basis, self.m))
-        return _kept(self, ("power row_basis", self.m), build)
+        build = lambda: frozen(_kron_power(self.base.row_basis, self.m))
+        return kept(self, ("power row_basis", self.m), build)
 
 
 def _kron_power(rows, m: int) -> np.ndarray:
@@ -613,12 +546,12 @@ def _plethysm_setup(lam: Partition, mu: Partition, nu: Partition, limits: Limits
         # the within-slot signs cancel against the embedded-permutation sign,
         # leaving sgn(slot shuffle)^(l+1)
         weights = signs if l % 2 == 0 else np.ones_like(signs)
-        return [*map(_frozen, (dots, slots, dots))], _frozen(weights)
+        return [*map(frozen, (dots, slots, dots))], frozen(weights)
 
     def action():
-        positions, weights = _kept(base, group, build)
+        positions, weights = kept(base, group, build)
         roles = ["power", "slots", "dots"]
-        return _kept_tables(factors, group, roles, positions, limits), weights
+        return kept_tables(factors, group, roles, positions, limits), weights
 
     return factors, action
 

@@ -11,7 +11,8 @@ The excedance table comes from a DP over the sets of values already placed
 orbit refinement acts on the derangements themselves, so it lists them, but
 only those with the excedance count asked for, by backtracking on one-line
 tuples.  The chain-basis side is counted by Burnside, never listed;
-``oracles.chain_basis_orbits_oracle`` lists it for the tests.
+``oracles.chain_basis_orbits_oracle`` lists it for the tests.  Both checks
+act on labels through ``specht.action_table``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
+
+import numpy as np
 
 from .chow import chow_graded_dimensions
 from .combinatorics import (
@@ -32,7 +35,7 @@ from .combinatorics import (
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError, ResourceLimitError
 from .matroid import _members, specht_matroid
-from .specht import specht_matrix
+from .specht import action_table, specht_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +85,8 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     by (sigma, tau) -> (g * sigma, g * tau) whatever the matrices are, and
     ``funny_sum(n, sigma, tau) == v[tau.inverse() * sigma]``.
 
-    Each shape's action table (``coefficients._column_table`` on its row
-    labels, rows times n! entries) is checked against ``max_matrix_cells``
+    Each shape's action table (``specht.action_table`` on its row labels,
+    rows times n! entries) is checked against ``max_matrix_cells``
     before any is built.  Entries of M are 0 or +-1, so |G[a, b]| <= cols and
     every |v[rho]| is at most sum_lambda d^2 * rows * cols; that bound is
     checked below 2^63, so the int64 sums are exact.
@@ -102,10 +105,6 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     if bound >= 2**63:
         raise ResourceLimitError(f"funny sums up to {bound} overflow int64")
 
-    import numpy as np
-
-    from .coefficients import _column_table
-
     column = np.zeros(factorial(n), dtype=np.int64)
     group = None  # S_n, read on the first shape's matrix
     for shape, weight in zip(shapes, weights):
@@ -113,7 +112,7 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
         group = group or mat.symmetric_group
         entries = np.array(mat.entries, dtype=np.int64)
         gram = entries @ entries.T
-        acted = _column_table(mat.row_labels, group[0], limits)  # [k, w]: rho_k . w
+        acted = action_table(mat.row_labels, group[0], limits)  # [k, w]: rho_k . w
         column += weight * gram[acted, np.arange(len(gram))].sum(axis=1)
     return column.tolist()
 
@@ -359,14 +358,11 @@ def cyclic_orbit_structures(
     )
 
     masks = m.flat_lattice()[0]
-    column = {w: i for i, w in enumerate(m.labels)}
-    cycle_inv = Permutation.from_cycles(n, list(range(1, n + 1))).inverse()
-    step = [column[cycle_inv.apply(w)] for w in m.labels]
-    power, exact, sizes = list(range(n)), {}, []  # power: c^t on the columns
-    for t in range(1, n + 1):
-        power = [step[i] for i in power]
-        if n % t:
-            continue
+    # c^t, t | n, relabels by c^-t: (c^t . w)[j] = w[j - t mod n], zero-based
+    divisors = [t for t in range(1, n + 1) if n % t == 0]
+    shifts = (np.arange(n) - np.array(divisors)[:, None]) % n
+    exact, sizes = {}, []
+    for t, power in zip(divisors, action_table(m.labels, shifts, limits).tolist()):
         bit = [1 << i for i in power]
         fixed = sum(1 << f for f, x in enumerate(masks) if sum(bit[i] for i in _members(x)) == x)
         fix = chow_graded_dimensions(m, fixed=fixed)[k]

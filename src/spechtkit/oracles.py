@@ -371,10 +371,13 @@ def flats_oracle(columns: Sequence[Sequence[int]]) -> set[frozenset[int]]:
     The closure of a set is the closure of any maximal independent subset of
     it, so the flats are the closures of the independent sets.  These are
     walked depth first over parallel-class representatives (columns with
-    proportional nonzero entries); each closure takes one rank per class.
-    Exponential in the number of classes; intended for small matroids only.
+    proportional nonzero entries), each node holding the span of its chosen
+    set as a ``RowSpace``, copied on descent.  A node tests each class once:
+    the classes in the span make the closure, and those outside it extend
+    the walk.  Exponential in the number of classes; intended for small
+    matroids only.
     """
-    from .linalg import int_rank
+    from .linalg import RowSpace, int_rank
 
     dim = len(columns[0]) if columns else 0
     classes: list[list[int]] = []
@@ -392,24 +395,16 @@ def flats_oracle(columns: Sequence[Sequence[int]]) -> set[frozenset[int]]:
     reps = [columns[cls[0]] for cls in classes]
     out = set()
 
-    def walk(chosen: list, start: int) -> None:
-        vecs = [reps[k] for k in chosen]
-        out.add(
-            frozenset(
-                loops
-                + [
-                    i
-                    for k, cls in enumerate(classes)
-                    if int_rank(vecs + [reps[k]], dim) == len(chosen)
-                    for i in cls
-                ]
-            )
-        )
+    def walk(span: RowSpace, start: int) -> None:
+        inside = [span.contains(rep) for rep in reps]
+        out.add(frozenset(loops + [i for cls, held in zip(classes, inside) if held for i in cls]))
         for k in range(start, len(classes)):
-            if int_rank(vecs + [reps[k]], dim) > len(chosen):
-                walk(chosen + [k], k + 1)
+            if not inside[k]:
+                child = span.copy()
+                child.add(reps[k])
+                walk(child, k + 1)
 
-    walk([], 0)
+    walk(RowSpace(dim), 0)
     return out
 
 

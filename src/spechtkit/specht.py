@@ -16,15 +16,18 @@ entries, row basis and shape are ``functools.cached_property`` values,
 built on first read and kept on the memoised matrix; the shape is counted
 by ``rearrangement_count`` without building the labels, and a cache hit
 checks ``max_matrix_cells`` against it.  So is ``symmetric_group``, the
-read-only one-line images and signs of S_n, n = |lambda|, that the
-coefficient walks and ``conjectures.gram_column`` act by.  ``derived`` is a
+read-only one-line images and signs of S_n, n = |lambda|.  ``derived`` is a
 dict that the coefficient layer fills with what it derives from the matrix
-and a group and keeps for later calls: the column-label action table of each
-group that acts on the matrix as a factor, the LR and wreath group arrays
-(on the first factor's matrix) and a tensor power's column labels, row basis
-and table (on its base matrix); ``coefficients`` names the keys.  (Two
-threads reading an unbuilt value at once may both build it; they store
-equal values.)
+and a group and keeps for later calls (``kept``); ``coefficients`` names the
+keys.  (Two threads reading an unbuilt value at once may both build it;
+they store equal values.)
+
+Permuting positions acts on labels, and ``action_table`` is that one action:
+a |G| x labels table of label indices, checked against ``max_matrix_cells``
+before it is built.  The coefficient walks read each factor's table through
+``kept_tables``, which keeps it in ``derived`` and checks a kept one against
+the numbers that built it; ``conjectures`` acts by S_n on row labels for the
+funny sums, and by powers of the long cycle on the hook's column labels.
 
 The entries come from one signed sweep over S_n, writing n! entries into a
 zero grid (n! never exceeds the number of cells); the validating
@@ -55,6 +58,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -146,9 +150,7 @@ class SpechtMatrix:
         their signs.  The coefficient walks and ``gram_column`` act by them."""
         n = self.partition.n
         perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        signs = np.array(_lex_permutation_signs(n), dtype=np.int64)
-        perms.flags.writeable = signs.flags.writeable = False
-        return perms, signs
+        return frozen(perms), frozen(np.array(_lex_permutation_signs(n), dtype=np.int64))
 
     @cached_property
     def derived(self) -> dict:
@@ -292,3 +294,71 @@ def specht_matrix(p: Partition, limits: Limits = DEFAULT_LIMITS) -> SpechtMatrix
         return hit
     with _cache_lock:
         return _cache.setdefault(p.parts, mat)
+
+
+# ---------------------------------------------------------------------------
+# the label action
+
+
+def action_table(labels: Sequence, positions: np.ndarray, limits: Limits) -> np.ndarray:
+    """(|G|, len(labels)) array whose entry [g, c] is the index of g . labels[c],
+    where g pulls a word back along the zero-based images positions[g],
+    ``(g . w)[k] = w[p_g(k)]``, as ``Permutation.apply`` does.
+
+    Each label is read as one word (a tuple of words as their concatenation)
+    of L letters, with digits letter - 1 in radix the largest letter.  The
+    letter at place j of w moves to place p_g^-1(j), so the codes of every
+    g . w are one product of the digits with the place values of the inverse
+    permutations, and a direct table over all radix^L codes turns them into
+    label indices.  The result and that table are checked against
+    ``max_matrix_cells`` before either is built.
+    """
+    letters = np.array(labels, dtype=np.int64).reshape(len(labels), -1)
+    radix, length = int(letters.max()), letters.shape[1]
+    if radix**length >= 2**63:
+        raise DomainError("column labels are too long to encode in 64 bits")
+    limits.require("max_matrix_cells", len(positions) * len(labels))
+    limits.require("max_matrix_cells", radix**length)
+    digits = letters - 1
+    powers = radix ** np.arange(length - 1, -1, -1)
+    lookup = np.zeros(radix**length, dtype=np.int64)
+    lookup[digits @ powers] = np.arange(len(labels))
+    # place[g, j] = powers[p_g^-1(j)], scattered along p_g
+    place = np.empty_like(positions)
+    place[np.arange(len(positions))[:, None], positions] = powers
+    return lookup[place @ digits.T]
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def kept(owner, key: tuple, build: Callable):
+    """``owner.derived[key]``, built by *build* on the first read."""
+    value = owner.derived.get(key)
+    if value is None:
+        value = owner.derived.setdefault(key, build())
+    return value
+
+
+def kept_tables(factors, group: tuple, roles, positions, limits: Limits):
+    """Each factor's action table in turn, kept in its ``derived`` under
+    *group* plus its role, read or built only when the caller asks for it.
+
+    A built table is ``action_table`` of the factor's column labels, which
+    checks ``max_matrix_cells`` first; a kept one is checked against the
+    same numbers in the same order, so a lower limit refuses it as it
+    refuses the build.
+    """
+    for f, role, p in zip(factors, roles, positions):
+        entry = f.derived.get(group + (role,))
+        if entry is None:
+            table = frozen(action_table(f.col_labels, p, limits))
+            # each label rearranges one word: its letters give the code count
+            word = np.ravel(f.col_labels[0])
+            entry = f.derived.setdefault(group + (role,), (table, int(word.max()) ** len(word)))
+        else:
+            limits.require("max_matrix_cells", entry[0].size)
+            limits.require("max_matrix_cells", entry[1])
+        yield entry[0]

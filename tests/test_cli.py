@@ -385,6 +385,15 @@ def test_action_table_guard_exits_3(capsys):
     assert code == 0
     triple = (Partition((1,)), Partition((1,) * 7), Partition((7,)))
     assert json.loads(out)["coefficient"] == plethysm_oracle(*triple) == 0
+    # the hook of size 2 is (2), a 1 x 2 matrix; c and c^2 act on its two
+    # column labels through a 2 x 2 table over 2^2 codes
+    orbits = ("check", "orbits", "--n", "2", "--k", "0")
+    for cells in ("2", "3"):
+        code, out, err = run(capsys, *orbits, "--max-matrix-cells", cells)
+        assert (code, out) == (3, "")
+        assert f"max_matrix_cells: requested 4 exceeds limit {cells}" in err
+    code, out, _ = run(capsys, *orbits, "--max-matrix-cells", "4")
+    assert code == 0 and out.endswith(": match\n")
 
 
 def test_limit_flag_overrides(capsys):

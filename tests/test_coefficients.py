@@ -16,7 +16,6 @@ from spechtkit import coefficients
 from spechtkit.coefficients import (
     LabeledCoefficientMatrix,
     _coefficient,
-    _column_table,
     _kronecker_setup,
     _kronecker_vanishes,
     _lr_setup,
@@ -43,7 +42,8 @@ from spechtkit.oracles import (
     lr_oracle,
     plethysm_oracle,
 )
-from spechtkit.specht import SpechtMatrix, specht_matrix
+from spechtkit import specht
+from spechtkit.specht import SpechtMatrix, action_table, specht_matrix
 
 P = Partition.parse
 SETUPS = {"kronecker": _kronecker_setup, "lr": _lr_setup, "plethysm": _plethysm_setup}
@@ -329,22 +329,47 @@ def test_matrix_guard_counts_dense_cells_and_value_guard_does_not():
     assert kronecker_coefficient(p, p, p, limits) == 1
 
 
-def test_column_table_follows_the_position_pullback():
-    labels = [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
-    # row g holds the zero-based one-line images of a permutation p_g, and
-    # g . w is Permutation.apply: result[k] = w[p_g(k)]
-    positions = np.array([[0, 1, 2], [2, 0, 1], [1, 0, 2]])
-    table = _column_table(labels, positions, Limits())
-    assert table.tolist() == [[0, 1, 2], [2, 0, 1], [0, 2, 1]]
-    for p, row in zip(positions, table.tolist()):
-        g = Permutation(tuple(int(x) + 1 for x in p))
-        assert row == [labels.index(g.apply(w)) for w in labels]
+def pullback_inputs(kind, n):
+    """(labels, positions) pairs: three words under three permutations,
+    every shape's row labels under S_n (what gram_column reads), or the
+    hook's column labels under c^t for the long cycle c = (1 2 ... n) and
+    each divisor t of n (what cyclic_orbit_structures reads), c^t relabeling
+    by c^-t."""
+    if kind == "words":
+        return [([(1, 1, 2), (1, 2, 1), (2, 1, 1)], np.array([[0, 1, 2], [2, 0, 1], [1, 0, 2]]))]
+    if kind == "rows":
+        return [(specht_matrix(p).row_labels, symmetric_group(n)[0]) for p in partitions_of(n)]
+    step = Permutation.from_cycles(n, list(range(1, n + 1))).inverse()
+    power, rows = Permutation.identity(n), []
+    for t in range(1, n + 1):
+        power = power * step
+        if n % t == 0:
+            rows.append([i - 1 for i in power.images])
+    return [(specht_matrix(Partition((2,) + (1,) * (n - 2))).col_labels, np.array(rows))]
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [("words", 3)] + [("rows", n) for n in range(1, 6)] + [("hook", n) for n in range(2, 10)],
+)
+def test_column_table_follows_the_position_pullback(kind, n):
+    for labels, positions in pullback_inputs(kind, n):
+        # row g holds the zero-based one-line images of a permutation p_g, and
+        # g . w is Permutation.apply: result[k] = w[p_g(k)]
+        table = action_table(labels, positions, Limits())
+        if kind == "words":
+            assert table.tolist() == [[0, 1, 2], [2, 0, 1], [0, 2, 1]]
+        assert table.shape == (len(positions), len(labels))
+        index = {w: c for c, w in enumerate(labels)}
+        for p, row in zip(positions, table.tolist()):
+            g = Permutation(tuple(int(x) + 1 for x in p))
+            assert row == [index[g.apply(w)] for w in labels], (labels[0], g)
 
 
 def test_column_table_refuses_codes_beyond_64_bits():
     word = tuple(range(1, 17))
     with pytest.raises(DomainError):
-        _column_table([word], np.arange(16)[None, :], Limits(max_matrix_cells=1))
+        action_table([word], np.arange(16)[None, :], Limits(max_matrix_cells=1))
 
 
 def group_positions(kind, l, m):
@@ -521,7 +546,7 @@ def test_walk_refuses_a_group_not_transitive_on_the_first_factor():
     tables, weights = action()
     tables = list(tables)
     fixed = np.tile(np.arange(3), (len(weights), 1))  # every element fixes factor 1
-    tables[0] = _column_table(factors[0].col_labels, fixed, Limits())
+    tables[0] = action_table(factors[0].col_labels, fixed, Limits())
     with pytest.raises(ValueError, match="transitive"):
         _orbit_walk([f.row_basis for f in factors], tables, weights, Limits(), lambda *block: None)
 
@@ -825,6 +850,10 @@ if __name__ == "__main__":
 @pytest.mark.parametrize("kind,triple", [
     ("kronecker", ("2,1,1", "2,2", "2,1,1")),
     ("lr", ("2,1", "1,1", "2,2,1")),
+    # (3,1,1) has 400 cells and a 480-cell table: the limit 479 admits every
+    # check before the tables, so it reaches kept LR tables (the first LR
+    # triple's limits are all refused before them)
+    ("lr", ("2,1,1", "1", "3,1,1")),
     ("plethysm", ("2,1", "1,1", "3,2,1")),
 ])
 def test_kept_tables_are_refused_as_a_fresh_process_refuses_them(kind, triple, monkeypatch):
@@ -834,7 +863,7 @@ def test_kept_tables_are_refused_as_a_fresh_process_refuses_them(kind, triple, m
     # its code count
     assert not VANISHES[kind](*map(P, triple))
     counts = []
-    kept_tables = coefficients._kept_tables
+    kept_tables = specht.kept_tables
 
     def record(factors, group, roles, positions, limits):
         for f, table in zip(factors, kept_tables(factors, group, roles, positions, limits)):
@@ -843,7 +872,7 @@ def test_kept_tables_are_refused_as_a_fresh_process_refuses_them(kind, triple, m
             yield table
 
     with monkeypatch.context() as patch:
-        patch.setattr(coefficients, "_kept_tables", record)
+        patch.setattr(coefficients, "kept_tables", record)
         value = VALUES[kind](*map(P, triple))
     assert value == ORACLES[kind](*map(P, triple)) and len(counts) == 6
     # every table is kept now; one below each count, this process refuses
@@ -856,7 +885,7 @@ def test_kept_tables_are_refused_as_a_fresh_process_refuses_them(kind, triple, m
 
     for cells in sorted(set(counts)):
         with monkeypatch.context() as patch:
-            patch.setattr(coefficients, "_column_table", build)
+            patch.setattr(specht, "action_table", build)
             warm = namespace["checked_call"](kind, triple, cells - 1)
         assert warm[0].startswith("max_matrix_cells: requested"), (cells, warm)
         cold = run_fresh(CHECKED_CALL, json.dumps([kind, triple, cells - 1]))

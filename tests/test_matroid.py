@@ -239,7 +239,7 @@ def moment_curve(r, n):
 
 # columns around the rank r - 1 boundary: a flat of rank r - 1 has the ground
 # set as its one cover, so it is not expanded
-MARKER_CASES = {
+RANK_BOUNDARY_CASES = {
     "empty": [],
     "rank 0, every column a loop": [(0, 0)] * 3,
     "rank 0, no coordinates": [()] * 2,
@@ -257,8 +257,8 @@ MARKER_CASES = {
 }
 
 
-@pytest.mark.parametrize("cols", MARKER_CASES.values(), ids=list(MARKER_CASES))
-def test_lattice_at_the_hyperplane_marker(cols):
+@pytest.mark.parametrize("cols", RANK_BOUNDARY_CASES.values(), ids=list(RANK_BOUNDARY_CASES))
+def test_lattice_at_the_rank_r_minus_1_boundary(cols):
     m = LinearMatroid(tuple(range(len(cols))), cols)
     check_lattice(m)
     assert m.tutte_polynomial("flats") == tutte_deletion_contraction_oracle(cols)
