@@ -23,24 +23,20 @@ so its rank is the dimension of the relevant invariant space:
 The engine, ``_orbit_walk``, never forms the group sum.  Because w is a
 character, the columns at the labels of one orbit agree up to sign,
 A_{g.c} = w(g) A_c, so the walk sums one column per orbit representative,
-the least column of its orbit.  Every group here is transitive on the first
-factor's labels, so each orbit meets, and its representative lies among,
-the columns whose first label is the first one: the walk visits only those,
-and raises on a group that is not transitive there.  It is one walk for
-both callers: it reads the factor matrices it is handed,
-sums the representatives block by block, and hands each block to its caller
-with the orbit map (every column of the block's orbits, its representative
-and an element taking the one to the other), keeping nothing itself.
-``*_matrix`` hands it the full factors and writes each column, w(g) times
-its representative's, into the labelled matrix.  ``*_coefficient`` hands it
-row bases, keeps the nonzero summed columns and ranks them after the walk:
-each factor M_f = B_f R_f, with R_f its first rank-many independent rows
-(``SpechtMatrix.row_basis``, or its Kronecker power for the plethysm factor)
-and B_f injective, so A = (tensor of the B_f) C with C the walk's output on
-the R_f, and rank A = rank C.  That path's ``max_matrix_cells`` guard counts
-the columns and the compressed rows times the live representatives, the
-memory it holds.  Both ranks, this one and ``LabeledCoefficientMatrix.rank``,
-hand ``int_rank`` only the distinct primitive nonzero rows: scaling and
+the least column of its orbit, whose first label is 0: every group here is
+transitive on the first factor's labels, and the walk raises on one that
+is not.  It sums from the last factor inwards and hands its caller, block
+by block, the summed representatives and the orbit map, keeping nothing
+itself.  ``*_matrix`` hands it the full factors and writes each column,
+w(g) times its representative's, into the labelled matrix.
+``*_coefficient`` hands it row bases, keeps the nonzero summed columns and
+ranks them after the walk: each factor M_f = B_f R_f, with R_f its first
+rank-many independent rows (``SpechtMatrix.row_basis``, or its Kronecker
+power for the plethysm factor) and B_f injective, so A = (tensor of the
+B_f) C with C the walk's output on the R_f, and rank A = rank C.  That
+path's ``max_matrix_cells`` guard counts the columns and the compressed
+rows times the live representatives, the memory it holds.  Both ranks hand
+``int_rank`` only the distinct primitive nonzero rows: scaling and
 repeating rows leave the span as it is, and the summed columns of a walk
 repeat up to sign and scale.
 
@@ -64,6 +60,7 @@ the one place this layer keeps anything, read-only arrays included:
   role power, slots or dots for plethysm;
 * the LR and wreath group arrays, ``("S_l x S_m", l, m)`` and
   ``("S_l wr S_m", l, m)``, on the first factor's matrix (lam's);
+* each pairing matrix's row basis as an int64 array, ``("row basis",)``;
 * the tensor power's column labels and row basis, ``("power col_labels",
   m)`` and ``("power row_basis", m)``, and its table, on its base matrix.
 
@@ -77,14 +74,15 @@ on some conjugated triples:
   |lam| even and mu' for |lam| odd (Macdonald, Symmetric Functions and Hall
   Polynomials, I.8 Ex. 1).
 
-The walk costs one pass over the product of the factors' column counts,
-n! / prod of the column lengths! for each factor: n! for a one-row shape, 1
-for a one-column shape, while the row-basis sizes d_lam do not change under
+The walk lists every column of the orbits it sums, though it forms a
+full-width product only once per representative and first label.  A factor
+has n! / prod of the column lengths! columns: n! for a one-row shape, 1 for
+a one-column shape, while the row-basis sizes d_lam do not change under
 conjugation.  So ``*_coefficient`` walks the variant with the fewest columns
-(``_fewest_columns``; the tensor power counts its base's columns to the m-th
-power, and a tie keeps the triple given), and the numbers in a refusal of
-its guards refer to the variant walked.  ``*_matrix`` walks the triple as
-given, whose labels it returns.
+in product (``_fewest_columns``; the tensor power counts its base's columns
+to the m-th power, and a tie keeps the triple given), and the numbers in a
+refusal of its guards refer to the variant walked.  ``*_matrix`` walks the
+triple as given, whose labels it returns.
 
 Before the walk, ``*_coefficient`` answers 0 where a classical support rule
 shows the coefficient vanishes; each rule reads only the three partitions.
@@ -197,9 +195,16 @@ def _orbit_walk(
     representative's summed column (zero when its elementary columns
     cancel), *js* are the orbits' columns, *rep* each column's row in
     *summed* and *g* an element taking that representative to the column.
+
+    It sums from the last factor inwards: a column's labels are its digits,
+    the first most significant, and an orbit's columns come sorted, so w E_j's
+    last factor column is added up over runs of equal representative and
+    labels 0..F-2, tensored with factor F-2's column, and so on to factor 0.
+    Its numpy temporaries hold ``_CHUNK`` entries, or one orbit or row if
+    longer: the (3,2,1)^3 value walk peaks under 32 MiB (``tracemalloc``).
     """
     # factor columns as rows, to gather them whole
-    mats = [np.asarray(m, dtype=np.int64).T.copy() for m in matrices]
+    mats = [np.asarray(m, dtype=np.int64).T for m in matrices]
     sizes = [mat.shape[0] for mat in mats]
     n_rows = prod(mat.shape[1] for mat in mats)
     n_cols = prod(sizes)
@@ -220,14 +225,16 @@ def _orbit_walk(
     # any such element has the same weight.
     reached = np.zeros(n_cols, dtype=bool)
     n_live = 0
-    n_group = len(weights)
-    step = max(1, _CHUNK // n_group)
+    step = max(1, _CHUNK // len(weights))
+    # columns per pass past the first factor (n_rows / d_0 wide), runs per full-width pass
+    inner = max(1, _CHUNK * mats[0].shape[1] // n_rows)
+    outer = max(1, _CHUNK // n_rows)
     for start in range(0, strides[0], step):
-        stop = min(start + step, strides[0])
-        cols = start + np.flatnonzero(~reached[start:stop])
+        cols = start + (~reached[start : min(start + step, strides[0])]).nonzero()[0]
         if not len(cols):
             continue
-        images = sum(t[:, cols // s % n] * s for t, s, n in zip(tables, strides, sizes))
+        terms = (t[:, cols // s % n] * s for t, s, n in zip(tables[1:], strides[1:], sizes[1:]))
+        images = sum(terms, tables[0][:, :1] * strides[0])  # walked columns have first label 0
         is_rep = images.min(axis=0) == cols
         orbits = images[:, is_rep]  # column i: the images of representative i
         reached[orbits] = True
@@ -235,26 +242,35 @@ def _orbit_walk(
         live = stabiliser != 0
         orbits, stabiliser = orbits[:, live].T, stabiliser[live]
         g = orbits.argsort(axis=1)
-        js = np.take_along_axis(orbits, g, axis=1)
+        js = orbits[np.arange(len(orbits))[:, None], g]
         once = np.ones(js.shape, dtype=bool)
         once[:, 1:] = js[:, 1:] != js[:, :-1]
         # rep: among this block's live representatives, in runs
         rep, g, js = np.nonzero(once)[0], g[once], js[once]
-        coef = stabiliser[rep] * weights[g]
         n_live += len(stabiliser)
         limits.require("max_matrix_cells", n_rows * n_live)
-        # sum the live orbits' elementary columns, representative by representative
         summed = np.zeros((len(stabiliser), n_rows), dtype=np.int64)
-        chunk = max(1, _CHUNK // n_rows)
-        for lo in range(0, len(js), chunk):
-            part = js[lo : lo + chunk]
-            acc = coef[lo : lo + chunk, None]
-            for mat, s, n in zip(mats, strides, sizes):
-                acc = (acc[:, :, None] * mat[part // s % n][:, None, :]).reshape(len(part), -1)
-            segment = rep[lo : lo + chunk]
-            bounds = np.flatnonzero(np.r_[True, segment[1:] != segment[:-1]])
-            summed[segment[bounds]] += np.add.reduceat(acc, bounds)
+        # run keys: the representative, then the column's labels, as digits;
+        # a run that a pass cuts adds up in summed
+        keys = rep * n_cols + js
+        coef = stabiliser[rep] * weights[g]
+        for lo in range(0, len(js), inner):
+            key, acc = keys[lo : lo + inner], coef[lo : lo + inner, None]
+            for f in range(len(mats) - 1, 0, -1):
+                acc, key = _add_runs(mats[f], sizes[f], acc, key)
+            for a in range(0, len(key), outer):
+                full, reps = _add_runs(mats[0], sizes[0], acc[a : a + outer], key[a : a + outer])
+                summed[reps] += full
         take(summed, js, rep, g)
+
+
+def _add_runs(mat: np.ndarray, size: int, acc: np.ndarray, keys: np.ndarray):
+    """Tensor each row of *acc* on the left with the row of *mat* at its key's
+    last digit in base *size*, drop the digit, and add up runs of equal keys."""
+    keys, labels = np.divmod(keys, size)
+    starts = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
+    rows = (mat[labels][:, :, None] * acc[:, None, :]).reshape(len(keys), -1)
+    return np.add.reduceat(rows, starts), keys[starts]
 
 
 def _primitive_rows(rows: np.ndarray) -> dict[bytes, None]:
@@ -279,7 +295,10 @@ def _coefficient(factors, action: Callable, limits: Limits) -> int:
     # keep each block's distinct primitive nonzero rows
     rows = {}
     take = lambda summed, js, rep, g: rows.update(_primitive_rows(summed))
-    bases = [f.row_basis for f in factors]
+    # row bases as int64 arrays: a pairing matrix keeps its own in derived; the
+    # tensor power's is one, kept on the base whose derived it shares
+    kept_basis = lambda f: kept(f, ("row basis",), lambda: frozen(np.array(f.row_basis, np.int64)))
+    bases = [f.row_basis if isinstance(f, _TensorPowerFactor) else kept_basis(f) for f in factors]
     _orbit_walk(bases, *action(), limits, take)
     return _distinct_rank(rows, prod(map(len, bases)))
 
@@ -314,21 +333,21 @@ def _fewest_columns(triple: tuple[Partition, ...], flips, limits: Limits, powers
     # a pairing matrix has at least n! cells and every setup refuses one past
     # max_matrix_cells: keep such a triple as given, and take no factorial
     # past that guard
-    cells = 1
-    for k in range(2, max(p.n for p in triple) + 1):
+    cells, bound = 1, limits.max_matrix_cells
+    for k in range(2, max(sum(p.parts) for p in triple) + 1):
         cells *= k
-        if cells > limits.max_matrix_cells:
+        if cells > bound:
             return triple
 
     # p has n! / prod of its column lengths! columns, and that product is
-    # prod over rows i of i^p_i; p' has n! / prod of the p_i!
-    def columns(p, e):
-        whole = factorial(p.n)
-        given = whole // prod(i**x for i, x in enumerate(p.parts, 1))
-        return given**e, (whole // prod(map(factorial, p.parts))) ** e
-
-    counts = [columns(p, e) for p, e in zip(triple, powers)]
-    flip = min(flips, key=lambda flip: prod(c[f in flip] for f, c in enumerate(counts)))
+    # prod over rows i of i^p_i; p' has n! / prod of the p_i!.  Every variant
+    # has the same n!, so the fewest columns have the largest denominators;
+    # max keeps the first flip of a tie
+    dens = [
+        (prod(map(pow, itertools.count(1), p.parts)) ** e, prod(map(factorial, p.parts)) ** e)
+        for p, e in zip(triple, powers)
+    ]
+    flip = max(flips, key=lambda f: dens[0][0 in f] * dens[1][1 in f] * dens[2][2 in f])
     return tuple(p.conjugate() if f in flip else p for f, p in enumerate(triple))
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import factorial, prod
 
 import numpy as np
@@ -515,6 +516,52 @@ def test_orbit_map_is_the_same_on_row_bases_and_full_factors(kind):
     assert cancelled == {"kronecker": 2981, "lr": 151, "plethysm": 221}[kind]
 
 
+def joined(blocks):
+    """The blocks of one walk joined in order, each *rep* shifted by the
+    summed rows of the blocks before it."""
+    offsets = np.cumsum([0] + [len(summed) for summed, *_ in blocks])
+    return (
+        np.concatenate([b[0] for b in blocks]),
+        np.concatenate([b[1] for b in blocks]),
+        np.concatenate([b[2] + offset for b, offset in zip(blocks, offsets)]),
+        np.concatenate([b[3] for b in blocks]),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(SETUPS))
+def test_walk_is_the_same_at_every_chunk_size(kind, monkeypatch):
+    # a small _CHUNK cuts the runs of equal leading labels between passes,
+    # and their parts must add up to the same summed columns.  _CHUNK also
+    # sets the block length, so the walks are compared joined
+    bases, full = (lambda f: f.row_basis), (lambda f: f.entries)
+    walks = [(t, read) for t in triples_up_to_4(kind) for read in (bases, full)]
+    if kind == "kronecker":
+        walks.append(((P("3,1,1"),) * 3, bases))
+    default = [joined(walk_blocks(kind, t, read)) for t, read in walks]
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(coefficients, "_CHUNK", chunk)
+        for (triple, read), expected in zip(walks, default):
+            got = joined(walk_blocks(kind, triple, read))
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b), (chunk, triple, read is bases)
+        if kind == "kronecker":
+            assert kronecker_coefficient(*walks[-1][0]) == kronecker_oracle(*walks[-1][0]) == 1
+
+
+def test_frontier_value_walk_stays_under_its_memory_bound():
+    # the bound of the _orbit_walk docstring, with the matrices, tables and
+    # row bases warm: the walk's temporaries hold _CHUNK entries at most
+    p, limits = P("3,2,1"), Limits(max_coefficient_n=6)
+    assert kronecker_coefficient(p, p, p, limits) == 5
+    tracemalloc.start()
+    try:
+        assert kronecker_coefficient(p, p, p, limits) == 5
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # about 20 MiB
+
+
 @pytest.mark.parametrize("kind", sorted(SETUPS))
 def test_walk_starts_at_the_first_factors_first_label(kind):
     # every group is transitive on the first factor's labels, so each
@@ -899,8 +946,12 @@ def test_kept_values_stay_on_the_memoised_matrices():
     mat = specht_matrix(p)
     table, codes = mat.derived[("S_n", "diagonal")]
     assert table.shape == (6, 3) and codes == 2**3 and not table.flags.writeable
+    basis = mat.derived[("row basis",)]
+    assert basis.tolist() == list(map(list, mat.row_basis)) and not basis.flags.writeable
     factor = _TensorPowerFactor(mat, 2)
     assert factor.row_basis is factor.row_basis and not factor.row_basis.flags.writeable
+    # the power's row basis is its own, never the base's
+    assert factor.row_basis.shape == (4, 9) and basis.shape == (2, 3)
     assert factor.col_labels is factor.col_labels is mat.derived[("power col_labels", 2)]
 
 
