@@ -6,7 +6,7 @@ standard error.  ``goldens/cli_specht.json`` holds the pairing matrices in
 every format, ``goldens/cli_polytope.json`` the polytope commands,
 ``goldens/cli_matroid.json`` the matroid and chow commands and
 ``goldens/cli_coeff.json`` the coefficient commands and
-``goldens/cli_check.json`` the cyclic-orbit checks; an output longer than
+``goldens/cli_check.json`` the conjecture and cyclic-orbit checks; an output longer than
 ``DIGEST_OVER`` characters (the larger Chow presentations run to megabytes)
 is held as the SHA-256 of its UTF-8 bytes.  Commands run from the repository
 root, so ``--matrix`` paths are relative to it.  An ``--emit-matrix`` file is
@@ -69,6 +69,11 @@ MATROID = [
 ] + [
     ["matroid", "tutte", *LOOP_PARALLEL, "--strategy", strategy, "--format", "json"]
     for strategy in ("subsets", "flats")
+] + [
+    # the polynomials as text
+    [family, action, *source, "--format", "text"]
+    for source in [["--lambda", lam] for lam in SHAPES] + [LOOP_PARALLEL]
+    for family, action in [("matroid", "tutte"), ("matroid", "charpoly"), ("chow", "dims")]
 ]
 
 EMIT = "--emit-matrix"
@@ -102,7 +107,13 @@ CHECK = [
     for n in range(2, 9)
     for k in range(n - 1)
     for fmt in ("text", "json")
-] + [["check", "orbits", "--n", "9", "--k", str(k), "--format", "json"] for k in (3, 4)]
+] + [["check", "orbits", "--n", "9", "--k", str(k), "--format", "json"] for k in (3, 4)] + [
+    ["check", *what, "--format", fmt]
+    for what in [["conjecture1", "--n", str(n)] for n in range(1, 7)]
+    + [["conjecture1", "--mode", "sampled", "--n", "5", "--seed", seed] for seed in ("0", "3")]
+    + [["conjecture2", "--n", str(n)] for n in range(2, 10)]
+    for fmt in ("text", "json")
+]
 
 FILES = {
     "cli_specht.json": SPECHT,
