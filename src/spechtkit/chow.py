@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import format_label
-from .matroid import LinearMatroid, _members
+from .matroid import LinearMatroid, _members, _monomial
 
 
 def _flat_key(f: frozenset) -> tuple:
@@ -70,11 +70,10 @@ def chow_presentation(m: LinearMatroid) -> ChowPresentation:
     """Generators and the complete defining relations of the Chow ring."""
     # the flats strictly between the bottom (the loops) and the top, by index
     all_masks, _, below = m.flat_lattice()
-    order = sorted(
-        range(1, len(all_masks) - 1), key=lambda i: _flat_key(m._labels_of(all_masks[i]))
-    )
+    labels = {i: m._labels_of(all_masks[i]) for i in range(1, len(all_masks) - 1)}
+    order = sorted(labels, key=lambda i: _flat_key(labels[i]))
     masks = [all_masks[i] for i in order]
-    flats = [m._labels_of(x) for x in masks]
+    flats = [labels[i] for i in order]
     quads = [
         (flats[a], flats[b])
         for a, i in enumerate(order)
@@ -153,14 +152,5 @@ def chow_graded_dimensions(m: LinearMatroid, *, fixed: int | None = None) -> lis
 
 def hilbert_series_text(dims: list[int], var: str = "T") -> str:
     """Ascending rendering like ``1+11T+T^2`` with zero terms omitted."""
-    terms = []
-    for d, c in enumerate(dims):
-        if not c:
-            continue
-        if d == 0:
-            terms.append(str(c))
-        elif d == 1:
-            terms.append(f"{c}{var}" if c != 1 else var)
-        else:
-            terms.append((f"{c}{var}^{d}") if c != 1 else f"{var}^{d}")
-    return "+".join(terms) if terms else "0"
+    terms = [(c, _monomial((d,), (var,))) for d, c in enumerate(dims) if c]
+    return "+".join(mono if c == 1 and mono else f"{c}{mono}" for c, mono in terms) or "0"

@@ -298,48 +298,40 @@ def _cmd_coeff(args, limits):
 
 
 def _cmd_check(args, limits):
+    # each check gives its verdict and thunks for its text line and its JSON
     if args.what == "conjecture1":
         rep = check_conjecture1(
             args.n, args.mode, samples=args.samples, seed=args.seed, limits=limits
         )
-        status = "pass" if rep.passed else "FAIL"
-        _emit(
-            args,
-            lambda: f"conjecture1 n={rep.n} mode={rep.mode} pairs={rep.pairs_checked}: {status}",
-            rep.to_json_dict,
-        )
-        if not rep.passed:
-            raise SystemExit(1)
+        ok, data = rep.passed, rep.to_json_dict
+        line = lambda: f"conjecture1 n={rep.n} mode={rep.mode} pairs={rep.pairs_checked}"
     elif args.what == "conjecture2":
         rep = check_conjecture2(args.n, limits)
-        status = "pass" if rep.passed else "FAIL"
-        _emit(
-            args,
-            lambda: f"conjecture2 n={rep.n}: chow={list(rep.chow_dims)} "
-            f"excedance={list(rep.excedance_counts)}: {status}",
-            rep.to_json_dict,
+        ok, data = rep.passed, rep.to_json_dict
+        line = lambda: (
+            f"conjecture2 n={rep.n}: chow={list(rep.chow_dims)} "
+            f"excedance={list(rep.excedance_counts)}"
         )
-        if not rep.passed:
-            raise SystemExit(1)
     else:
         if args.k is None:
             raise DomainError("orbits requires --k")
         conj, fy = cyclic_orbit_structures(args.n, args.k, limits)
-        match = conj.sizes == fy.sizes
-        _emit(
-            args,
-            lambda: f"orbits n={args.n} k={args.k}: derangements {conj.multiset()} "
-            f"chain-basis {fy.multiset()}: {'match' if match else 'MISMATCH'}",
-            lambda: {
-                "n": args.n,
-                "k": args.k,
-                "derangement_orbits": list(conj.sizes),
-                "fy_orbits": list(fy.sizes),
-                "match": match,
-            },
+        ok = conj.sizes == fy.sizes
+        line = lambda: (
+            f"orbits n={args.n} k={args.k}: derangements {conj.multiset()} "
+            f"chain-basis {fy.multiset()}"
         )
-        if not match:
-            raise SystemExit(1)
+        data = lambda: {
+            "n": args.n,
+            "k": args.k,
+            "derangement_orbits": list(conj.sizes),
+            "fy_orbits": list(fy.sizes),
+            "match": ok,
+        }
+    verdict = ("MISMATCH", "match") if args.what == "orbits" else ("FAIL", "pass")
+    _emit(args, lambda: f"{line()}: {verdict[ok]}", data)
+    if not ok:
+        raise SystemExit(1)
 
 
 # ---------------------------------------------------------------------------

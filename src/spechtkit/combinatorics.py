@@ -83,13 +83,6 @@ class Partition:
             conj += [i] * (parts[i - 1] - (parts[i] if i < len(parts) else 0))
         return Partition(tuple(conj))
 
-    def diagram(self) -> frozenset[Box]:
-        return frozenset(
-            (i + 1, j + 1)
-            for i, row in enumerate(self.parts)
-            for j in range(row)
-        )
-
     def boxes_row_major(self) -> list[Box]:
         return [
             (i + 1, j + 1)
@@ -251,7 +244,7 @@ def classify_pair(w1: Word, w2: Word) -> PairClass:
     is_comp = len(set(columns)) == len(columns)
     if is_comp:
         # in the free orbit the column multiset is forced to be the diagram
-        assert frozenset(columns) == lam.diagram()
+        assert frozenset(columns) == frozenset(lam.boxes_row_major())
     return PairClass(True, lam, is_comp)
 
 

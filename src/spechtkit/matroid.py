@@ -6,6 +6,9 @@ set are represented as bitmasks internally; public APIs speak in labels.
 
 Polynomials in x and y are dictionaries mapping exponent pairs to integer
 coefficients; univariate polynomials map a single exponent to a coefficient.
+Every polynomial printed, here and in ``chow.hilbert_series_text``, is written
+by one monomial writer, :func:`_monomial`, and the text forms by one
+signed-sum writer, :func:`_signed_sum`.
 """
 
 from __future__ import annotations
@@ -431,60 +434,40 @@ def _expand_corank_nullity(counts: dict[tuple[int, int], int]) -> Poly2:
     return {k: v for k, v in out.items() if v}
 
 
+def _monomial(exponents: Iterable[int], names: Iterable[str]) -> str:
+    """The monomial with these exponents in these variables, like ``x^2*y``;
+    ``""`` for the constant."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exponents) if e)
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Ordered (coefficient, monomial) terms as ``x^2 - 2*x + 3``; ``"0"``
+    when there are none.  A coefficient of +-1 is written only on the
+    constant."""
+    text = " ".join(
+        ("- " if c < 0 else "+ ")
+        + "*".join(filter(None, (str(abs(c)) if abs(c) != 1 or not mono else "", mono)))
+        for c, mono in terms
+    )
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def format_poly2(p: Poly2) -> str:
     """Human-readable form, e.g. ``x^3 + x*y^2 + y^3 + 3*x^2``."""
-    if not p:
-        return "0"
-    terms = []
-    for (i, j), c in sorted(p.items(), key=lambda kv: (-kv[0][0] - kv[0][1], -kv[0][0])):
-        factors = []
-        if abs(c) != 1 or (i == 0 and j == 0):
-            factors.append(str(abs(c)))
-        if i:
-            factors.append("x" if i == 1 else f"x^{i}")
-        if j:
-            factors.append("y" if j == 1 else f"y^{j}")
-        term = "*".join(factors)
-        terms.append(("- " if c < 0 else "+ ") + term)
-    text = " ".join(terms)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    order = sorted(p, key=lambda ij: (-ij[0] - ij[1], -ij[0]))
+    return _signed_sum((p[ij], _monomial(ij, "xy")) for ij in order)
 
 
 def format_poly1(p: Poly1, var: str = "t") -> str:
-    if not p:
-        return "0"
-    terms = []
-    for k in sorted(p, reverse=True):
-        c = p[k]
-        if not c:
-            continue
-        factors = []
-        if abs(c) != 1 or k == 0:
-            factors.append(str(abs(c)))
-        if k:
-            factors.append(var if k == 1 else f"{var}^{k}")
-        terms.append(("- " if c < 0 else "+ ") + "*".join(factors))
-    text = " ".join(terms)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    return _signed_sum((p[k], _monomial((k,), (var,))) for k in sorted(p, reverse=True) if p[k])
 
 
 def poly2_to_json(p: Poly2) -> dict[str, int]:
-    out = {}
-    for (i, j), c in sorted(p.items()):
-        key_parts = []
-        if i:
-            key_parts.append("x" if i == 1 else f"x^{i}")
-        if j:
-            key_parts.append("y" if j == 1 else f"y^{j}")
-        out["*".join(key_parts) or "1"] = c
-    return out
+    return {_monomial(ij, "xy") or "1": p[ij] for ij in sorted(p)}
 
 
 def poly1_to_json(p: Poly1, var: str = "t") -> dict[str, int]:
-    out = {}
-    for k in sorted(p):
-        out[(var if k == 1 else f"{var}^{k}") if k else "1"] = p[k]
-    return out
+    return {_monomial((k,), (var,)) or "1": p[k] for k in sorted(p)}
 
 
 def specht_matroid(p, limits: Limits = DEFAULT_LIMITS) -> LinearMatroid:

@@ -16,6 +16,7 @@ from spechtkit.config import Limits
 from spechtkit.conjectures import Conjecture2Report, FunnySumReport, OrbitStructure
 from spechtkit.matroid import LinearMatroid
 from spechtkit.oracles import kronecker_oracle, plethysm_oracle
+from test_conjectures import _pair_loop_report, corrupt_matrix
 
 
 def run(capsys, *argv):
@@ -258,7 +259,26 @@ def test_a_failed_check_prints_its_report_and_exits_1(capsys, monkeypatch, what)
     assert out.rstrip().endswith(verdict) and not err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_a_corrupted_matrix_fails_conjecture1_in_both_formats(capsys, monkeypatch):
+    # a sign flip in the (3,1) matrix breaks the funny sum off the diagonal
+    corrupt_matrix(monkeypatch, (3, 1), 0, 3, "flip")
+    want = _pair_loop_report(4)
+    code, out, err = run(capsys, "check", "conjecture1", "--n", "4", "--format", "json")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    jsonschema.validate(data, schema("report.schema.json"))
+    assert data == want.to_json_dict()
+    assert data["counterexample"] == {
+        "sigma": [1, 2, 3, 4],
+        "tau": [2, 3, 4, 1],
+        "value": 18,
+        "expected": 0,
+    }
+    code, out, err = run(capsys, "check", "conjecture1", "--n", "4")
+    assert (code, out, err) == (1, "conjecture1 n=4 mode=full pairs=10: FAIL\n", "")
+
+
+def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "specht-matrix", "--lambda", "0")
     assert code == 2
     assert err.startswith("error: usage:")
@@ -267,6 +287,11 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "matroid", "charpoly", "--matrix", "/no/such/file.json")
     assert code == 2
     assert err.startswith("error: io:")
+    bad = tmp_path / "invalid.json"
+    bad.write_text("{")
+    code, out, err = run(capsys, "matroid", "charpoly", "--matrix", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: io: invalid JSON in {bad}")
     # max_set_partition_n guarded only an oracle; it is no guard and has no flag
     code, _, err = run(capsys, "check", "conjecture1", "--n", "3", "--max-set-partition-n", "4")
     assert code == 2
@@ -284,6 +309,8 @@ def test_usage_errors_exit_2(capsys):
         ["matroid", "circuits", "--lambda", "2,2", "--max-size", "-1"],
         ["classify", "--w1", "1,x", "--w2", "12"],
         ["classify", "--w1", ",", "--w2", "1"],
+        ["polytope", "root-check"],
+        ["check", "orbits", "--n", "4"],
     ],
     ids=" ".join,
 )
@@ -452,6 +479,8 @@ BAD_MATRICES = {
     "empty-string-labels": {"entries": [[1, 0], [0, 1]], "col_labels": ""},
     "false-labels": {"entries": [[1, 0], [0, 1]], "col_labels": False},
     "mixed-labels": {"entries": [[1, 0, 1], [0, 1, 1]], "col_labels": ["a", 1, 2]},
+    "no-rows": {"entries": []},
+    "flat-rows": {"entries": [1, 2]},
 }
 
 

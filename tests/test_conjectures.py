@@ -155,22 +155,9 @@ def test_gram_column_matches_funny_sum_on_sampled_pairs():
     )
 
 
-# A sign flip keeps every diagonal Gram entry, so those checks fail off the
-# diagonal, some pairs into the loop; adding 1 to a zero breaks the diagonal.
-@pytest.mark.parametrize(
-    "parts,row,col,change",
-    [
-        ((3, 1), 0, 3, "flip"),
-        ((3, 1), 1, 6, "flip"),
-        ((2, 2), 0, 1, "flip"),
-        ((2, 1, 1), 8, 0, "flip"),
-        ((1, 1, 1, 1), 5, 0, "flip"),
-        ((2, 1, 1), 0, 0, "add"),
-    ],
-)
-def test_corrupted_matrix_reports_the_pair_loop_counterexample(
-    monkeypatch, parts, row, col, change
-):
+def corrupt_matrix(monkeypatch, parts, row, col, change):
+    """Make every pairing-matrix build of *parts* return a copy with entry
+    (row, col) negated ("flip") or raised by 1 ("add")."""
     target = Partition(parts)
 
     def corrupted(p, limits=DEFAULT_LIMITS):
@@ -190,6 +177,25 @@ def test_corrupted_matrix_reports_the_pair_loop_counterexample(
     # the oracle reads its matrices from the specht module
     monkeypatch.setattr(conjectures, "specht_matrix", corrupted)
     monkeypatch.setattr(specht, "specht_matrix", corrupted)
+
+
+# A sign flip keeps every diagonal Gram entry, so those checks fail off the
+# diagonal, some pairs into the loop; adding 1 to a zero breaks the diagonal.
+@pytest.mark.parametrize(
+    "parts,row,col,change",
+    [
+        ((3, 1), 0, 3, "flip"),
+        ((3, 1), 1, 6, "flip"),
+        ((2, 2), 0, 1, "flip"),
+        ((2, 1, 1), 8, 0, "flip"),
+        ((1, 1, 1, 1), 5, 0, "flip"),
+        ((2, 1, 1), 0, 0, "add"),
+    ],
+)
+def test_corrupted_matrix_reports_the_pair_loop_counterexample(
+    monkeypatch, parts, row, col, change
+):
+    corrupt_matrix(monkeypatch, parts, row, col, change)
     perms = list(all_permutations(4))
     _assert_column_matches_oracle(4, [(s, t) for s in perms for t in perms])
 

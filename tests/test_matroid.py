@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from spechtkit.chow import chow_graded_dimensions
+from spechtkit.chow import chow_graded_dimensions, hilbert_series_text
 from spechtkit.cli import main
 from spechtkit.combinatorics import (
     Partition,
@@ -441,6 +441,52 @@ def test_x_matroid_polynomials(x_matroid):
         == "x^3 + x*y^2 + y^3 + 3*x^2 + 2*x*y + 2*y^2 + 3*x + 3*y"
     )
     assert format_poly1(x_matroid.characteristic_polynomial()) == "t^3 - 6*t^2 + 12*t - 7"
+
+
+# (polynomial, text, text in q, JSON items in order) on the writers' edge cases
+POLY1_CASES = [
+    ({}, "0", "0", []),
+    ({6: 0}, "0", "0", [("t^6", 0)]),  # no nonzero term
+    ({3: 1, 2: 0, 0: -1}, "t^3 - 1", "q^3 - 1", [("1", -1), ("t^2", 0), ("t^3", 1)]),
+    ({0: 1}, "1", "1", [("1", 1)]),
+    ({0: -1}, "-1", "-1", [("1", -1)]),
+    ({1: -1, 0: 1}, "-t + 1", "-q + 1", [("1", 1), ("t", -1)]),
+    ({12: 1, 10: -3, 1: 1}, "t^12 - 3*t^10 + t", "q^12 - 3*q^10 + q",
+     [("t", 1), ("t^10", -3), ("t^12", 1)]),
+    ({2: -1, 1: 2, 0: -3}, "-t^2 + 2*t - 3", "-q^2 + 2*q - 3",
+     [("1", -3), ("t", 2), ("t^2", -1)]),
+    ({4: -5}, "-5*t^4", "-5*q^4", [("t^4", -5)]),
+]
+
+POLY2_CASES = [
+    ({}, "0", []),
+    ({(0, 0): 1}, "1", [("1", 1)]),
+    ({(0, 0): -1}, "-1", [("1", -1)]),
+    ({(1, 0): -1, (0, 1): 1, (0, 0): -1}, "-x + y - 1", [("1", -1), ("y", 1), ("x", -1)]),
+    ({(11, 0): 1, (0, 10): -2, (1, 12): 1}, "x*y^12 + x^11 - 2*y^10",
+     [("y^10", -2), ("x*y^12", 1), ("x^11", 1)]),
+    ({(2, 1): -3, (0, 0): 1}, "-3*x^2*y + 1", [("1", 1), ("x^2*y", -3)]),
+]
+
+HILBERT_CASES = [
+    ([], "0", "0"),
+    ([0], "0", "0"),
+    ([0, 0, 0], "0", "0"),
+    ([1, 0, 3], "1+3T^2", "1+3q^2"),
+    ([0, 1, 0, 1], "T+T^3", "q+q^3"),
+    ([2, 1, 1, 12, 0, 1, 0, 0, 0, 0, 0, 1], "2+T+T^2+12T^3+T^5+T^11", "2+q+q^2+12q^3+q^5+q^11"),
+]
+
+
+def test_polynomial_writers_on_their_edge_cases():
+    for p, text, text_q, items in POLY1_CASES:
+        assert (format_poly1(p), format_poly1(p, "q")) == (text, text_q), p
+        assert list(poly1_to_json(p).items()) == items, p
+    for p, text, items in POLY2_CASES:
+        assert format_poly2(p) == text, p
+        assert list(poly2_to_json(p).items()) == items, p
+    for dims, text, text_q in HILBERT_CASES:
+        assert (hilbert_series_text(dims), hilbert_series_text(dims, "q")) == (text, text_q), dims
 
 
 def test_matroid_2_2_circuits_bases_flats():
