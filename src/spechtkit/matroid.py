@@ -444,12 +444,13 @@ def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     """Ordered (coefficient, monomial) terms as ``x^2 - 2*x + 3``; ``"0"``
     when there are none.  A coefficient of +-1 is written only on the
     constant."""
-    text = " ".join(
-        ("- " if c < 0 else "+ ")
-        + "*".join(filter(None, (str(abs(c)) if abs(c) != 1 or not mono else "", mono)))
-        for c, mono in terms
-    )
-    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+    text = ""
+    for c, mono in terms:
+        coef = str(abs(c)) if abs(c) != 1 or not mono else ""
+        text += (" - " if c < 0 else " + ") + "*".join(filter(None, (coef, mono)))
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def format_poly2(p: Poly2) -> str:
