@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError
 
@@ -303,15 +303,6 @@ class Permutation:
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def from_cycles(n: int, *cycles: Sequence[int]) -> "Permutation":
-        img = list(range(1, n + 1))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:]):
-                img[a - 1] = b
-            img[cyc[-1] - 1] = cyc[0]
-        return Permutation(tuple(img))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -7,17 +7,18 @@ counted by excedances, with a cyclic-orbit refinement.
 
 The excedance table comes from a DP over the sets of values already placed
 (2^n states, each one packed polynomial in t), not from the n! permutations;
-``oracles.derangement_excedance_oracle`` enumerates them for the tests.  The
-orbit refinement acts on the derangements themselves, so it lists them, but
-only those with the excedance count asked for, by backtracking on one-line
-tuples.  The chain-basis side is counted by Burnside, never listed;
-``oracles.chain_basis_orbits_oracle`` lists it for the tests.  Both checks
-act on labels through ``specht.action_table``.
+``oracles.derangement_excedance_oracle`` enumerates them for the tests.  Both
+sides of the orbit refinement are counted by Burnside, never listed: the
+derangements by that DP and a walk of each centralizer of a power of the
+long cycle, the chain-basis monomials by the Chow DP on fixed flats;
+``oracles.chain_basis_orbits_oracle`` lists the latter for the tests.  Both
+checks act on labels through ``specht.action_table``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -202,41 +203,6 @@ class ExcedanceTable:
     counts: tuple[int, ...]  # counts[k] = derangements with k+1 excedances
 
 
-def _derangements_with_excedances(n: int, excedances: int) -> list[tuple[int, ...]]:
-    """The derangements of 1..n with *excedances* excedances g(i) > i, in
-    one-line notation, by backtracking over the positions in order.
-
-    A branch is cut once it has more excedances than asked for, or fewer
-    than the later positions could still make up: every position but the
-    last can exceed.  ``oracles.derangement_excedance_oracle`` counts the
-    same permutations by walking all n! of them.
-    """
-    out: list[tuple[int, ...]] = []
-    images: list[int] = []
-    used = [False] * (n + 1)
-
-    def place(pos: int, count: int) -> None:
-        if pos > n:
-            if count == excedances:
-                out.append(tuple(images))
-            return
-        later = max(n - 1 - pos, 0)  # positions after pos that can exceed
-        for value in range(1, n + 1):
-            if used[value] or value == pos:
-                continue
-            reached = count + (value > pos)
-            if reached > excedances or reached + later < excedances:
-                continue
-            used[value] = True
-            images.append(value)
-            place(pos + 1, reached)
-            images.pop()
-            used[value] = False
-
-    place(1, 0)
-    return out
-
-
 def derangement_excedance_counts(
     n: int, limits: Limits = DEFAULT_LIMITS
 ) -> ExcedanceTable:
@@ -252,6 +218,8 @@ def derangement_excedance_counts(
     the enumeration the tests hold it to.
     """
     limits.require("max_derangement_n", n)
+    if n < 0:
+        raise DomainError(f"n must be non-negative, got {n}")
     width = factorial(n).bit_length() + 1
     polys = [0] * (1 << n)
     polys[0] = 1
@@ -318,56 +286,74 @@ class OrbitStructure:
         return sum(self.sizes)
 
 
-def _orbits(elements, step) -> OrbitStructure:
-    """Orbit sizes of the cyclic action generated by *step*."""
-    remaining, sizes = set(elements), []
-    while remaining:
-        x = y = remaining.pop()
-        size = 1
-        while (y := step(y)) != x:
-            remaining.remove(y)  # a KeyError if *step* leaves the elements
-            size += 1
-        sizes.append(size)
-    return OrbitStructure(tuple(sorted(sizes)))
+def _orbit_sizes(n: int, fix: list[int]) -> OrbitStructure:
+    """Orbit sizes of the cyclic group <c> of order n from fix, where fix[i]
+    counts the elements that c^t fixes for the i-th divisor t of n, ascending.
+
+    The E(s) elements of orbit size s, a divisor of n, are fixed by c^t
+    exactly when s divides t, so Fix(s) less E(t) for the divisors t < s of
+    s leaves E(s): E(s)/s orbits of size s (Burnside).  A remainder or a
+    negative E(s) is a defect and raises."""
+    divisors = [t for t in range(1, n + 1) if n % t == 0]
+    exact, sizes = {}, []
+    for t, count in zip(divisors, fix, strict=True):
+        exact[t] = count - sum(e for s, e in exact.items() if t % s == 0)
+        if exact[t] % t or exact[t] < 0:
+            raise AssertionError(f"{exact[t]} elements of orbit size {t}")
+        sizes += [t] * (exact[t] // t)
+    return OrbitStructure(tuple(sizes))
+
+
+def _commuting_derangements(n: int, t: int, excedances: int, limits: Limits) -> int:
+    """Derangements of 1..n with *excedances* excedances that commute with
+    c^t, for a divisor t < n of n, by a walk of the centralizer of c^t.
+
+    Zero-based, c^t has the t cycles j, j + t, j + 2t, ... of length L = n/t.
+    Its centralizer is C_L wr S_t, of t! * L^t elements, checked against
+    ``max_group_order`` before the walk: the permutations sending j + p*t to
+    pi(j) + ((p + r_j) mod L)*t, for pi in S_t and one rotation r_j per cycle.
+    """
+    size = n // t
+    limits.require("max_group_order", factorial(t) * size**t)
+    count = 0
+    for pi in itertools.permutations(range(t)):
+        for rotation in itertools.product(range(size), repeat=t):
+            images = [pi[j] + (p + rotation[j]) % size * t for p in range(size) for j in range(t)]
+            if all(map(operator.ne, images, range(n))):
+                count += sum(map(operator.gt, images, range(n))) == excedances
+    return count
 
 
 def cyclic_orbit_structures(
     n: int, k: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[OrbitStructure, OrbitStructure]:
     """Orbit-size multisets of the long cycle c = (1 2 ... n) acting on (a)
-    derangements of k+1 excedances by conjugation, listed and walked, and (b)
-    degree-k chain-basis monomials of the hook matroid by relabeling its
-    columns by c^-1, counted.
+    derangements of k+1 excedances by conjugation and (b) degree-k
+    chain-basis monomials of the hook matroid by relabeling its columns by
+    c^-1, both counted by ``_orbit_sizes`` from Fix(t), the elements c^t
+    fixes, for each divisor t of n.
 
-    c^t fixes a monomial exactly when it fixes every flat of its chain, so
-    Fix(t), the monomials c^t fixes, is the Chow DP on the flats c^t fixes.
-    The E(s) monomials of orbit size s, a divisor of n, are fixed by c^t
-    exactly when s divides t, so Fix(s) less E(t) for the divisors t < s of
-    s leaves E(s): E(s)/s orbits of size s (Burnside)."""
+    (a) c^t fixes a derangement exactly when the two commute.  Fix(n) is the
+    excedance DP; for t < n, ``_commuting_derangements`` walks the
+    centralizer of c^t.  (b) c^t fixes a monomial exactly when it fixes
+    every flat of its chain, so Fix(t) is the Chow DP on the flats c^t
+    fixes.  The two counts share no code."""
     limits.require("max_derangement_n", n)
     m = hook_matroid(n, limits)
     if not 0 <= k <= n - 2:  # excedances run from 1 to n - 1
         raise DomainError(f"k must lie in 0..{n - 2} for n = {n}")
-
-    # c g c^-1 for the long cycle c = (1 2 ... n), on one-line images: it
-    # sends c(i) to c(g(i)), so the images move one place right and each
-    # value v becomes v + 1, n becoming 1
-    conj = _orbits(
-        _derangements_with_excedances(n, k + 1),
-        lambda img: tuple(v % n + 1 for v in img[-1:] + img[:-1]),
-    )
+    divisors = [t for t in range(1, n + 1) if n % t == 0]
+    conj = _orbit_sizes(n, [
+        *(_commuting_derangements(n, t, k + 1, limits) for t in divisors[:-1]),
+        derangement_excedance_counts(n, limits).counts[k],
+    ])
 
     masks = m.flat_lattice()[0]
     # c^t, t | n, relabels by c^-t: (c^t . w)[j] = w[j - t mod n], zero-based
-    divisors = [t for t in range(1, n + 1) if n % t == 0]
     shifts = (np.arange(n) - np.array(divisors)[:, None]) % n
-    exact, sizes = {}, []
-    for t, power in zip(divisors, action_table(m.labels, shifts, limits).tolist()):
+    fix = []
+    for power in action_table(m.labels, shifts, limits).tolist():
         bit = [1 << i for i in power]
         fixed = sum(1 << f for f, x in enumerate(masks) if sum(bit[i] for i in _members(x)) == x)
-        fix = chow_graded_dimensions(m, fixed=fixed)[k]
-        exact[t] = fix - sum(e for s, e in exact.items() if t % s == 0)
-        if exact[t] % t or exact[t] < 0:
-            raise AssertionError(f"{exact[t]} chain-basis monomials of orbit size {t}")
-        sizes += [t] * (exact[t] // t)
-    return conj, OrbitStructure(tuple(sizes))
+        fix.append(chow_graded_dimensions(m, fixed=fixed)[k])
+    return conj, _orbit_sizes(n, fix)

@@ -73,11 +73,6 @@ class RowSpace:
     def contains(self, vec: Sequence[int]) -> bool:
         return self.reduce(vec) is None
 
-    def copy(self) -> "RowSpace":
-        dup = RowSpace(self.dim)
-        dup.pivots = list(self.pivots)
-        return dup
-
 
 def int_rank(rows: Iterable[Sequence[int]], dim: int | None = None) -> int:
     """Rank of integer rows of length *dim*; stops once the rank is *dim*."""

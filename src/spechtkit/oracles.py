@@ -1,6 +1,7 @@
 """Independent cross-checks used by the test suite.
 
-Nothing here shares code paths with the main constructions: characters come
+Nothing here shares code paths with the main constructions, not even exact
+ranks, which come from an elimination of their own: characters come
 from the Murnaghan-Nakayama rule on beta-numbers, coefficient values from
 character sums over partition-indexed conjugacy classes, coefficient matrices
 from a sum of pairing-matrix tensor products over every group element,
@@ -362,6 +363,33 @@ def derangement_excedance_oracle(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# exact rank by fraction-free elimination
+
+
+def _reduced(row: Sequence[int], piv: Sequence[int], col: int) -> list[int]:
+    """*row* with its entry at *col* cleared by the integer row *piv*, which is
+    nonzero there, divided by the gcd of its entries."""
+    if not row[col]:
+        return row
+    out = [piv[col] * a - row[col] * b for a, b in zip(row, piv)]
+    g = gcd(*out)
+    return [x // g for x in out] if g else out
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows over Q: each nonzero row in turn clears its first
+    nonzero column from the others."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    while rows:
+        piv = rows.pop()
+        col = next(i for i, x in enumerate(piv) if x)
+        rows = [r for r in (_reduced(r, piv, col) for r in rows) if any(r)]
+        rank += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
 # matroid flats
 
 
@@ -371,15 +399,14 @@ def flats_oracle(columns: Sequence[Sequence[int]]) -> set[frozenset[int]]:
     The closure of a set is the closure of any maximal independent subset of
     it, so the flats are the closures of the independent sets.  These are
     walked depth first over parallel-class representatives (columns with
-    proportional nonzero entries), each node holding the span of its chosen
-    set as a ``RowSpace``, copied on descent.  A node tests each class once:
-    the classes in the span make the closure, and those outside it extend
-    the walk.  Exponential in the number of classes; intended for small
-    matroids only.
+    proportional nonzero entries).  A node holds each representative reduced
+    modulo the span of its chosen set, zero at the pivot columns of the
+    chosen ones, so a representative lies in that span exactly when its
+    residue is zero.  The classes in the span make the closure, and each
+    class outside it extends the walk, its residue clearing its first
+    nonzero column from the others.  Exponential in the number of classes;
+    intended for small matroids only.
     """
-    from .linalg import RowSpace, int_rank
-
-    dim = len(columns[0]) if columns else 0
     classes: list[list[int]] = []
     loops = []
     for i, col in enumerate(columns):
@@ -387,24 +414,23 @@ def flats_oracle(columns: Sequence[Sequence[int]]) -> set[frozenset[int]]:
             loops.append(i)
             continue
         for cls in classes:
-            if int_rank([columns[cls[0]], col], dim) == 1:
+            if _rank([columns[cls[0]], col]) == 1:
                 cls.append(i)
                 break
         else:
             classes.append([i])
-    reps = [columns[cls[0]] for cls in classes]
     out = set()
 
-    def walk(span: RowSpace, start: int) -> None:
-        inside = [span.contains(rep) for rep in reps]
-        out.add(frozenset(loops + [i for cls, held in zip(classes, inside) if held for i in cls]))
+    def walk(residues: list[list[int]], start: int) -> None:
+        inside = [i for cls, r in zip(classes, residues) if not any(r) for i in cls]
+        out.add(frozenset(loops + inside))
         for k in range(start, len(classes)):
-            if not inside[k]:
-                child = span.copy()
-                child.add(reps[k])
-                walk(child, k + 1)
+            piv = residues[k]
+            if any(piv):
+                col = next(i for i, x in enumerate(piv) if x)
+                walk([_reduced(r, piv, col) for r in residues], k + 1)
 
-    walk(RowSpace(dim), 0)
+    walk([list(columns[cls[0]]) for cls in classes], 0)
     return out
 
 
@@ -423,13 +449,10 @@ def fy_basis_monomials(
     (the loops; the ground set is allowed) with exponents
     0 < d_i < rank(F_i) - rank(F_{i-1}), F0 the bottom (Feichtner and
     Yuzvinsky 2004).  The flats come from :func:`flats_oracle` and their
-    ranks from ``int_rank`` on their columns.
+    ranks from the rank of their columns.
     """
-    from .linalg import int_rank
-
-    dim = len(m.columns[0]) if m.columns else 0
     flats = sorted(flats_oracle(m.columns), key=len)  # the bottom first
-    rank = {f: int_rank([m.columns[i] for i in f], dim) for f in flats}
+    rank = {f: _rank([m.columns[i] for i in f]) for f in flats}
     budget = max(rank.values()) - 1 if degree is None else degree
     out = []
 
@@ -483,8 +506,6 @@ def tutte_deletion_contraction_oracle(columns: Sequence[Sequence[int]]) -> Poly2
     sums keep them exactly.  Memoised on the sorted column tuple; exponential in
     the worst case, intended for small matroids only.
     """
-    from .linalg import int_rank
-
     memo: dict[tuple, Counter] = {}
 
     def times(p: Counter, i: int, j: int) -> Counter:
@@ -497,7 +518,7 @@ def tutte_deletion_contraction_oracle(columns: Sequence[Sequence[int]]) -> Poly2
                 memo[key] = Counter({(0, 0): 1})
             elif not any(cols[0]):  # loop
                 memo[key] = times(solve(cols[1:]), 0, 1)
-            elif int_rank(cols[1:], len(cols[0])) < int_rank(cols, len(cols[0])):  # coloop
+            elif _rank(cols[1:]) < _rank(cols):  # coloop
                 memo[key] = times(solve(_contract(cols[1:], cols[0])), 1, 0)
             else:
                 memo[key] = solve(cols[1:]) + solve(_contract(cols[1:], cols[0]))
@@ -546,8 +567,6 @@ def chow_dims_quotient_oracle(m) -> list[int]:
     from :func:`flats_oracle`.  Exponential in the flat count; intended for
     tiny matroids only.
     """
-    from .linalg import int_rank
-
     everything = frozenset(range(len(m.columns)))
     loops = frozenset(i for i, col in enumerate(m.columns) if not any(col))
     flats = sorted(
@@ -555,7 +574,7 @@ def chow_dims_quotient_oracle(m) -> list[int]:
         key=lambda f: (len(f), sorted(f)),
     )
     k = len(flats)
-    r = int_rank(m.columns, len(m.columns[0])) if m.columns else 0
+    r = _rank(m.columns)
     comparable = [
         [flats[i] <= flats[j] or flats[j] <= flats[i] for j in range(k)]
         for i in range(k)
@@ -594,7 +613,7 @@ def chow_dims_quotient_oracle(m) -> list[int]:
                         if j is not None:
                             row[j] += c
                     rows.append(row)
-        dims.append(len(mons) - int_rank(rows, len(mons)))
+        dims.append(len(mons) - _rank(rows))
         smaller = mons
     return dims
 

@@ -140,8 +140,9 @@ def test_fixed_flat_dp_counts_the_listed_monomials_a_symmetry_fixes(lam):
     monomials = fy_basis_monomials(m)
     assert len(monomials) == sum(dims)
     flats = [m._labels_of(x) for x in masks]
-    long_cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
-    for perm in (long_cycle, Permutation.from_cycles(n, [1, 2])):
+    long_cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+    swap = Permutation((2, 1) + tuple(range(3, n + 1)))
+    for perm in (long_cycle, swap):
         image = {w: perm.apply(w) for w in m.labels}
 
         def act(flat):

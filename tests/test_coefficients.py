@@ -340,7 +340,7 @@ def pullback_inputs(kind, n):
         return [([(1, 1, 2), (1, 2, 1), (2, 1, 1)], np.array([[0, 1, 2], [2, 0, 1], [1, 0, 2]]))]
     if kind == "rows":
         return [(specht_matrix(p).row_labels, symmetric_group(n)[0]) for p in partitions_of(n)]
-    step = Permutation.from_cycles(n, list(range(1, n + 1))).inverse()
+    step = Permutation(tuple(range(2, n + 1)) + (1,)).inverse()
     power, rows = Permutation.identity(n), []
     for t in range(1, n + 1):
         power = power * step

@@ -220,11 +220,5 @@ def test_permutation_apply_composition():
             assert s.apply(t.apply(w)) == (t * s).apply(w)
 
 
-def test_from_cycles():
-    c = Permutation.from_cycles(4, [1, 2, 3])
-    assert c(1) == 2 and c(2) == 3 and c(3) == 1 and c(4) == 4
-    assert c.sign() == 1
-
-
 def test_all_permutations_count():
     assert len(list(all_permutations(4))) == 24

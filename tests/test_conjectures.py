@@ -1,5 +1,7 @@
+import itertools
 import random
 import types
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -234,6 +236,11 @@ def test_excedance_table_at_n_12():
     )
 
 
+def test_excedance_dp_rejects_negative_n():
+    with pytest.raises(DomainError, match="-1"):
+        derangement_excedance_counts(-1)
+
+
 def test_excedance_dp_honours_its_guard():
     with pytest.raises(ResourceLimitError, match="max_derangement_n: requested 10"):
         derangement_excedance_counts(10)
@@ -263,7 +270,7 @@ def test_hook_dimensions_match_excedances(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_orbit_walk_equals_the_permutation_enumeration(n):
-    cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
+    cycle = Permutation(tuple(range(2, n + 1)) + (1,))
     derangements = [
         g for g in all_permutations(n) if all(g(i) != i for i in range(1, n + 1))
     ]
@@ -291,20 +298,55 @@ def test_chain_basis_orbit_count_equals_the_listing_oracle(n):
         assert list(fy.sizes) == chain_basis_orbits_oracle(m, k), (n, k)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_centralizer_walk_equals_the_permutation_enumeration(n):
+    # zero-based derangements commuting with c^t: g(x + t) = g(x) + t mod n
+    walked = Counter()
+    for g in itertools.permutations(range(n)):
+        if all(g[x] != x for x in range(n)):
+            e = sum(g[x] > x for x in range(n))
+            for t in range(1, n):
+                if n % t == 0 and all(g[(x + t) % n] == (g[x] + t) % n for x in range(n)):
+                    walked[t, e] += 1
+    for t in range(1, n):
+        if n % t == 0:
+            for e in range(n + 1):
+                got = conjectures._commuting_derangements(n, t, e, DEFAULT_LIMITS)
+                assert got == walked[t, e], (n, t, e)
+
+
+@pytest.mark.parametrize("side", ["derangement", "chain"])
 @pytest.mark.parametrize("n, k", [(5, 1), (6, 2)])
-def test_an_off_by_one_fixed_count_raises(monkeypatch, n, k):
-    # one monomial too many fixed by c^n, the identity: E(n) = n * orbits + 1
-    real = conjectures.chow_graded_dimensions
+def test_an_off_by_one_fixed_count_raises(monkeypatch, side, n, k):
+    # one element too many fixed by c^n, the identity: E(n) = n * orbits + 1
+    if side == "derangement":
+        real_counts = conjectures.derangement_excedance_counts
 
-    def off_by_one(m, *, fixed=None):
-        dims = real(m, fixed=fixed)
-        if fixed == (1 << len(m.flat_lattice()[0])) - 1:
-            dims[k] += 1
-        return dims
+        def off_by_one(size, limits):
+            counts = list(real_counts(size, limits).counts)
+            counts[k] += 1
+            return conjectures.ExcedanceTable(size, tuple(counts))
 
-    monkeypatch.setattr(conjectures, "chow_graded_dimensions", off_by_one)
-    with pytest.raises(AssertionError, match="orbit size"):
+        monkeypatch.setattr(conjectures, "derangement_excedance_counts", off_by_one)
+    else:
+        real_dims = conjectures.chow_graded_dimensions
+
+        def off_by_one(m, *, fixed=None):
+            dims = real_dims(m, fixed=fixed)
+            if fixed == (1 << len(m.flat_lattice()[0])) - 1:
+                dims[k] += 1
+            return dims
+
+        monkeypatch.setattr(conjectures, "chow_graded_dimensions", off_by_one)
+    with pytest.raises(AssertionError, match=f"elements of orbit size {n}$"):
         cyclic_orbit_structures(n, k)
+
+
+def test_orbit_count_refuses_a_centralizer_past_the_group_guard():
+    # c^6 at n = 12 has the centralizer C_2 wr S_6, of 6! * 2^6 elements
+    limits = Limits(max_derangement_n=12, max_matrix_cells=3 * 10**9)
+    with pytest.raises(ResourceLimitError, match="max_group_order: requested 46080 exceeds limit 10000"):
+        cyclic_orbit_structures(12, 4, limits)
 
 
 def test_cyclic_orbits_agree_small():

@@ -31,8 +31,9 @@ def test_residue_kills_the_span_and_is_canonical(basis, vec, scale, seed):
     assert space.reduce(shifted) == residue
     assert space.reduce([-x for x in shifted]) == residue
     # and adding the residue gives the span of the basis and vec
-    grown = space.copy()
-    grown.add(residue)
+    grown = RowSpace(4)
+    for b in basis + [residue]:
+        grown.add(b)
     assert grown.rank == space.rank + 1
     assert grown.contains(vec) and not space.contains(vec)
 
