@@ -316,16 +316,16 @@ def _cmd_check(args, limits):
         if args.k is None:
             raise DomainError("orbits requires --k")
         conj, fy = cyclic_orbit_structures(args.n, args.k, limits)
-        ok = conj.sizes == fy.sizes
+        ok = conj == fy
         line = lambda: (
-            f"orbits n={args.n} k={args.k}: derangements {conj.multiset()} "
-            f"chain-basis {fy.multiset()}"
+            f"orbits n={args.n} k={args.k}: derangements {conj.counts} "
+            f"chain-basis {fy.counts}"
         )
-        data = lambda: {
+        data = lambda: {  # JSON writes each orbit size as a string key
             "n": args.n,
             "k": args.k,
-            "derangement_orbits": list(conj.sizes),
-            "fy_orbits": list(fy.sizes),
+            "derangement_orbits": conj.counts,
+            "fy_orbits": fy.counts,
             "match": ok,
         }
     verdict = ("MISMATCH", "match") if args.what == "orbits" else ("FAIL", "pass")

@@ -121,7 +121,7 @@ from .combinatorics import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
-from .linalg import affine_rank, int_rank
+from .linalg import int_rank
 from .specht import SpechtMatrix, frozen, kept, kept_tables, specht_matrix
 
 Label = tuple[Word, ...]
@@ -141,14 +141,6 @@ class LabeledCoefficientMatrix:
 
     def rank(self) -> int:
         return _distinct_rank(_primitive_rows(self.entries), self.entries.shape[1])
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return list(map(tuple, self.entries.T.tolist()))
-
-    def polytope_affine_dimension(self) -> int:
-        """Affine dimension of the convex hull of the distinct columns."""
-        distinct = sorted(set(self.columns()))
-        return affine_rank(distinct)
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
@@ -197,16 +196,11 @@ def check_conjecture1(
 # Conjecture 2: hook Chow dimensions vs derangement excedances
 
 
-@dataclass(frozen=True)
-class ExcedanceTable:
-    n: int
-    counts: tuple[int, ...]  # counts[k] = derangements with k+1 excedances
-
-
 def derangement_excedance_counts(
     n: int, limits: Limits = DEFAULT_LIMITS
-) -> ExcedanceTable:
-    """Derangements of 1..n counted by excedances, by a DP over value sets.
+) -> tuple[int, ...]:
+    """Derangements of 1..n counted by excedances, by a DP over value sets:
+    entry k counts those with k + 1 excedances.
 
     Positions are filled in order, so a set S of used values fixes the next
     position, |S| + 1.  Each state holds the polynomial in t counting the
@@ -238,7 +232,7 @@ def derangement_excedance_counts(
     while table:
         counts.append(table & field)
         table >>= width
-    return ExcedanceTable(n, tuple(counts))
+    return tuple(counts)
 
 
 def hook_matroid(n: int, limits: Limits = DEFAULT_LIMITS):
@@ -266,7 +260,7 @@ class Conjecture2Report:
 
 def check_conjecture2(n: int, limits: Limits = DEFAULT_LIMITS) -> Conjecture2Report:
     dims = tuple(chow_graded_dimensions(hook_matroid(n, limits)))
-    counts = derangement_excedance_counts(n, limits).counts
+    counts = derangement_excedance_counts(n, limits)
     return Conjecture2Report(n, dims, counts, dims == counts)
 
 
@@ -276,32 +270,28 @@ def check_conjecture2(n: int, limits: Limits = DEFAULT_LIMITS) -> Conjecture2Rep
 
 @dataclass(frozen=True)
 class OrbitStructure:
-    sizes: tuple[int, ...]  # sorted orbit sizes
+    counts: dict[int, int]  # orbit size -> number of orbits, sizes ascending
 
     def multiset(self) -> dict[int, int]:
-        return dict(Counter(self.sizes))  # sizes ascending, as sorted
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
+        return dict(self.counts)
 
 
 def _orbit_sizes(n: int, fix: list[int]) -> OrbitStructure:
-    """Orbit sizes of the cyclic group <c> of order n from fix, where fix[i]
-    counts the elements that c^t fixes for the i-th divisor t of n, ascending.
+    """Orbits of the cyclic group <c> of order n counted by size, from fix,
+    where fix[i] counts the elements that c^t fixes for the i-th divisor t
+    of n, ascending.
 
     The E(s) elements of orbit size s, a divisor of n, are fixed by c^t
     exactly when s divides t, so Fix(s) less E(t) for the divisors t < s of
     s leaves E(s): E(s)/s orbits of size s (Burnside).  A remainder or a
-    negative E(s) is a defect and raises."""
+    negative E(s) is a defect and raises; a size with no orbit is left out."""
     divisors = [t for t in range(1, n + 1) if n % t == 0]
-    exact, sizes = {}, []
+    exact = {}
     for t, count in zip(divisors, fix, strict=True):
         exact[t] = count - sum(e for s, e in exact.items() if t % s == 0)
         if exact[t] % t or exact[t] < 0:
             raise AssertionError(f"{exact[t]} elements of orbit size {t}")
-        sizes += [t] * (exact[t] // t)
-    return OrbitStructure(tuple(sizes))
+    return OrbitStructure({t: e // t for t, e in exact.items() if e})
 
 
 def _commuting_derangements(n: int, t: int, excedances: int, limits: Limits) -> int:
@@ -345,7 +335,7 @@ def cyclic_orbit_structures(
     divisors = [t for t in range(1, n + 1) if n % t == 0]
     conj = _orbit_sizes(n, [
         *(_commuting_derangements(n, t, k + 1, limits) for t in divisors[:-1]),
-        derangement_excedance_counts(n, limits).counts[k],
+        derangement_excedance_counts(n, limits)[k],
     ])
 
     masks = m.flat_lattice()[0]

@@ -87,17 +87,6 @@ def int_rank(rows: Iterable[Sequence[int]], dim: int | None = None) -> int:
     return space.rank
 
 
-def affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine hull of integer points (-1 for no points)."""
-    if not points:
-        return -1
-    p0 = points[0]
-    return int_rank(
-        [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]],
-        dim=len(p0),
-    )
-
-
 def scaled_inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(a, s) with s > 0 and a = s * m^-1 integral, for an invertible integer
     matrix m, by Gauss-Jordan elimination."""

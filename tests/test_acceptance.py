@@ -209,7 +209,7 @@ def test_criterion_5_polytopes():
 def test_criterion_6_coefficient_ranks_match_oracles():
     mat = lr_matrix(P("2,1"), P("2,1"), P("3,2,1"))
     assert mat.rank() == 2
-    assert mat.polytope_affine_dimension() == 2
+    assert polytope_from_columns(mat.entries.T.tolist()).dim == 2
 
     for n in range(1, 5):
         for lam, mu, nu in itertools.product(partitions_of(n), repeat=3):

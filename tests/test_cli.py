@@ -244,7 +244,7 @@ FAILED_CHECKS = {
     ),
     "orbits": (
         "cyclic_orbit_structures",
-        lambda *a, **k: (OrbitStructure((1, 3)), OrbitStructure((1, 1, 1, 1))),
+        lambda *a, **k: (OrbitStructure({1: 1, 3: 1}), OrbitStructure({1: 4})),
         "MISMATCH",
     ),
 }
@@ -559,7 +559,7 @@ def test_emitted_coefficient_matrix_loads_as_matroid_and_polytope(capsys, tmp_pa
     assert code == 0
     # the flats of the dense columns, labelled by their factor words
     dense = kronecker_matrix(*map(Partition.parse, triple[1::2]))
-    expected = LinearMatroid(labels, dense.columns()).flats()
+    expected = LinearMatroid(labels, dense.entries.T.tolist()).flats()
     assert json.loads(out) == [sorted(f) for f in expected]
     assert "112|121|211" in expected[-1]
     code, out, _ = run(capsys, "polytope", "fvector", "--matrix", target)

@@ -13,7 +13,7 @@ from spechtkit import polytope
 from spechtkit.combinatorics import Partition, partitions_of
 from spechtkit.config import Limits
 from spechtkit.errors import DomainError
-from spechtkit.linalg import affine_rank, int_rank
+from spechtkit.linalg import int_rank
 from spechtkit.oracles import face_levels_oracle, facets_oracle
 from spechtkit.polytope import (
     polytope_from_columns,
@@ -25,6 +25,14 @@ from spechtkit.specht import specht_matrix
 
 def column_polytope(parts):
     return polytope_from_columns(specht_matrix(Partition(parts)).columns())
+
+
+def affine_rank(points):
+    """Dimension of the affine hull of integer points, -1 for none: the rank
+    of their differences from the first."""
+    if not points:
+        return -1
+    return int_rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]], dim=len(points[0]))
 
 
 LIGHT_F_VECTORS = {
