@@ -114,16 +114,18 @@ def _columns_from_args(args, limits: Limits):
     raise DomainError("provide --lambda or --matrix")
 
 
-def _emit(args, text, data, csv=None, macaulay2=None) -> None:
-    """Print the output in ``args.format``.
+# the formats each command, or one action of it, writes; "text" and "json" otherwise
+_FORMATS = {
+    "specht-matrix": ("text", "json", "csv"),
+    "chow presentation": ("text", "json", "macaulay2-text"),
+}
 
-    Each argument after *args* is a thunk that builds one format: *data* the
-    JSON value, the others the text.  Only the one asked for is called; a
-    format the command cannot produce is a usage error.
-    """
+
+def _emit(args, text, data, csv=None, macaulay2=None) -> None:
+    """Print the output in ``args.format``, checked by ``main``: each
+    argument after *args* is a thunk that builds one format, *data* the JSON
+    value, the others the text, and only the one asked for is called."""
     build = {"text": text, "json": data, "csv": csv, "macaulay2-text": macaulay2}[args.format]
-    if build is None:
-        raise DomainError(f"{args.format} format not available for this command")
     if args.format == "json":
         print(json.dumps(build(), indent=2))
     elif args.format == "csv":
@@ -415,6 +417,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         limits = resolve_limits(vars(args))
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        if args.format not in _FORMATS.get(command, ("text", "json")):
+            raise DomainError(f"{args.format} format not available for this command")
         args.func(args, limits)
         return 0
     except ResourceLimitError as exc:

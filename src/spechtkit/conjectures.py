@@ -6,11 +6,11 @@ graded dimensions of the hook matroids M(2,1^(n-2)) against derangements
 counted by excedances, with a cyclic-orbit refinement.
 
 The excedance table comes from a DP over the sets of values already placed
-(2^n states, each one packed polynomial in t), not from the n! permutations;
+(2^n states, each one packed polynomial in x), not from the n! permutations;
 ``oracles.derangement_excedance_oracle`` enumerates them for the tests.  Both
 sides of the orbit refinement are counted by Burnside, never listed: the
-derangements by that DP and a walk of each centralizer of a power of the
-long cycle, the chain-basis monomials by the Chow DP on fixed flats;
+derangements by that DP on the cycles of each power of the long cycle,
+the chain-basis monomials by the Chow DP on fixed flats;
 ``oracles.chain_basis_orbits_oracle`` lists the latter for the tests.  Both
 checks act on labels through ``specht.action_table``.
 """
@@ -18,7 +18,6 @@ checks act on labels through ``specht.action_table``.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from math import factorial
@@ -199,40 +198,59 @@ def check_conjecture1(
 def derangement_excedance_counts(
     n: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, ...]:
-    """Derangements of 1..n counted by excedances, by a DP over value sets:
-    entry k counts those with k + 1 excedances.
-
-    Positions are filled in order, so a set S of used values fixes the next
-    position, |S| + 1.  Each state holds the polynomial in t counting the
-    fixed-point-free fillings of positions 1..|S| by S, t marking an
-    excedance; it is packed into one integer, a field of
-    ``factorial(n).bit_length() + 1`` bits per power of t, wide enough for
-    any count of n! or fewer.  That is 2^n states of at most n moves each
-    instead of n! permutations; ``oracles.derangement_excedance_oracle`` is
-    the enumeration the tests hold it to.
-    """
+    """Derangements of 1..n counted by excedances: entry k counts those with
+    k + 1.  Every permutation commutes with c^n, the identity, for c the
+    long cycle, so this is ``_commuting_excedances(n, n)``: 2^n states
+    instead of n! permutations.  ``oracles.derangement_excedance_oracle`` is
+    the enumeration the tests hold it to."""
     limits.require("max_derangement_n", n)
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
-    width = factorial(n).bit_length() + 1
-    polys = [0] * (1 << n)
+    return _commuting_excedances(n, n) if n else ()
+
+
+def _commuting_excedances(n: int, t: int) -> tuple[int, ...]:
+    """Derangements of 0..n-1 commuting with c^t, t a divisor of n, counted
+    by excedances: entry k counts those with k + 1.
+
+    Such a permutation sends j + p*t to v + ((p + r) mod L)*t, L = n/t, with
+    one target cycle v of c^t and one rotation r for each cycle j.  That has
+    L - r excedances if r > 0 or v > j, none otherwise, and fixed points
+    exactly when v = j and r = 0.  Cycles are sent in order, so a set S of
+    targets used fixes the next cycle |S|, and each of the 2^t states holds
+    its polynomial in x, x marking an excedance, packed into one integer
+    with a field per power of x wide enough for the t! * L^t elements
+    commuting with c^t.  At t = n, L = 1, it is the DP over the value sets
+    of a permutation.
+    """
+    size = n // t
+    width = (factorial(t) * size**t).bit_length() + 1
+    shift = size * width  # x^L
+    rotations = sum(1 << e * width for e in range(1, size))  # x + ... + x^(L-1)
+    every = (1 << t) - 1
+    polys = [0] * (1 << t)
     polys[0] = 1
     for used in range(len(polys)):
         poly = polys[used]
         if not poly:
             continue
-        pos = used.bit_count()  # zero-based position of the next value
-        raised = poly << width
-        for value in range(n):
-            if value != pos and not used >> value & 1:
-                polys[used | 1 << value] += raised if value > pos else poly
+        here = 1 << used.bit_count()  # the next cycle to send, as a bit
+        raised = poly << shift
+        free = every ^ used
+        while free:
+            bit = free & -free  # the lowest free target cycle
+            free ^= bit
+            if bit != here:
+                polys[used | bit] += raised if bit > here else poly
+        if rotations:  # L > 1: the rotations r > 0 reach every free cycle
+            rotated = poly * rotations
+            free = every ^ used
+            while free:
+                bit = free & -free
+                free ^= bit
+                polys[used | bit] += rotated
     field = (1 << width) - 1
-    table = polys[-1] >> width  # t^0 counts only the empty derangement of n = 0
-    counts = []
-    while table:
-        counts.append(table & field)
-        table >>= width
-    return tuple(counts)
+    return tuple(polys[-1] >> e * width & field for e in range(1, n))
 
 
 def hook_matroid(n: int, limits: Limits = DEFAULT_LIMITS):
@@ -294,26 +312,6 @@ def _orbit_sizes(n: int, fix: list[int]) -> OrbitStructure:
     return OrbitStructure({t: e // t for t, e in exact.items() if e})
 
 
-def _commuting_derangements(n: int, t: int, excedances: int, limits: Limits) -> int:
-    """Derangements of 1..n with *excedances* excedances that commute with
-    c^t, for a divisor t < n of n, by a walk of the centralizer of c^t.
-
-    Zero-based, c^t has the t cycles j, j + t, j + 2t, ... of length L = n/t.
-    Its centralizer is C_L wr S_t, of t! * L^t elements, checked against
-    ``max_group_order`` before the walk: the permutations sending j + p*t to
-    pi(j) + ((p + r_j) mod L)*t, for pi in S_t and one rotation r_j per cycle.
-    """
-    size = n // t
-    limits.require("max_group_order", factorial(t) * size**t)
-    count = 0
-    for pi in itertools.permutations(range(t)):
-        for rotation in itertools.product(range(size), repeat=t):
-            images = [pi[j] + (p + rotation[j]) % size * t for p in range(size) for j in range(t)]
-            if all(map(operator.ne, images, range(n))):
-                count += sum(map(operator.gt, images, range(n))) == excedances
-    return count
-
-
 def cyclic_orbit_structures(
     n: int, k: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[OrbitStructure, OrbitStructure]:
@@ -323,20 +321,17 @@ def cyclic_orbit_structures(
     c^-1, both counted by ``_orbit_sizes`` from Fix(t), the elements c^t
     fixes, for each divisor t of n.
 
-    (a) c^t fixes a derangement exactly when the two commute.  Fix(n) is the
-    excedance DP; for t < n, ``_commuting_derangements`` walks the
-    centralizer of c^t.  (b) c^t fixes a monomial exactly when it fixes
-    every flat of its chain, so Fix(t) is the Chow DP on the flats c^t
-    fixes.  The two counts share no code."""
+    (a) c^t fixes a derangement exactly when the two commute, so Fix(t) is
+    ``_commuting_excedances(n, t)``, the excedance DP on the cycles of c^t;
+    no centralizer element is listed.  (b) c^t fixes a monomial exactly when
+    it fixes every flat of its chain, so Fix(t) is the Chow DP on the flats
+    c^t fixes.  The two counts share no code."""
     limits.require("max_derangement_n", n)
     m = hook_matroid(n, limits)
     if not 0 <= k <= n - 2:  # excedances run from 1 to n - 1
         raise DomainError(f"k must lie in 0..{n - 2} for n = {n}")
     divisors = [t for t in range(1, n + 1) if n % t == 0]
-    conj = _orbit_sizes(n, [
-        *(_commuting_derangements(n, t, k + 1, limits) for t in divisors[:-1]),
-        derangement_excedance_counts(n, limits)[k],
-    ])
+    conj = _orbit_sizes(n, [_commuting_excedances(n, t)[k] for t in divisors])
 
     masks = m.flat_lattice()[0]
     # c^t, t | n, relabels by c^-t: (c^t . w)[j] = w[j - t mod n], zero-based

@@ -211,11 +211,8 @@ class LinearMatroid:
         masks = self._flat_masks()
         return masks, list(self._flat_ranks.values()), self._flat_below
 
-    def flats(self, rank: int | None = None) -> list[frozenset]:
-        masks = self._flat_masks()
-        if rank is not None:
-            masks = [m for m in masks if self._flat_ranks[m] == rank]
-        return [self._labels_of(m) for m in masks]
+    def flats(self) -> list[frozenset]:
+        return [self._labels_of(m) for m in self._flat_masks()]
 
     # -- circuits, bases, loops --------------------------------------------
 

@@ -92,7 +92,7 @@ def test_frontier_graded_dimensions(parts):
     m = specht_matroid(Partition(parts))
     dims = chow_graded_dimensions(m)
     assert dims == FRONTIER_DIMS[parts]
-    assert dims[1] == len(m.flats()) - 2 - (len(m.flats(rank=1)) - 1)
+    assert dims[1] == len(m.flats()) - 2 - (m.flat_lattice()[1].count(1) - 1)
 
 
 @pytest.mark.parametrize("n", range(2, 6))

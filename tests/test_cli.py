@@ -635,6 +635,17 @@ def test_each_format_prints_or_is_a_usage_error(capsys, argv, prints, fmt):
         assert err == f"error: usage: {fmt} format not available for this command\n"
 
 
+@pytest.mark.parametrize("command", [("chow", "dims"), ("matroid", "flats")])
+def test_an_unwritten_format_is_refused_before_any_work(capsys, monkeypatch, command):
+    def refuse(self):
+        raise AssertionError("the flats were computed")
+
+    monkeypatch.setattr(LinearMatroid, "_flat_masks", refuse)
+    code, out, err = run(capsys, *command, "--lambda", "4,1,1", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: usage: csv format not available for this command\n"
+
+
 def test_chow_presentation_text_is_its_macaulay2_text(capsys):
     command = ("chow", "presentation", "--lambda", "2,2")
     code, text, _ = run(capsys, *command)

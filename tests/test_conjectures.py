@@ -300,20 +300,31 @@ def test_chain_basis_orbit_count_equals_the_listing_oracle(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_centralizer_walk_equals_the_permutation_enumeration(n):
+def test_commuting_excedance_dp_equals_the_permutation_enumeration(n):
     # zero-based derangements commuting with c^t: g(x + t) = g(x) + t mod n
-    walked = Counter()
+    listed = Counter()
     for g in itertools.permutations(range(n)):
         if all(g[x] != x for x in range(n)):
             e = sum(g[x] > x for x in range(n))
-            for t in range(1, n):
+            for t in range(1, n + 1):
                 if n % t == 0 and all(g[(x + t) % n] == (g[x] + t) % n for x in range(n)):
-                    walked[t, e] += 1
-    for t in range(1, n):
+                    listed[t, e] += 1
+    for t in range(1, n + 1):
         if n % t == 0:
-            for e in range(n + 1):
-                got = conjectures._commuting_derangements(n, t, e, DEFAULT_LIMITS)
-                assert got == walked[t, e], (n, t, e)
+            counts = conjectures._commuting_excedances(n, t)
+            assert counts == tuple(listed[t, e] for e in range(1, n)), (n, t)
+
+
+@pytest.mark.parametrize(
+    "n, t, counts",
+    [
+        (12, 6, (1, 63, 653, 2803, 6333, 8243, 6333, 2803, 653, 63, 1)),
+        (14, 7, (1, 127, 2045, 12867, 42757, 84827, 106037, 84827, 42757, 12867, 2045, 127, 1)),
+    ],
+)
+def test_commuting_excedance_tables(n, t, counts):
+    # taken from a walk of the centralizer C_2 wr S_t of c^t
+    assert conjectures._commuting_excedances(n, t) == counts
 
 
 @pytest.mark.parametrize("side", ["derangement", "chain"])
@@ -321,14 +332,15 @@ def test_centralizer_walk_equals_the_permutation_enumeration(n):
 def test_an_off_by_one_fixed_count_raises(monkeypatch, side, n, k):
     # one element too many fixed by c^n, the identity: E(n) = n * orbits + 1
     if side == "derangement":
-        real_counts = conjectures.derangement_excedance_counts
+        real_counts = conjectures._commuting_excedances
 
-        def off_by_one(size, limits):
-            counts = list(real_counts(size, limits))
-            counts[k] += 1
+        def off_by_one(size, t):
+            counts = list(real_counts(size, t))
+            if t == size:
+                counts[k] += 1
             return tuple(counts)
 
-        monkeypatch.setattr(conjectures, "derangement_excedance_counts", off_by_one)
+        monkeypatch.setattr(conjectures, "_commuting_excedances", off_by_one)
     else:
         real_dims = conjectures.chow_graded_dimensions
 
@@ -345,7 +357,7 @@ def test_an_off_by_one_fixed_count_raises(monkeypatch, side, n, k):
 
 def test_orbit_count_at_n_12_keeps_no_orbit_list():
     # 3,577,595 orbits a side: one entry per orbit would take 84 MiB traced
-    limits = Limits(max_derangement_n=12, max_matrix_cells=3 * 10**9, max_group_order=50000)
+    limits = Limits(max_derangement_n=12, max_matrix_cells=3 * 10**9)
     tracemalloc.start()
     try:
         conj, fy = cyclic_orbit_structures(12, 4, limits)
@@ -356,11 +368,17 @@ def test_orbit_count_at_n_12_keeps_no_orbit_list():
     assert peak <= 16 * 2**20  # about 2.7 MiB
 
 
-def test_orbit_count_refuses_a_centralizer_past_the_group_guard():
-    # c^6 at n = 12 has the centralizer C_2 wr S_6, of 6! * 2^6 elements
+@pytest.mark.parametrize("k", range(7))
+def test_orbit_count_lists_no_centralizer(k):
+    # C_2 wr S_4, the centralizer of c^4 at n = 8, has 384 elements
+    conj, fy = cyclic_orbit_structures(8, k, Limits(max_group_order=1))
+    assert conj == fy
+
+
+def test_orbit_count_at_n_12_needs_no_group_guard():
     limits = Limits(max_derangement_n=12, max_matrix_cells=3 * 10**9)
-    with pytest.raises(ResourceLimitError, match="max_group_order: requested 46080 exceeds limit 10000"):
-        cyclic_orbit_structures(12, 4, limits)
+    conj, fy = cyclic_orbit_structures(12, 4, limits)
+    assert conj == fy == OrbitStructure({1: 1, 2: 4, 3: 18, 4: 68, 6: 1045, 12: 3576459})
 
 
 def test_cyclic_orbits_agree_small():
