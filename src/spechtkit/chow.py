@@ -69,16 +69,17 @@ class ChowPresentation:
 def chow_presentation(m: LinearMatroid) -> ChowPresentation:
     """Generators and the complete defining relations of the Chow ring."""
     # the flats strictly between the bottom (the loops) and the top, by index
-    all_masks, _, below = m.flat_lattice()
+    all_masks = m.flat_lattice()[0]
     labels = {i: m._labels_of(all_masks[i]) for i in range(1, len(all_masks) - 1)}
     order = sorted(labels, key=lambda i: _flat_key(labels[i]))
     masks = [all_masks[i] for i in order]
     flats = [labels[i] for i in order]
+    # two distinct flats are comparable exactly when their meet is one of them
     quads = [
         (flats[a], flats[b])
-        for a, i in enumerate(order)
-        for b, j in enumerate(order[a + 1 :], a + 1)
-        if not (below[i] >> j & 1 or below[j] >> i & 1)
+        for a, x in enumerate(masks)
+        for b, y in enumerate(masks[a + 1 :], a + 1)
+        if x & y not in (x, y)
     ]
     loops = m._loop_mask()
     elements = [i for i in range(m.size) if not loops >> i & 1]
@@ -120,7 +121,7 @@ def chow_graded_dimensions(m: LinearMatroid, *, fixed: int | None = None) -> lis
     upward they cannot disturb the fields kept.
     """
     r = m.rank()
-    _, ranks, below = m.flat_lattice()
+    masks, ranks, below = m.flat_lattice()
     width = r * (len(ranks) * r + 1).bit_length() + 1
     keep = (1 << width * r) - 1  # the fields of degrees 0 .. r - 1
     # ways[i] = the monomials whose largest chain element is flat i, by
@@ -129,14 +130,20 @@ def chow_graded_dimensions(m: LinearMatroid, *, fixed: int | None = None) -> lis
     # 0 < e < r(F) - r(G), so the step depends on r(G) alone: sum the
     # down-set by rank first.  Flats come in (rank, mask) order, and no step
     # comes from rank r(F) - 1, so only the (fixed) flats in earlier[r(F) - 1],
-    # those before the first flat of rank r(F) - 1, are read.
+    # those before the first flat of rank r(F) - 1, are read.  Below a free
+    # flat (LinearMatroid._flat_masks) the lattice is Boolean, so the first
+    # free flat of each rank is walked and every later one copies its row.
     earlier = [(1 << ranks.index(k)) - 1 for k in range(r)]
-    flats = range(1, len(ranks))
-    if fixed is not None:
-        earlier, flats = [x & fixed for x in earlier], _members(fixed & ~1)
+    flats, lows, rows = range(1, len(ranks)), m._lows, {}
+    if fixed is not None and fixed != (1 << len(ranks)) - 1:  # lows = 0: none is free
+        earlier, flats, lows = [x & fixed for x in earlier], _members(fixed & ~1), 0
     ways = [1] + [0] * (len(ranks) - 1)
     for f in flats:
         rf = ranks[f]
+        free = (masks[f] & lows).bit_count() == rf
+        if free and rf in rows:
+            ways[f] = rows[rf]
+            continue
         by_rank = [0] * rf
         for g in _members(below[f] & earlier[rf - 1]):
             by_rank[ranks[g]] += ways[g]
@@ -145,6 +152,8 @@ def chow_graded_dimensions(m: LinearMatroid, *, fixed: int | None = None) -> lis
             for e in range(1, rf - rg):
                 acc += row << width * e
         ways[f] = acc & keep
+        if free:
+            rows[rf] = ways[f]
     total = sum(ways)
     field = (1 << width) - 1
     return [total >> width * d & field for d in range(max(r, 1))]

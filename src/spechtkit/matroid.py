@@ -89,10 +89,11 @@ class LinearMatroid:
         if any(len(c) != self._dim for c in self.columns):
             raise DomainError("columns must have equal length")
         self._vectors, self._rank = _row_basis(self.columns, self._dim)
-        # mask -> rank of every flat, in (rank, mask) order, and each flat's
-        # down-set in the same order, once enumerated
+        # mask -> rank of every flat in (rank, mask) order, the down-sets in
+        # that order and the mask of each class's lowest column, once enumerated
         self._flat_ranks: dict[int, int] | None = None
         self._flat_below: list[int] | None = None
+        self._lows: int | None = None
 
     # -- basic data ---------------------------------------------------------
 
@@ -158,7 +159,9 @@ class LinearMatroid:
         cover's down-set is the union of the flats it covers and their
         down-sets, and the top's is every other flat.  The flats are counted
         as they are found and refused past ``max_flats``, since the down-sets
-        take memory quadratic in their number.
+        take memory quadratic in their number.  F is *free* when it holds
+        r(F) classes, ``(F & _lows).bit_count() == r(F)`` for ``_lows`` the
+        lowest column of each class: the flats below F form a Boolean lattice.
         """
         if self._flat_ranks is None:
             bound = self.limits.max_flats
@@ -167,6 +170,7 @@ class LinearMatroid:
             below: list[int] = []
             classes = self._classes()
             bottom = classes.pop(None, 0)
+            lows = sum(mask & -mask for mask in classes.values())
             level: dict[int, list] = {bottom: [0, classes, None]}
             for rank in range(self._rank):
                 covers: dict[int, list] = {}
@@ -202,7 +206,7 @@ class LinearMatroid:
                     self.limits.require("max_flats", found)
             ranks[top] = self._rank
             below.append((1 << len(below)) - 1)
-            self._flat_ranks, self._flat_below = ranks, below
+            self._flat_ranks, self._flat_below, self._lows = ranks, below, lows
         return list(self._flat_ranks)
 
     def flat_lattice(self) -> tuple[list[int], list[int], list[int]]:
@@ -354,8 +358,11 @@ class LinearMatroid:
         by_rank = [0] * (self._rank + 1)  # sum of h_F over the flats of each rank
         hs: list[int] = []
         for m, rf, down in zip(*self.flat_lattice()):
-            h = (1 + (1 << width)) ** m.bit_count() - sum(map(hs.__getitem__, _members(down)))
-            assert not h & ((1 << width * rf) - 1), "division fails"
+            if m.bit_count() == rf:  # independent: no other subset closes to F
+                h = 1 << width * rf
+            else:
+                h = (1 + (1 << width)) ** m.bit_count() - sum(map(hs.__getitem__, _members(down)))
+                assert not h & ((1 << width * rf) - 1), "division fails"
             by_rank[rf] += h
             hs.append(h)
         return _tutte_from_rank_sums(by_rank, width)
@@ -364,10 +371,11 @@ class LinearMatroid:
         """p(t) = sum over flats F of mu(F) t^(r - r(F)), where mu is the
         Moebius function from the bottom flat.  A matroid with loops has p = 0.
 
-        By Weisner's theorem mu(bottom) = 1 and mu(F) = -sum mu(G) over the
-        flats G covered by F that miss F's lowest element.  Flats come in
-        (rank, mask) order, so only the slice of F's down-set that holds the
-        flats of rank r(F) - 1 is read.
+        By Weisner's theorem mu(F) = -sum mu(G) over the flats G covered by F
+        that miss F's lowest element.  Flats come in (rank, mask) order, so
+        only the slice of F's down-set that holds the flats of rank r(F) - 1
+        is read.  A free flat (see :meth:`_flat_masks`), the bottom too, tops
+        a Boolean lattice, so mu(F) = (-1)^r(F) and its down-set is not read.
         """
         if self._loop_mask():
             return {}
@@ -378,8 +386,11 @@ class LinearMatroid:
         for i, (m, rf, down) in enumerate(zip(masks, ranks, below)):
             if rf != ranks[hi]:
                 lo, hi = hi, i
-            covered = _members((down >> lo) & ((1 << (hi - lo)) - 1))
-            mu = -sum(mus[lo + g] for g in covered if not masks[lo + g] & m & -m) if rf else 1
+            if (m & self._lows).bit_count() == rf:
+                mu = -1 if rf & 1 else 1
+            else:
+                covered = _members((down >> lo) & ((1 << (hi - lo)) - 1))
+                mu = -sum(mus[lo + g] for g in covered if not masks[lo + g] & m & -m)
             out[self._rank - rf] = out.get(self._rank - rf, 0) + mu
             mus.append(mu)
         return {k: v for k, v in out.items() if v}
@@ -397,6 +408,8 @@ def _row_basis(columns, dim: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     space = RowSpace(dim)
     for col in columns:
         space.add(col)
+        if space.rank == dim:  # every coordinate is a pivot
+            return tuple(columns), dim
     coords = sorted(c for c, _ in space.pivots)
     return tuple(tuple(col[i] for i in coords) for col in columns), space.rank
 

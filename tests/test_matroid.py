@@ -16,7 +16,7 @@ from spechtkit.combinatorics import (
 )
 from spechtkit.config import Limits
 from spechtkit.errors import DomainError, ResourceLimitError
-from spechtkit.linalg import _normalize
+from spechtkit.linalg import RowSpace, _normalize, int_rank
 from spechtkit.matroid import (
     LinearMatroid,
     _drop,
@@ -26,12 +26,13 @@ from spechtkit.matroid import (
     poly2_to_json,
     specht_matroid,
 )
-from spechtkit import specht
+from spechtkit import chow, matroid, specht
 from spechtkit.specht import specht_matrix
 from spechtkit.oracles import (
     characteristic_from_tutte,
     chow_dims_quotient_oracle,
     flats_oracle,
+    fy_basis_monomials,
     tutte_deletion_contraction_oracle,
 )
 
@@ -65,6 +66,19 @@ def test_specht_matroid_refuses_before_building_the_row_basis(monkeypatch):
     with pytest.raises(ResourceLimitError, match=message):
         specht_matroid(p)
     assert "row_basis" not in vars(specht_matrix(p))
+
+
+def test_full_rank_columns_are_reduced_until_the_span_is_full(monkeypatch):
+    # a Specht matroid is built on full-rank row-basis coordinates
+    mat = specht_matrix(Partition((3, 1, 1)))
+    columns = tuple(zip(*mat.row_basis))
+    full = next(k for k in range(len(columns)) if int_rank(columns[:k], 6) == 6)
+    added = []
+    add = RowSpace.add
+    monkeypatch.setattr(RowSpace, "add", lambda self, vec: added.append(vec) or add(self, vec))
+    m = LinearMatroid(mat.col_labels, columns)
+    assert (m.size, m.rank(), len(added)) == (20, 6, full)
+    assert m._vectors == columns
 
 
 def closure(m, subset):
@@ -229,6 +243,10 @@ def check_lattice(m):
     for i, f in enumerate(masks):
         assert below[i] == sum(1 << j for j, g in enumerate(masks) if g != f and g & f == g)
     assert (masks[-1], ranks[-1]) == ((1 << m.size) - 1, m.rank())
+    # free (r(F) parallel classes) exactly when r(F) atoms lie below
+    for f, rf in zip(masks, ranks):
+        atoms = sum(rg == 1 and g & f == g for g, rg in zip(masks, ranks))
+        assert ((f & m._lows).bit_count() == rf) == (atoms == rf)
     assert masks[0] == m._loop_mask()
 
 
@@ -546,8 +564,16 @@ def check_lattice_paths(m):
     assert m.characteristic_polynomial() == characteristic_from_tutte(subsets, m.rank())
     assert m.tutte_polynomial("flats") == subsets
     assert tutte_deletion_contraction_oracle(m.columns) == subsets
-    if len(m.flats()) <= 30:  # the quotient-ring oracle is exponential in the flats
-        assert chow_graded_dimensions(m) == chow_dims_quotient_oracle(m)
+    flats = len(m.flats())
+    dims = chow_graded_dimensions(m)
+    assert chow_graded_dimensions(m, fixed=(1 << flats) - 1) == dims
+    if flats <= 30:  # the quotient-ring oracle is exponential in the flats
+        assert dims == chow_dims_quotient_oracle(m)
+    elif flats <= 500:
+        listed = [0] * len(dims)
+        for mono in fy_basis_monomials(m):
+            listed[sum(d for _, d in mono)] += 1
+        assert dims == listed
 
 
 # the Specht matroids with at most 20 columns, up to n = 6 (the columns are
@@ -564,6 +590,53 @@ def test_lattice_paths_agree_on_small_specht_shapes(p):
 
 def test_lattice_paths_agree_on_the_x_matroid(x_matroid):
     check_lattice_paths(x_matroid)
+
+
+@pytest.mark.parametrize("r, n", [(3, 7), (4, 8)])
+def test_lattice_paths_agree_on_uniform_matroids(r, n):
+    # every flat but the top is independent, so free
+    check_lattice_paths(LinearMatroid(tuple(range(n)), moment_curve(r, n)))
+
+
+def test_lattice_paths_agree_on_seeded_matroids():
+    rng = random.Random(0)
+    mixed = 0  # matroids with loops, a parallel class, free and other flats
+    for _ in range(100):
+        cols = seeded_columns(rng)
+        m = LinearMatroid(tuple(range(len(cols))), cols)
+        check_lattice_paths(m)
+        masks, ranks, _ = m.flat_lattice()
+        free = {(x & m._lows).bit_count() == rf for x, rf in zip(masks, ranks)}
+        classes = m._classes()
+        loops = classes.pop(None, 0)
+        mixed += bool(loops) and max(map(int.bit_count, classes.values()), default=0) > 1 and len(free) == 2
+    assert mixed >= 3
+
+
+def test_free_flats_skip_their_down_sets(monkeypatch):
+    # U(4, 14): every flat but the top is independent, so free
+    m = LinearMatroid(tuple(range(14)), moment_curve(4, 14))
+    masks = m.flat_lattice()[0]
+    walked = 0
+    members = matroid._members
+
+    def counted(bits):
+        nonlocal walked
+        for i in members(bits):
+            walked += 1
+            yield i
+
+    monkeypatch.setattr(matroid, "_members", counted)
+    monkeypatch.setattr(chow, "_members", counted)
+    dims = chow_graded_dimensions(m)
+    charpoly = m.characteristic_polynomial()
+    tutte = m.tutte_polynomial("flats")
+    # each DP may walk the top's down-set; the Chow DP also walks the first
+    # free flat of each rank, inside the Boolean lattice below a basis
+    assert walked <= 3 * (len(masks) - 1) + 2**4
+    assert dims == [1, 456, 456, 1]
+    assert tutte == uniform_tutte(4, 14)
+    assert charpoly == characteristic_from_tutte(tutte, 4)
 
 
 def test_down_sets_are_the_strict_order_ideals():
