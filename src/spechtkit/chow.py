@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import format_label
+from .errors import DomainError
 from .matroid import LinearMatroid, _members, _monomial
 
 
@@ -53,8 +54,16 @@ class ChowPresentation:
         }
 
     def to_macaulay2(self) -> str:
-        """Render as a ring presentation in Macaulay2-style syntax."""
-        name = {f: "x_" + "_".join(parts) for f, parts in self._names().items()}
+        """Render as a ring presentation in Macaulay2-style syntax.  x_F joins
+        F's labels by "_", so each must be ASCII letters and digits only: any
+        other text Macaulay2 cannot parse, or could give two flats one name."""
+        names = self._names()
+        for label in sorted(set().union(*names.values())):
+            if not (label.isascii() and label.isalnum()):
+                raise DomainError(
+                    f"label {label!r} cannot name a Macaulay2 generator; use --format json"
+                )
+        name = {f: "x_" + "_".join(parts) for f, parts in names.items()}
         vars_ = ", ".join(name[f] for f in self.generators)
         quads = [f"{name[a]}*{name[b]}" for a, b in self.quadratic_relations]
         lins = []

@@ -114,11 +114,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import (
-    Partition,
-    Word,
-    format_word,
-)
+from .combinatorics import Partition, Word, capped_factorial, format_word
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
 from .linalg import int_rank
@@ -323,13 +319,10 @@ def _fewest_columns(triple: tuple[Partition, ...], flips, limits: Limits, powers
     *flips* and whose factors have the fewest columns in product, factor f
     counting to the power powers[f]; the first flip wins a tie."""
     # a pairing matrix has at least n! cells and every setup refuses one past
-    # max_matrix_cells: keep such a triple as given, and take no factorial
-    # past that guard
-    cells, bound = 1, limits.max_matrix_cells
-    for k in range(2, max(sum(p.parts) for p in triple) + 1):
-        cells *= k
-        if cells > bound:
-            return triple
+    # max_matrix_cells: keep such a triple as given
+    bound = limits.max_matrix_cells
+    if capped_factorial(max(sum(p.parts) for p in triple), bound) > bound:
+        return triple
 
     # p has n! / prod of its column lengths! columns, and that product is
     # prod over rows i of i^p_i; p' has n! / prod of the p_i!.  Every variant

@@ -131,6 +131,15 @@ def partitions_of(n: int) -> list[Partition]:
     return out
 
 
+def capped_factorial(n: int, bound: int) -> int:
+    """n!, or the first product 2 * 3 * ... * k past *bound*, if n! is."""
+    product, k = 1, 1
+    while k < n and product <= bound:
+        k += 1
+        product *= k
+    return product
+
+
 # ---------------------------------------------------------------------------
 # words
 

@@ -1,8 +1,9 @@
 """Resource guards.
 
 All enumeration limits live here so that desk-scale defaults can be raised
-explicitly (CLI flags or SPECHTKIT_* environment variables) instead of being
-hard-coded at call sites.
+explicitly, by CLI flags alone, instead of being hard-coded at call sites.
+A SPECHTKIT_* environment variable is refused, not read, so a stale setting
+fails loudly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class Limits:
     max_group_order: int = 10_000
     max_coefficient_n: int = 5
     # conjecture checks
-    max_funny_sum_n: int = 6
     max_derangement_n: int = 9
 
     def require(self, name: str, value: int) -> None:
@@ -49,37 +49,23 @@ class Limits:
 
 
 def resolve_limits(flags: Mapping[str, int | None]) -> Limits:
-    """The default guards overridden by SPECHTKIT_<FIELD> environment
-    variables and then by *flags*, a mapping from guard name to value (None
-    where unset) such as the parsed CLI arguments.
-
-    A value that is not a positive integer, and a SPECHTKIT_ variable that
-    names no guard, raise ``DomainError`` naming the variable or the guard.
-    """
-    names = {"SPECHTKIT_" + f.name.upper(): f.name for f in fields(Limits)}
+    """The default guards overridden by *flags*, a mapping from guard name to
+    value (None where unset) such as the parsed CLI arguments.  A value that
+    is not positive raises ``DomainError`` naming the guard, and so does any
+    SPECHTKIT_ environment variable, naming it and its flag if it has one."""
+    names = [f.name for f in fields(Limits)]
     for var in sorted(os.environ):
-        if var.startswith("SPECHTKIT_") and var not in names:
-            raise DomainError(f"{var} names no guard")
-
-    def given():
-        for var, name in names.items():
-            raw = os.environ.get(var)
-            if raw is not None:
-                try:
-                    value = int(raw)
-                except ValueError:
-                    raise DomainError(f"{var}={raw!r} is not an integer") from None
-                yield name, value, var
-        for f in fields(Limits):
-            value = flags.get(f.name)
-            if value is not None:
-                yield f.name, value, f"guard {f.name}"
-
+        if var.startswith("SPECHTKIT_"):
+            name = var.removeprefix("SPECHTKIT_").lower()
+            flag = f"; use --{name.replace('_', '-')}" if name in names else ""
+            raise DomainError(f"{var} is not read: guards are set by flags alone{flag}")
     overrides = {}
-    for name, value, source in given():
-        if value <= 0:
-            raise DomainError(f"{source} must be positive")
-        overrides[name] = value
+    for name in names:
+        value = flags.get(name)
+        if value is not None:
+            if value <= 0:
+                raise DomainError(f"guard {name} must be positive")
+            overrides[name] = value
     return replace(Limits(), **overrides)
 
 

@@ -28,6 +28,7 @@ from .chow import chow_graded_dimensions
 from .combinatorics import (
     Partition,
     Permutation,
+    capped_factorial,
     partitions_of,
     rearrangement_count,
 )
@@ -86,13 +87,15 @@ def gram_column(n: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
 
     Each shape's action table (``specht.action_table`` on its row labels,
     rows times n! entries) is checked against ``max_matrix_cells``
-    before any is built.  Entries of M are 0 or +-1, so |G[a, b]| <= cols and
-    every |v[rho]| is at most sum_lambda d^2 * rows * cols; that bound is
-    checked below 2^63, so the int64 sums are exact.
+    before any is built, and n! first, the (n) shape's 1 x n! being the
+    smallest, so no partition is listed past the guard.  Entries of M are 0
+    or +-1, so |G[a, b]| <= cols and every |v[rho]| is at most sum_lambda
+    d^2 * rows * cols; that bound is checked below 2^63, so the int64 sums
+    are exact.
     """
-    limits.require("max_funny_sum_n", n)
     if n < 1:
         raise DomainError("n must be positive")
+    limits.require("max_matrix_cells", capped_factorial(n, limits.max_matrix_cells))
     shapes = partitions_of(n)
     weights = [shape.dimension() ** 2 for shape in shapes]
     bound = 0
@@ -134,8 +137,7 @@ def funny_sum(
 ) -> int:
     """Sum of d(P)^2 * Y(sigma w_P, r) * Y(tau w_P, r) over partitions P and
     rearrangements r of the complementary word of P, read off
-    ``gram_column(n)`` at tau^-1 * sigma."""
-    limits.require("max_funny_sum_n", n)
+    ``gram_column(n)`` at tau^-1 * sigma, under its guards."""
     if sigma.n != n or tau.n != n:
         raise DomainError("permutation degree must equal n")
     return gram_column(n, limits)[_pair_index(sigma.images, tau.images)]
@@ -153,8 +155,8 @@ def check_conjecture1(
     Every pair is read off ``gram_column``.  A failed full check reports the
     first wrong pair in (sigma, tau) order over ``all_permutations``; that
     pair has sigma = id, since the pair (id, rho^-1) carries v[rho].
+    Past the usage checks, the guards are those of ``gram_column``.
     """
-    limits.require("max_funny_sum_n", n)
     if mode not in ("full", "sampled"):
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "sampled" and samples < 1:

@@ -2,6 +2,7 @@ import pytest
 
 from spechtkit.chow import chow_graded_dimensions, chow_presentation, hilbert_series_text
 from spechtkit.combinatorics import Partition, Permutation, partitions_of
+from spechtkit.errors import DomainError
 from spechtkit.matroid import LinearMatroid, specht_matroid
 from spechtkit.oracles import chow_dims_quotient_oracle, fy_basis_monomials
 
@@ -57,6 +58,23 @@ def test_macaulay2_rendering():
     assert lines[1].startswith("I = ideal(")
     assert lines[2] == "A = R/I;"
     assert "x_1122_2211" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "labels,bad",
+    [
+        # Macaulay2 cannot parse x_a b or x_c-d
+        (["a b", "c-d", "e"], "a b"),
+        # {a_b} and {a, b} would both be x_a_b
+        (["a", "b", "a_b"], "a_b"),
+    ],
+)
+def test_macaulay2_refuses_labels_that_are_not_letters_and_digits(labels, bad):
+    pres = chow_presentation(LinearMatroid(labels, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    with pytest.raises(DomainError, match=f"label '{bad}' .* use --format json"):
+        pres.to_macaulay2()
+    names = pres.to_json_dict()["generators"]
+    assert [bad] in names and len(names) == 6
 
 
 def test_x_matroid_hilbert_series(x_matroid):

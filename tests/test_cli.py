@@ -332,7 +332,6 @@ GUARDED_ARGV = {
     "max_box_volume": "polytope lattice-points --lambda 2,1",
     "max_group_order": "coeff kronecker --lambda 2 --mu 2 --nu 2",
     "max_coefficient_n": "coeff kronecker --lambda 2 --mu 2 --nu 2",
-    "max_funny_sum_n": "check conjecture1 --n 2",
     "max_derangement_n": "check conjecture2 --n 2",
 }
 
@@ -352,6 +351,27 @@ def modules_importing_oracles():
                 if any(n.split(".")[-1] == "oracles" for n in names):
                     found.append(path.name)
     return found
+
+
+def test_every_guard_name_is_a_required_field():
+    # a stale name would raise AttributeError out of Limits.require, a
+    # traceback with exit 1, the code of a failed conjecture check
+    required = set()
+    for path in resources.files("spechtkit").iterdir():
+        if path.name.endswith(".py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "require"
+                ):
+                    name = node.args[0]
+                    assert isinstance(name, ast.Constant) and isinstance(name.value, str), (
+                        path.name,
+                        ast.unparse(node),
+                    )
+                    required.add(name.value)
+    assert required == {f.name for f in fields(Limits)}
 
 
 @pytest.mark.parametrize("field", [f.name for f in fields(Limits)])
@@ -458,9 +478,12 @@ def test_flat_guard_exits_3(capsys, monkeypatch):
         code, out, err = run(capsys, *command, "--lambda", "3,1,1", "--max-flats", "100")
         assert (code, out) == (3, "")
         assert "max_flats: requested 101 exceeds limit 100" in err
+    # the variable is refused, not read
     monkeypatch.setenv("SPECHTKIT_MAX_FLATS", "100")
-    code, _, err = run(capsys, "matroid", "flats", "--lambda", "3,1,1")
-    assert code == 3 and "max_flats" in err
+    code, out, err = run(capsys, "matroid", "flats", "--lambda", "3,1,1")
+    assert (code, out) == (2, "")
+    assert "SPECHTKIT_MAX_FLATS" in err and "--max-flats" in err
+    monkeypatch.delenv("SPECHTKIT_MAX_FLATS")
     code, _, _ = run(capsys, "matroid", "flats", "--lambda", "3,1,1", "--max-flats", "314")
     assert code == 0
 
@@ -498,15 +521,20 @@ def test_bad_matrix_file_is_usage_error(capsys, tmp_path, command, case):
     assert str(path) in err
 
 
-def test_limit_env_overrides(capsys, monkeypatch):
+def test_limit_env_is_refused(capsys, monkeypatch):
+    # a guard variable is a usage error naming it and its flag, not a limit
     monkeypatch.setenv("SPECHTKIT_MAX_MATRIX_CELLS", "2")
-    code, _, err = run(capsys, "specht-matrix", "--lambda", "4,3")
-    assert code == 3
-    assert err.startswith("error: resource:")
+    code, out, err = run(capsys, "specht-matrix", "--lambda", "4,3")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: usage: SPECHTKIT_MAX_MATRIX_CELLS is not read:"
+        " guards are set by flags alone; use --max-matrix-cells\n"
+    )
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", ["abc", "0", "2"])
 def test_bad_limit_env_value_is_usage_error(capsys, monkeypatch, value):
+    # bad or valid-looking, no value is read
     monkeypatch.setenv("SPECHTKIT_MAX_GROUND", value)
     code, _, err = run(capsys, "matroid", "flats", "--lambda", "2,1")
     assert code == 2
@@ -516,11 +544,12 @@ def test_bad_limit_env_value_is_usage_error(capsys, monkeypatch, value):
 
 @pytest.mark.parametrize("var", ["SPECHTKIT_MAX_GROUD", "SPECHTKIT_MAX_SET_PARTITION_N"])
 def test_unknown_limit_env_variable_is_usage_error(capsys, monkeypatch, var):
-    # a misspelt or removed guard variable is refused, as its flag is
+    # a misspelt or removed guard variable is refused, as its flag is, and
+    # names no flag
     monkeypatch.setenv(var, "1")
     code, out, err = run(capsys, "check", "conjecture1", "--n", "3")
     assert (code, out) == (2, "")
-    assert err == f"error: usage: {var} names no guard\n"
+    assert err == f"error: usage: {var} is not read: guards are set by flags alone\n"
     flag = "--" + var.removeprefix("SPECHTKIT_").lower().replace("_", "-")
     monkeypatch.delenv(var)
     code, _, err = run(capsys, "check", "conjecture1", "--n", "3", flag, "1")
@@ -538,6 +567,12 @@ def test_seed_is_a_check_flag_only(capsys):
     )
     assert code == 0
     assert out.startswith("conjecture1 n=5 mode=sampled")
+
+
+def test_funny_sum_n_flag_is_gone(capsys):
+    code, out, err = run(capsys, "check", "conjecture1", "--n", "3", "--max-funny-sum-n", "7")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --max-funny-sum-n 7" in err
 
 
 def test_cache_dir_flag_is_gone(capsys, tmp_path):
@@ -569,14 +604,19 @@ def test_emitted_coefficient_matrix_loads_as_matroid_and_polytope(capsys, tmp_pa
 def test_guard_errors_name_the_variable_or_the_flag(capsys, monkeypatch):
     code, _, err = run(capsys, "matroid", "bases", "--lambda", "2,1", "--max-ground", "0")
     assert (code, err) == (2, "error: usage: guard max_ground must be positive\n")
-    monkeypatch.setenv("SPECHTKIT_MAX_GROUND", "0")
-    code, _, err = run(capsys, "matroid", "bases", "--lambda", "2,1")
-    assert (code, err) == (2, "error: usage: SPECHTKIT_MAX_GROUND must be positive\n")
-    # a flag overrides the environment: (2,1) has three columns
-    monkeypatch.setenv("SPECHTKIT_MAX_GROUND", "2")
-    assert run(capsys, "matroid", "bases", "--lambda", "2,1")[0] == 3
+    # (2,1) has three columns
+    code, _, err = run(capsys, "matroid", "bases", "--lambda", "2,1", "--max-ground", "2")
+    assert (code, err) == (3, "error: resource: max_ground: requested 3 exceeds limit 2\n")
     code, out, _ = run(capsys, "matroid", "bases", "--lambda", "2,1", "--max-ground", "3")
     assert (code, out) == (0, "3\n")
+    # a variable names itself and its flag, and a flag does not override it
+    monkeypatch.setenv("SPECHTKIT_MAX_GROUND", "0")
+    code, _, err = run(capsys, "matroid", "bases", "--lambda", "2,1", "--max-ground", "3")
+    assert (code, err) == (
+        2,
+        "error: usage: SPECHTKIT_MAX_GROUND is not read:"
+        " guards are set by flags alone; use --max-ground\n",
+    )
 
 
 FORMATS = ("text", "json", "csv", "macaulay2-text")
@@ -644,6 +684,19 @@ def test_an_unwritten_format_is_refused_before_any_work(capsys, monkeypatch, com
     code, out, err = run(capsys, *command, "--lambda", "4,1,1", "--format", "csv")
     assert (code, out) == (2, "")
     assert err == "error: usage: csv format not available for this command\n"
+
+
+@pytest.mark.parametrize("labels", [["a b", "c-d", "e"], ["a", "b", "a_b"]])
+def test_chow_presentation_text_refuses_labels_macaulay2_cannot_read(capsys, tmp_path, labels):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "col_labels": labels}))
+    command = ("chow", "presentation", "--matrix", str(path))
+    for fmt in ("text", "macaulay2-text"):
+        code, out, err = run(capsys, *command, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: usage: label ") and "--format json" in err
+    code, out, _ = run(capsys, *command, "--format", "json")
+    assert code == 0 and len(json.loads(out)["generators"]) == 6
 
 
 def test_chow_presentation_text_is_its_macaulay2_text(capsys):

@@ -95,7 +95,8 @@ def test_detection_identity_guards(capsys, monkeypatch):
         check_conjecture1(3, mode="bogus")
     with pytest.raises(DomainError):
         check_conjecture1(0)
-    with pytest.raises(ResourceLimitError, match="max_funny_sum_n"):
+    # (3,1,1,1,1) has 840 rows, so its action table is 840 * 7! cells
+    with pytest.raises(ResourceLimitError, match="max_matrix_cells: requested 4233600 "):
         check_conjecture1(7)
 
     # (2, 2) has 6 rows, so its action table is 6 * 4! = 144 cells, although
@@ -107,9 +108,22 @@ def test_detection_identity_guards(capsys, monkeypatch):
     assert built == []
 
     assert cli.main(["check", "conjecture1", "--n", "7"]) == 3
-    assert "max_funny_sum_n" in capsys.readouterr().err
+    assert "max_matrix_cells: requested 4233600 " in capsys.readouterr().err
     assert cli.main(["check", "conjecture1", "--n", "4", "--max-conjecture1-full-n", "4"]) == 2
     assert "--max-conjecture1-full-n" in capsys.readouterr().err
+
+
+def test_huge_n_is_refused_before_any_partition_or_factorial(monkeypatch):
+    # the (n) shape's table is 1 x n! cells; 11! is the first product past
+    # the default 4,000,000
+    def boom(*args):
+        raise AssertionError("called past the guard")
+
+    monkeypatch.setattr(conjectures, "partitions_of", boom)
+    monkeypatch.setattr(conjectures, "factorial", boom)
+    for check in (conjectures.gram_column, check_conjecture1):
+        with pytest.raises(ResourceLimitError, match="max_matrix_cells: requested 39916800 "):
+            check(10**9)
 
 
 def _quotient_index(n):
