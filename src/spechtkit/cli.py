@@ -3,13 +3,15 @@
 One binary with subcommands; all output goes to stdout, diagnostics to
 stderr with machine-parsable one-line prefixes.  Exit codes: 0 success,
 1 a conjecture check failed (its report is still printed), 2 usage/domain/io
-error, 3 resource-guard refusal.
+error, 3 resource-guard refusal, 141 (128 + SIGPIPE) the reader closed
+standard output early, which prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -421,7 +423,12 @@ def main(argv=None) -> int:
         if args.format not in _FORMATS.get(command, ("text", "json")):
             raise DomainError(f"{args.format} format not available for this command")
         args.func(args, limits)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ResourceLimitError as exc:
         print(f"error: resource: {exc}", file=sys.stderr)
         return 3

@@ -99,9 +99,10 @@ class Partition:
         hooks = prod(
             row + cols[j] - i - j - 1 for i, row in enumerate(self.parts) for j in range(row)
         )
-        num = factorial(self.n)
-        assert num % hooks == 0
-        return num // hooks
+        num, rest = divmod(factorial(self.n), hooks)
+        if rest:
+            raise AssertionError(f"the hook product of {self} does not divide {self.n}!")
+        return num
 
     def canonical_words(self) -> tuple[Word, Word]:
         """Row word and column word from a row-major walk over the boxes."""
@@ -253,7 +254,8 @@ def classify_pair(w1: Word, w2: Word) -> PairClass:
     is_comp = len(set(columns)) == len(columns)
     if is_comp:
         # in the free orbit the column multiset is forced to be the diagram
-        assert frozenset(columns) == frozenset(lam.boxes_row_major())
+        if frozenset(columns) != frozenset(lam.boxes_row_major()):
+            raise AssertionError(f"distinct columns of {w1}, {w2} are not the boxes of {lam}")
     return PairClass(True, lam, is_comp)
 
 

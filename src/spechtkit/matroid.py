@@ -362,7 +362,8 @@ class LinearMatroid:
                 h = 1 << width * rf
             else:
                 h = (1 + (1 << width)) ** m.bit_count() - sum(map(hs.__getitem__, _members(down)))
-                assert not h & ((1 << width * rf) - 1), "division fails"
+                if h & ((1 << width * rf) - 1):
+                    raise AssertionError("division fails")
             by_rank[rf] += h
             hs.append(h)
         return _tutte_from_rank_sums(by_rank, width)

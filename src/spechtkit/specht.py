@@ -36,17 +36,27 @@ Only callers that print or walk every cell read them, such as the
 ``specht-matrix`` output, ``conjectures.gram_column``, the polytope of the
 columns and the dense ``*_matrix`` coefficient path.
 
-The row basis and the rank read no rows.  ``SpechtMatrix.row_basis`` is the
-d_lambda rows whose labels are Yamanouchi (lattice) words: every prefix
-holds at least as many i's as (i+1)'s.  A Yamanouchi word names the row
-of each of 1..n in a standard tableau, so these rows are indexed like the
-standard polytabloids, the classical basis of S^lambda (Sagan, *The
-Symmetric Group*, Thm 2.6.5).  Each is built from its label alone, with
-prod lambda_i! nonzero cells, and added to a ``RowSpace``; a dependent row,
-or a count other than the hook-length d_lambda, raises, so rank M_lambda =
-d_lambda is checked, never assumed.  The basis spans the row space, so its
-columns, d_lambda long, have the same column matroid as the full columns,
-and ``matroid.specht_matroid`` is built on them.
+The rank reads no label, row or entry.  It is the certificate
+``SpechtMatrix._certified_rank``: the count of the standard tableaux of
+the shape, listed by their Yamanouchi (lattice) words in lex order, where
+every prefix holds at least as many i's as (i+1)'s and letter k is the row
+of k in the tableau.  Each tableau T names a row label, the rows of 1..n
+in T, and a column label, their columns in T.  On those labels M has a
+d x d minor that is zero right of the diagonal and +-1 on it, so the d
+rows are independent over every field (Sagan, *The Symmetric Group*,
+2.5-2.6); the certificate checks that pattern by the complementarity rule
+alone, in numpy tiles of bounded size, and the count against the
+hook-length d_lambda, and a failure of either raises.  So rank M_lambda >=
+d_lambda is checked on every call; that it is no more is the standard
+basis theorem, which the tests hold to the full matrix for n <= 7.
+
+``SpechtMatrix.row_basis`` is the d_lambda rows at the same Yamanouchi
+labels, indexed like the standard polytabloids, the classical basis of
+S^lambda (Thm 2.6.5).  Each is built from its label alone, with prod
+lambda_i! nonzero cells, and the built rows are checked to show the same
+unitriangular pattern at the standard column labels.  The basis spans the
+row space, so its columns, d_lambda long, have the same column matroid as
+the full columns, and ``matroid.specht_matroid`` is built on them.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,7 +85,6 @@ from .combinatorics import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainError
-from .linalg import RowSpace
 
 
 def young_character(w1: Word, w2: Word, r1: Word, r2: Word) -> int:
@@ -109,7 +119,7 @@ class SpechtMatrix:
     labels.  The partition fixes every cell, so it is the only field: ``==``
     and ``hash`` compare it.  Labels, entries and the row basis are each
     built on first read and kept on the instance; the rank reads none of
-    the rows."""
+    them, only the certificate ``_certified_rank``."""
 
     partition: Partition
 
@@ -162,32 +172,83 @@ class SpechtMatrix:
         return self.entries[self.row_labels.index(w1)][self.col_labels.index(w2)]
 
     @cached_property
+    def _certified_rank(self) -> int:
+        """d_lambda, the count of the standard tableaux T_1, ..., T_d
+        (``_tableaux``), once the d x d minor of M at their row labels and
+        standard column labels is checked to be zero right of the diagonal
+        and nonzero on it; a failure raises.  No label, row or entry is built.
+
+        The cell at (row label of T_a, column label of T_b) is nonzero
+        exactly when no two of 1..n share a row of T_a and a column of T_b.
+        So the pattern is the product of two (d, n^2) indicators, the
+        ordered pairs of 1..n sharing a row of T_a and those sharing a
+        column of T_b: only the n pairs (k, k) are shared at a nonzero
+        cell.  It is checked on square tiles of at most ``_TILE_CELLS``
+        cells right of the diagonal, so no temporary but the indicators
+        holds more.
+        """
+        n = self.partition.n
+        tableaux = self._tableaux()
+        d = len(tableaux)
+        places = np.array(tableaux, dtype=np.int64).reshape(d, 2, n).transpose(1, 0, 2)
+        same = places[:, :, :, None] == places[:, :, None, :]
+        same_row, same_col = same.reshape(2, d, n * n).astype(np.float32)
+        side = max(1, math.isqrt(_TILE_CELLS))
+        for lo in range(0, d, side):
+            a = np.arange(lo, min(lo + side, d))[:, None]
+            for left in range(lo, d, side):
+                b = np.arange(left, min(left + side, d))
+                # the counts, at most n^2, are exact in float32
+                nonzero = same_row[lo : lo + side] @ same_col[left : left + side].T == n
+                if ((nonzero & (b >= a)) != (b == a)).any():
+                    raise AssertionError(
+                        f"the Yamanouchi minor of {self.partition} is not unitriangular"
+                    )
+        return d
+
+    def _tableaux(self) -> list[list[int]]:
+        """``_standard_tableaux`` of the shape; a count other than the
+        hook-length d_lambda raises."""
+        tableaux = _standard_tableaux(self.partition.parts)
+        if len(tableaux) != self.partition.dimension():
+            raise AssertionError(
+                f"{len(tableaux)} standard tableaux of {self.partition}, "
+                f"not d = {self.partition.dimension()}"
+            )
+        return tableaux
+
+    @cached_property
     def row_basis(self) -> tuple[tuple[int, ...], ...]:
         """The rows at the Yamanouchi labels, in row order.
 
-        Each is built from its label alone (``_yamanouchi_rows``) and added
-        to a ``RowSpace``; a dependent row, or a count other than the
-        hook-length d_lambda, raises, so the basis is checked exactly.  They
-        are the first d_lambda independent rows of ``entries``: the tests
-        hold them to the scan over every row.  Every row is a combination of
-        these, so ``entries = B R`` with R these rows and B holding the
-        identity on them; B is injective, and any construction that only
-        combines whole columns has the same rank on R as on ``entries``.
+        Each is built from its label alone (``_yamanouchi_rows``), and its
+        cells at the standard column labels are checked to be zero right
+        of the diagonal and nonzero on it, the pattern that
+        ``_certified_rank`` proves on the labels alone; a failure, or a
+        count other than the hook-length d_lambda, raises, so the basis is
+        checked exactly.  They are the first d_lambda independent rows of
+        ``entries``: the tests hold them to the scan over every row.  Every
+        row is a combination of these, so ``entries = B R`` with R these
+        rows and B holding the identity on them; B is injective, and any
+        construction that only combines whole columns has the same rank on
+        R as on ``entries``.
         """
-        space = RowSpace(len(self.col_labels))
-        basis = tuple(self._yamanouchi_rows())
-        for row in basis:
-            if not space.add(row):
-                raise AssertionError(f"Yamanouchi rows of {self.partition} are dependent")
-        if len(basis) != self.partition.dimension():
-            raise AssertionError(
-                f"{len(basis)} Yamanouchi rows of {self.partition}, "
-                f"not d = {self.partition.dimension()}"
-            )
+        n = self.partition.n
+        tableaux = self._tableaux()
+        col_index = {w: j for j, w in enumerate(self.col_labels)}
+        diagonal = [col_index[tuple(c + 1 for c in t[n:])] for t in tableaux]
+        basis = self._yamanouchi_rows(tableaux, col_index)
+        for a, row in enumerate(basis):
+            if not row[diagonal[a]] or any(row[j] for j in diagonal[a + 1 :]):
+                raise AssertionError(
+                    f"Yamanouchi rows of {self.partition} are not unitriangular"
+                    " at the standard columns"
+                )
         return basis
 
-    def _yamanouchi_rows(self) -> list[tuple[int, ...]]:
-        """The rows at the Yamanouchi labels, in lex order, each built alone.
+    def _yamanouchi_rows(self, tableaux, col_index: dict) -> tuple[tuple[int, ...], ...]:
+        """The rows at the Yamanouchi labels of *tableaux*, as
+        ``_standard_tableaux`` lists them, each built alone.
 
         A row label w1 = r1 o sigma has its nonzero cells at pi = tau o sigma
         for the tau in the row stabiliser of r1 (the permutations of the
@@ -195,16 +256,12 @@ class SpechtMatrix:
         (r2 o tau) o sigma holds sign(tau) * sign(sigma).  So one list of
         (r2 o tau, sign(tau)) per shape, with prod lambda_i! members, gives
         every row, each member permuted by sigma with one ``itemgetter``.
-
-        The labels come by backtracking: letter i + 1 may follow a prefix
-        holding fewer i + 1's than i's.  The letter i at position k takes
-        the next unused box of row i, ``sigma[k] = starts[i] + (i's so
-        far)``.  Every box of a later row comes after that box in r1, and
-        every box of its own or an earlier row before it, so the inversions
-        of sigma it adds are the letters above i placed so far.
+        The sigma of a tableau sends k to the box of k + 1, row-major from
+        0.  Every box of a later row comes after a box in r1, and in its
+        own row the smaller numbers sit to the left, so the inversions of
+        sigma are the pairs of a number and a smaller one in a later row.
         """
-        parts = self.partition.parts
-        n = self.partition.n
+        parts, n = self.partition.parts, self.partition.n
         # r2 o tau on the i-th row block is a permutation of 1..lambda_i
         stabiliser = [((), 1)]
         for part in parts:
@@ -212,34 +269,25 @@ class SpechtMatrix:
                 zip(itertools.permutations(range(1, part + 1)), _lex_permutation_signs(part))
             )
             stabiliser = [(c + b, s * t) for c, s in stabiliser for b, t in block]
-        col_index = {w: j for j, w in enumerate(self.col_labels)}
         starts = list(itertools.accumulate(parts, initial=0))
-        counts = [0] * len(parts)
-        sigma: list[int] = []
-        rows = []
-
-        def extend(inversions: int) -> None:
-            if len(sigma) == n:
-                sign = -1 if inversions & 1 else 1
-                pick = itemgetter(*sigma) if n > 1 else (lambda c: c)
-                row = [0] * len(col_index)
-                for c, s in stabiliser:
-                    row[col_index[pick(c)]] = s * sign
-                rows.append(tuple(row))
-                return
-            for i, part in enumerate(parts):
-                if counts[i] < part and (i == 0 or counts[i - 1] > counts[i]):
-                    sigma.append(starts[i] + counts[i])
-                    counts[i] += 1
-                    extend(inversions + sum(counts[i + 1 :]))
-                    counts[i] -= 1
-                    sigma.pop()
-
-        extend(0)
-        return rows
+        basis = []
+        for tableau in tableaux:
+            rows = tableau[:n]
+            placed, inversions = [0] * len(parts), 0
+            for i in rows:
+                inversions += sum(placed[i + 1 :])
+                placed[i] += 1
+            sign = -1 if inversions & 1 else 1
+            sigma = [starts[i] + j for i, j in zip(rows, tableau[n:])]
+            pick = itemgetter(*sigma) if n > 1 else (lambda c: c)
+            row = [0] * len(col_index)
+            for c, s in stabiliser:
+                row[col_index[pick(c)]] = s * sign
+            basis.append(tuple(row))
+        return tuple(basis)
 
     def rank(self) -> int:
-        return len(self.row_basis)
+        return self._certified_rank
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.entries))
@@ -263,6 +311,46 @@ class SpechtMatrix:
 
 _cache: dict[tuple[int, ...], SpechtMatrix] = {}
 _cache_lock = threading.Lock()
+
+
+# cells of one tile of the unitriangular minor check in ``_certified_rank``
+_TILE_CELLS = 1 << 16
+
+
+def _standard_tableaux(parts: tuple[int, ...]) -> list[list[int]]:
+    """The standard tableaux of shape *parts*, each as the rows and then
+    the columns (from 0) that 1..n hold in it, in lex order of their
+    Yamanouchi words (the rows).
+
+    The words come by backtracking: row i + 1 may take the next number
+    while it holds fewer numbers than row i, and the number that row i
+    takes goes to its next column.
+    """
+    n = sum(parts)
+    counts = [0] * len(parts)
+    rows: list[int] = []
+    cols: list[int] = []
+    tableaux = []
+
+    def extend() -> None:
+        if len(rows) == n:
+            tableaux.append(rows + cols)
+            return
+        above = n
+        for i, part in enumerate(parts):
+            filled = counts[i]
+            if filled < part and filled < above:
+                rows.append(i)
+                cols.append(filled)
+                counts[i] += 1
+                extend()
+                counts[i] -= 1
+                rows.pop()
+                cols.pop()
+            above = filled
+
+    extend()
+    return tableaux
 
 
 def _lex_permutation_signs(n: int) -> list[int]:

@@ -2,6 +2,9 @@ import argparse
 import ast
 import functools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from importlib import resources
 
@@ -276,6 +279,24 @@ def test_a_corrupted_matrix_fails_conjecture1_in_both_formats(capsys, monkeypatc
     }
     code, out, err = run(capsys, "check", "conjecture1", "--n", "4")
     assert (code, out, err) == (1, "conjecture1 n=4 mode=full pairs=10: FAIL\n", "")
+
+
+@pytest.mark.parametrize("stderr", ["apart", "on the pipe"])
+def test_a_reader_that_closes_early_ends_the_run_quietly_with_141(stderr):
+    # 13,667 flats: far more JSON than a pipe buffers, so writes go on after the reader is gone
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "spechtkit.cli", "matroid", "flats", "--lambda", "3,1,1,1"]
+    child = subprocess.Popen(
+        argv + ["--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE if stderr == "apart" else subprocess.STDOUT,
+        env=env,
+    )
+    head = child.stdout.read(5)
+    child.stdout.close()
+    err = child.stderr.read() if child.stderr else b""
+    assert (child.wait(timeout=120), head, err) == (141, b"[\n  [", b"")
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):

@@ -825,14 +825,14 @@ def test_support_rules_keep_the_setup_refusals():
         lr_coefficient(P("3"), P("3"), P("1,1,1,1,1"))
 
 
-def run_fresh(script, *args):
-    """Standard output of *script* run with *args* in a fresh interpreter
-    that imports this checkout's spechtkit."""
+def run_fresh(script, *args, flags=()):
+    """Standard output of *script* run with *args* in a fresh interpreter,
+    started with *flags*, that imports this checkout's spechtkit."""
     src = os.path.dirname(os.path.dirname(spechtkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+        [sys.executable, *flags, "-c", script, *args], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     return done.stdout

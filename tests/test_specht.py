@@ -16,6 +16,7 @@ from spechtkit.specht import (
     specht_matrix,
     young_character,
 )
+from test_coefficients import run_fresh
 
 W = word_from_text
 
@@ -103,10 +104,16 @@ def test_row_sums_vanish_for_non_column_shapes(n):
             assert sum(row) == 0
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+UNBUILT = {"row_basis", "col_labels", "row_labels", "entries"}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_rank_equals_hook_length_dimension(n):
+    # SpechtMatrix directly: the n = 8, 9 shapes exceed the default cell guard
     for p in partitions_of(n):
-        assert specht_matrix(p).rank() == p.dimension()
+        mat = SpechtMatrix(p)
+        assert mat.rank() == p.dimension(), p
+        assert not UNBUILT & set(vars(mat)), p
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -148,12 +155,92 @@ def test_yamanouchi_basis_has_rank_d(n):
 
 def test_rank_leaves_rows_and_entries_unbuilt(monkeypatch):
     monkeypatch.setattr(specht, "_cache", {})
-    for p, d in [(Partition((1,) * 7), 1), (Partition((2,) + (1,) * 7), 8)]:
+    for p, d in [(Partition((1,) * 7), 1), (Partition((2,) + (1,) * 7), 8), (Partition((6,)), 1)]:
         mat = specht_matrix(p)
         assert mat.rank() == d
-        assert mat.shape == (len(rearrangements(p.canonical_words()[0])), len(mat.col_labels))
-        assert "row_basis" in vars(mat)
-        assert "row_labels" not in vars(mat) and "entries" not in vars(mat)
+        assert not UNBUILT & set(vars(mat)), vars(mat)
+        assert mat.shape == tuple(len(rearrangements(w)) for w in p.canonical_words())
+
+
+def is_yamanouchi(word):
+    return all(word[:k].count(i) >= word[:k].count(i + 1) for k in range(len(word) + 1) for i in word)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_certificate_minor_is_the_matrix_at_its_labels(n):
+    for p in partitions_of(n):
+        mat = specht_matrix(p)
+        r1, r2 = p.canonical_words()
+        tableaux = [[x + 1 for x in t] for t in specht._standard_tableaux(p.parts)]
+        rows, cols = [tuple(t[:n]) for t in tableaux], [tuple(t[n:]) for t in tableaux]
+        assert rows == sorted(set(rows)) and all(map(is_yamanouchi, rows)), p
+        assert sorted(rows) == sorted(w for w in mat.row_labels if is_yamanouchi(w)), p
+        # the rule the certificate checks: the pairs (row, column) of 1..n are the boxes
+        boxes = set(p.boxes_row_major())
+        rule = [[set(zip(w1, w2)) == boxes for w2 in cols] for w1 in rows]
+        minor = [[mat.entry(w1, w2) for w2 in cols] for w1 in rows]
+        assert [[x != 0 for x in row] for row in minor] == rule, p
+        d = len(rows)
+        assert all(minor[a][a] and not any(minor[a][a + 1 :]) for a in range(d)), p
+        if n <= 5:
+            assert minor == [[young_character(w1, w2, r1, r2) for w2 in cols] for w1 in rows], p
+
+
+def corrupt(monkeypatch, change):
+    real = specht._standard_tableaux
+    monkeypatch.setattr(specht, "_standard_tableaux", lambda parts: change(real(parts)))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda t: t[::-1], "not unitriangular"),  # the pattern turns upper-triangular
+        (lambda t: t[:-1] + t[-2:-1], "not unitriangular"),  # the last tableau repeated
+        (lambda t: t[:-1], "4 standard tableaux of 3,2, not d = 5"),
+        (lambda t: t + t[:1], "6 standard tableaux of 3,2, not d = 5"),
+    ],
+)
+@pytest.mark.parametrize("read", [SpechtMatrix.rank, lambda mat: mat.row_basis])
+def test_a_corrupted_certificate_raises(monkeypatch, change, message, read):
+    corrupt(monkeypatch, change)
+    with pytest.raises(AssertionError, match=message):
+        read(SpechtMatrix(Partition((3, 2))))
+
+
+def test_a_corrupted_row_basis_raises(monkeypatch):
+    mat = SpechtMatrix(Partition((3, 2)))
+    real = SpechtMatrix._yamanouchi_rows
+    monkeypatch.setattr(SpechtMatrix, "_yamanouchi_rows", lambda *args: real(*args)[::-1])
+    with pytest.raises(AssertionError, match="not unitriangular at the standard columns"):
+        mat.row_basis
+
+
+@pytest.mark.parametrize("cells", [1, 2, 4, 10])
+def test_tiles_of_any_size_give_the_same_verdicts(monkeypatch, cells):
+    monkeypatch.setattr(specht, "_TILE_CELLS", cells)
+    for n in range(1, 7):
+        for p in partitions_of(n):
+            assert SpechtMatrix(p).rank() == p.dimension(), p
+    # a repeat of the last tableau is seen whichever tile holds it
+    corrupt(monkeypatch, lambda t: t[:-1] + t[-2:-1])
+    with pytest.raises(AssertionError, match="not unitriangular"):
+        SpechtMatrix(Partition((3, 2, 1))).rank()
+
+
+def test_a_corrupted_certificate_raises_under_python_O():
+    # the checks raise explicitly, so python -O, which drops assert statements, keeps them
+    script = """
+from spechtkit import specht
+from spechtkit.combinatorics import Partition
+real = specht._standard_tableaux
+specht._standard_tableaux = lambda parts: real(parts)[::-1]
+try:
+    specht.SpechtMatrix(Partition((3, 2))).rank()
+except AssertionError as exc:
+    print(__debug__, exc)
+"""
+    out = run_fresh(script, flags=["-O"])
+    assert out == "False the Yamanouchi minor of 3,2 is not unitriangular\n"
 
 
 def test_matrices_compare_and_hash_by_partition(monkeypatch):
